@@ -120,17 +120,16 @@ def divisors(fmt, **cfg):
 @with_config
 @click.option("--max-size", type=int, default=None)
 @click.option("--fvector", "want_fvector", is_flag=True, help="Print only the face counts.")
-@click.option("--workers", type=int, default=1)
 @click.option("--format", "fmt", type=click.Choice(["table", "json", "csv"]), default="table")
-def nested(max_size, want_fvector, workers, fmt, **cfg):
+def nested(max_size, want_fvector, fmt, **cfg):
     """Enumerate nested sets (the boundary stratification poset)."""
     g = build_config(**cfg)
     try:
         if want_fvector:
-            fv = f_vector(g, workers=workers)
+            fv = f_vector(g)
             _render_fvector(fv, fmt)
             return
-        sets = enumerate_nested_sets(g, max_size=max_size, workers=workers)
+        sets = enumerate_nested_sets(g, max_size=max_size)
     except BudgetError as exc:
         _fail(3, str(exc))
     if fmt == "json":
@@ -153,13 +152,12 @@ def _render_fvector(fv, fmt):
 
 @main.command()
 @with_config
-@click.option("--workers", type=int, default=1)
 @click.option("--format", "fmt", type=click.Choice(["table", "json", "csv"]), default="table")
-def fvector(workers, fmt, **cfg):
+def fvector(fmt, **cfg):
     """Face counts of the nested-set complex."""
     g = build_config(**cfg)
     try:
-        fv = f_vector(g, workers=workers)
+        fv = f_vector(g)
     except BudgetError as exc:
         _fail(3, str(exc))
     _render_fvector(fv, fmt)
@@ -167,13 +165,12 @@ def fvector(workers, fmt, **cfg):
 
 @main.command()
 @with_config
-@click.option("--workers", type=int, default=1)
 @click.option("--format", "fmt", type=click.Choice(["table", "json"]), default="table")
-def facets(workers, fmt, **cfg):
+def facets(fmt, **cfg):
     """Maximal nested sets (deepest strata)."""
     g = build_config(**cfg)
     try:
-        sets = maximal_nested_sets(g, workers=workers)
+        sets = maximal_nested_sets(g)
     except BudgetError as exc:
         _fail(3, str(exc))
     if fmt == "json":

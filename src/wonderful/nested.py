@@ -18,15 +18,14 @@ intersection sits inside the blowup center D_{c, S union I}, which is
 strictly contained in D_{c,S}, and blowing up such a center separates the
 transforms.
 
-Pairwise-ness makes the complex of nested sets downward closed, so it is
-enumerated by a depth-first search that only ever extends by compatible
-divisors.  Counting functions count nested sets; whether distinct nested
+Pairwise-ness makes the complex the clique complex of one compatibility
+graph (an int bitmask per divisor), walked by the pivot-free Bron-Kerbosch
+recursion.  Counting functions count nested sets; whether distinct nested
 sets can cut out one and the same stratum is left open here, deliberately.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .geometry import GeometryConfig, Space
@@ -194,34 +193,7 @@ def make_nested_set(g: GeometryConfig, divisors) -> NestedSet:
     return NestedSet(g, tuple(sorted(set(divisors), key=divisor_sort_key)))
 
 
-def _enumerate_from(g, divisors, prefix, start, max_size, out):
-    if max_size is not None and len(prefix) >= max_size:
-        return
-    for i in range(start, len(divisors)):
-        cand = divisors[i]
-        if all(pair_compatible(d, cand) for d in prefix):
-            chosen = prefix + [cand]
-            out.append(NestedSet(g, tuple(chosen)))
-            _enumerate_from(g, divisors, chosen, i + 1, max_size, out)
-
-
-def enumerate_nested_sets(
-    g: GeometryConfig,
-    max_size: int | None = None,
-    workers: int = 1,
-    divisor_bound: int | None = None,
-) -> tuple[NestedSet, ...]:
-    """Every nested set (the empty one included) up to ``max_size``, in a
-    deterministic order.
-
-    The search prunes by pairwise compatibility, which is exact because the
-    complex is downward closed.  With several workers the tree is split by
-    first divisor and merged back in canonical order, so the output does not
-    depend on the worker count.  Exhaustive enumeration over more than
-    ENUMERATION_DIVISOR_BOUND divisors is refused unless max_size <= 2; a
-    caller that knows better may raise ``divisor_bound`` explicitly (the
-    command line interface never does).
-    """
+def _budgeted_divisors(g: GeometryConfig, max_size: int | None, divisor_bound: int | None):
     divisors = divisors_for(g)
     bound = ENUMERATION_DIVISOR_BOUND if divisor_bound is None else divisor_bound
     if len(divisors) > bound and (max_size is None or max_size > 2):
@@ -229,52 +201,83 @@ def enumerate_nested_sets(
             "refusing exhaustive enumeration over %d divisors"
             " (bound %d exceeded and max_size not <= 2)" % (len(divisors), bound)
         )
-    results: tuple[list[NestedSet], ...] = tuple([] for _ in divisors)
-    empty = NestedSet(g, ())
+    return divisors
 
-    def run_first(i: int):
-        if max_size is not None and max_size < 1:
-            return
-        chosen = [divisors[i]]
-        results[i].append(NestedSet(g, tuple(chosen)))
-        _enumerate_from(g, divisors, chosen, i + 1, max_size, results[i])
 
-    if workers <= 1 or not divisors:
-        for i in range(len(divisors)):
-            run_first(i)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_first, range(len(divisors))))
-    out = [empty]
-    for chunk in results:
-        out.extend(chunk)
+def _walk(divisors, max_size, visit) -> None:
+    """Call ``visit(chosen, common)`` on every nonempty nested set of at most
+    ``max_size`` divisors, each before its extensions: ``chosen`` holds
+    increasing divisor indices, and bit j of ``common`` is set when divisor j
+    is outside ``chosen`` and compatible with all of it (0 means maximal)."""
+    adj = [0] * len(divisors)
+    for i, a in enumerate(divisors):
+        for j in range(i + 1, len(divisors)):
+            if pair_compatible(a, divisors[j]):
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+
+    def extend(chosen, cand, common):
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            i = low.bit_length() - 1
+            face = chosen + (i,)
+            visit(face, common & adj[i])
+            if max_size is None or len(face) < max_size:
+                extend(face, cand & adj[i], common & adj[i])
+
+    everything = (1 << len(divisors)) - 1
+    extend((), everything, everything)
+
+
+def enumerate_nested_sets(
+    g: GeometryConfig, max_size: int | None = None, divisor_bound: int | None = None
+) -> tuple[NestedSet, ...]:
+    """Every nested set (the empty one included) up to ``max_size``, in a
+    deterministic order.
+
+    The nested sets are the cliques of the compatibility graph, listed depth
+    first in canonical divisor order; with max_size <= 1 no graph is built.
+    Exhaustive enumeration over more than ENUMERATION_DIVISOR_BOUND divisors
+    is refused unless max_size <= 2; a caller that knows better may raise
+    ``divisor_bound`` explicitly (the command line interface never does).
+    """
+    divisors = _budgeted_divisors(g, max_size, divisor_bound)
+    out = [NestedSet(g, ())]
+    if max_size is not None and max_size <= 1:
+        return tuple(out + [NestedSet(g, (d,)) for d in divisors if max_size == 1])
+
+    def visit(chosen, common):
+        out.append(NestedSet(g, tuple(divisors[i] for i in chosen)))
+
+    _walk(divisors, max_size, visit)
     return tuple(out)
 
 
-def f_vector(g: GeometryConfig, workers: int = 1, divisor_bound: int | None = None) -> tuple[int, ...]:
+def f_vector(g: GeometryConfig, divisor_bound: int | None = None) -> tuple[int, ...]:
     """Face counts of the nested-set complex by cardinality, starting with the
     empty set."""
-    counts: dict[int, int] = {}
-    for ns in enumerate_nested_sets(g, workers=workers, divisor_bound=divisor_bound):
-        counts[len(ns)] = counts.get(len(ns), 0) + 1
-    return tuple(counts.get(k, 0) for k in range(max(counts) + 1))
+    divisors = _budgeted_divisors(g, None, divisor_bound)
+    counts = [1] + [0] * len(divisors)
+
+    def visit(chosen, common):
+        counts[len(chosen)] += 1
+
+    _walk(divisors, None, visit)
+    return tuple(c for c in counts if c)  # downward closed: the nonzero counts are a prefix
 
 
-def maximal_nested_sets(
-    g: GeometryConfig, workers: int = 1, divisor_bound: int | None = None
-) -> tuple[NestedSet, ...]:
+def maximal_nested_sets(g: GeometryConfig, divisor_bound: int | None = None) -> tuple[NestedSet, ...]:
     """Nested sets maximal under inclusion.  Pairwise-ness makes maximality a
-    local test: no single further divisor stays compatible."""
-    divisors = divisors_for(g)
-    out = []
-    for ns in enumerate_nested_sets(g, workers=workers, divisor_bound=divisor_bound):
-        chosen = set(ns.divisors)
-        extendable = any(
-            d not in chosen and all(pair_compatible(d, e) for e in ns.divisors)
-            for d in divisors
-        )
-        if not extendable:
-            out.append(ns)
+    local test: no divisor outside the set is compatible with all of it."""
+    divisors = _budgeted_divisors(g, None, divisor_bound)
+    out = [NestedSet(g, ())] if not divisors else []
+
+    def visit(chosen, common):
+        if not common:
+            out.append(NestedSet(g, tuple(divisors[i] for i in chosen)))
+
+    _walk(divisors, None, visit)
     return tuple(out)
 
 

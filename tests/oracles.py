@@ -5,8 +5,9 @@ realizes X as a finite affine grid F^d with each component a translated
 coordinate subspace, so membership questions become finite enumerations and
 dimensions are exact logarithms of point counts (every locus in this model
 is a product of q^dim points).  The laminar oracle and the Bell recurrence
-are textbook one-liners, and the closed-form pair table transcribes the
-expected positions family by family.
+are textbook one-liners, the closed-form pair table transcribes the
+expected positions family by family, and the facet rescan tests maximality
+one divisor at a time over the full enumeration.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import math
 from wonderful.geometry import GeometryConfig
 from wonderful.labels import elements
 from wonderful.loci import Center, Diagonal, DLocus, Locus, PairPosition
+from wonderful.nested import NestedSet, divisors_for, enumerate_nested_sets, pair_compatible
 
 
 class GridModel:
@@ -86,6 +88,22 @@ def laminar(sets) -> bool:
         if a & b and not (a <= b or b <= a):
             return False
     return True
+
+
+def maximal_by_rescan(g: GeometryConfig) -> tuple[NestedSet, ...]:
+    """Nested sets, in enumeration order, that no single further divisor
+    stays compatible with: O(faces * divisors * size) pair tests."""
+    divisors = divisors_for(g)
+    out = []
+    for ns in enumerate_nested_sets(g):
+        chosen = set(ns.divisors)
+        extendable = any(
+            d not in chosen and all(pair_compatible(d, e) for e in ns.divisors)
+            for d in divisors
+        )
+        if not extendable:
+            out.append(ns)
+    return tuple(out)
 
 
 def bell_numbers(up_to: int) -> list[int]:

@@ -321,12 +321,4 @@ def test_criterion_10_cli_determinism(tmp_path):
         runs = [runner.invoke(main, argv) for _ in range(3)]
         assert all(r.exit_code == 0 for r in runs)
         assert len({r.output for r in runs}) == 1
-    for argv in [
-        ["nested", "--config", str(config), "--format", "json"],
-        ["facets", "--config", str(config), "--format", "json"],
-        ["nested", "--config", str(config), "--fvector"],
-    ]:
-        base = runner.invoke(main, argv).output
-        for workers in ("1", "2", "4"):
-            assert runner.invoke(main, argv + ["--workers", workers]).output == base
-    _ok(10, "CLI output byte-identical across runs and worker counts")
+    _ok(10, "CLI output byte-identical across runs")

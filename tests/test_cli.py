@@ -172,9 +172,3 @@ def test_outputs_byte_identical_across_runs_and_workers(runner, m0n5_config):
     for argv in commands:
         outputs = {runner.invoke(main, argv).output for _ in range(3)}
         assert len(outputs) == 1
-    for workers in ("1", "2", "4"):
-        base = runner.invoke(main, ["nested", "--config", m0n5_config, "--format", "json"]).output
-        out = runner.invoke(
-            main, ["nested", "--config", m0n5_config, "--format", "json", "--workers", workers]
-        ).output
-        assert out == base

@@ -1,7 +1,9 @@
 import itertools
+from collections import Counter
 
 import pytest
 
+from wonderful import nested
 from wonderful.geometry import Component, GeometryConfig, Space, point_components
 from wonderful.labels import elements, subsets
 from wonderful.loci import check_separation
@@ -20,7 +22,7 @@ from wonderful.nested import (
     mixed_pair_certificate,
     parse_divisor,
 )
-from oracles import laminar
+from oracles import laminar, maximal_by_rescan
 
 
 def test_is_nested_pair_rules():
@@ -106,12 +108,9 @@ def test_enumeration_matches_brute_force():
         assert enumerated == brute
 
 
-def test_enumeration_deterministic_and_worker_independent():
+def test_enumeration_deterministic():
     g = point_components(2, n=3)
-    serial = enumerate_nested_sets(g)
-    assert serial == enumerate_nested_sets(g)
-    for workers in (2, 4):
-        assert enumerate_nested_sets(g, workers=workers) == serial
+    assert enumerate_nested_sets(g) == enumerate_nested_sets(g)
 
 
 def test_fm_matches_forest_oracle_exhaustive_n4():
@@ -131,6 +130,64 @@ def test_budget_guard():
     assert "40" in str(err.value)
     # shallow queries stay allowed
     assert len(enumerate_nested_sets(g, max_size=1)) == count_divisors(g) + 1
+
+
+def test_shallow_and_refused_queries_test_no_pairs(monkeypatch):
+    calls = []
+    original = nested.pair_compatible
+
+    def counting(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(nested, "pair_compatible", counting)
+    g = point_components(1, n=6)  # 120 divisors
+    assert len(enumerate_nested_sets(g, max_size=1)) == count_divisors(g) + 1
+    assert calls == []
+    with pytest.raises(BudgetError) as err:
+        enumerate_nested_sets(g)
+    assert "40" in str(err.value)
+    assert calls == []
+
+
+SMALL_COMPLEXES = [
+    point_components(2, n=3),
+    point_components(1, n=4, space=Space.XD_UPPER),
+    point_components(3, n=3),
+    GeometryConfig(4, 2, (), Space.FM),
+]
+
+
+@pytest.mark.parametrize("g", SMALL_COMPLEXES, ids=["k2n3", "k1n4-upper", "k3n3", "fm4"])
+def test_facets_and_f_vector_match_enumeration(g):
+    assert maximal_nested_sets(g) == maximal_by_rescan(g)
+    sizes = Counter(len(ns) for ns in enumerate_nested_sets(g))
+    assert f_vector(g) == tuple(sizes[k] for k in range(max(sizes) + 1))
+
+
+def _double_factorial(k):
+    return 1 if k <= 1 else k * _double_factorial(k - 2)
+
+
+@pytest.mark.parametrize("n, total", [(5, 26), (6, 236), (7, 2752), (8, 39208)])
+def test_moduli_space_anchors(n, total):
+    g = point_components(3, n=n - 3)  # the model of M_{0,n}
+    assert sum(f_vector(g, divisor_bound=200)) == total
+    assert len(maximal_nested_sets(g, divisor_bound=200)) == _double_factorial(2 * n - 5)
+
+
+@pytest.mark.parametrize("n, total", [(2, 2), (3, 8), (4, 52), (5, 472), (6, 5504)])
+def test_fulton_macpherson_anchors(n, total):
+    g = GeometryConfig(n, 2, (), Space.FM)
+    assert sum(f_vector(g, divisor_bound=200)) == total
+    assert len(maximal_nested_sets(g, divisor_bound=200)) == _double_factorial(2 * n - 3)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_one_point_component_is_fm_with_one_more_point(n):
+    assert f_vector(point_components(1, n=n), divisor_bound=200) == f_vector(
+        GeometryConfig(n + 1, 2, (), Space.FM), divisor_bound=200
+    )
 
 
 def test_nested_set_constructor_enforces_predicate():
