@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property
 
 from .geometry import GeometryConfig, Space, extended_config
 from .labels import subset_key, subsets
@@ -37,7 +37,6 @@ from .loci import (
     contains_locus,
     intersect,
     intersect_all,
-    loci_equal,
     meets_transversally,
     pair_position,
     PairPosition,
@@ -67,29 +66,63 @@ class BuildingSet:
                 raise ValueError("second-stage members are diagonal transforms only")
 
     def member_loci(self) -> tuple[Locus, ...]:
-        return _member_loci(self)
+        return self._table.loci
+
+    @cached_property
+    def _table(self) -> "_MemberTable":
+        return _MemberTable(self.geometry, self.members)
 
 
-@lru_cache(maxsize=256)
-def _member_loci(bs: "BuildingSet") -> tuple[Locus, ...]:
-    return tuple(center_to_locus(bs.geometry, m) for m in bs.members)
+class _MemberTable:
+    """What the queries on a collection of members look up.  A building set
+    builds its table on first use and keeps it, so the table is found
+    without hashing the members.
 
+    ``loci[k]`` is the locus of member k and ``index`` maps each member to k;
+    ``below[k]`` is the bitmask of the members strictly contained in member
+    k; ``factors`` maps a locus code to the bitmask of its G-factors.
+    """
 
-@lru_cache(maxsize=256)
-def _strictly_below(bs: "BuildingSet") -> tuple[tuple[int, ...], ...]:
-    """For each member k, the members strictly contained in it."""
-    g = bs.geometry
-    loci = _member_loci(bs)
-    out = []
-    for k, mk in enumerate(loci):
-        out.append(
-            tuple(
-                j
-                for j, mj in enumerate(loci)
-                if j != k and contains_locus(g, mk, mj) and not loci_equal(mk, mj)
+    def __init__(self, g: GeometryConfig, members):
+        self.geometry = g
+        self.loci = tuple(center_to_locus(g, m) for m in members)
+        self.index = {m: k for k, m in enumerate(members)}
+        self.below = tuple(
+            sum(
+                1 << j
+                for j, mj in enumerate(self.loci)
+                if j != k and contains_locus(g, mk, mj) and mk != mj
             )
+            for k, mk in enumerate(self.loci)
         )
-    return tuple(out)
+        self.factors: dict[int, int] = {}
+
+    def indices(self, sub) -> list[int]:
+        """Member indices of ``sub``; a non-member is an error."""
+        out = []
+        for c in sub:
+            k = self.index.get(c)
+            if k is None:
+                raise ValueError("%s is not a member of the building set" % c)
+            out.append(k)
+        return out
+
+    def factor_mask(self, lo: Locus) -> int:
+        """The G-factors of a nonempty locus: the members containing it with
+        no other member containing it strictly inside them."""
+        out = self.factors.get(lo.code)
+        if out is None:
+            g = self.geometry
+            containing = 0
+            for k, ml in enumerate(self.loci):
+                if contains_locus(g, ml, lo):
+                    containing |= 1 << k
+            out = 0
+            for k, below in enumerate(self.below):
+                if containing >> k & 1 and not below & containing:
+                    out |= 1 << k
+            self.factors[lo.code] = out
+        return out
 
 
 def building_set_for(g: GeometryConfig) -> tuple[BuildingSet, BuildingSet]:
@@ -173,15 +206,8 @@ def factors_of_locus(bs: BuildingSet, lo: Locus) -> tuple[Center, ...]:
     """G-factors of a nonempty locus: the minimal members containing it."""
     if lo.is_empty:
         raise ValueError("G-factors are only defined for nonempty intersections")
-    g = bs.geometry
-    loci = bs.member_loci()
-    below = _strictly_below(bs)
-    containing = set(k for k, ml in enumerate(loci) if contains_locus(g, ml, lo))
-    return tuple(
-        bs.members[k]
-        for k in sorted(containing)
-        if not any(j in containing for j in below[k])
-    )
+    mask = bs._table.factor_mask(lo)
+    return tuple(m for k, m in enumerate(bs.members) if mask >> k & 1)
 
 
 def g_factors(bs: BuildingSet, sub) -> tuple[Center, ...]:
@@ -189,16 +215,38 @@ def g_factors(bs: BuildingSet, sub) -> tuple[Center, ...]:
     intersection with no other member between them.  For the diagonal stage
     the factors of a polydiagonal transform are exactly the simple diagonals
     of its blocks of size >= 2."""
-    sub = list(sub)
-    members = set(bs.members)
-    for c in sub:
-        if c not in members:
-            raise ValueError("%s is not a member of the building set" % c)
+    table = bs._table
     g = bs.geometry
-    lo = intersect_all(g, [center_to_locus(g, c) for c in sub])
+    lo = intersect_all(g, [table.loci[k] for k in table.indices(sub)])
     if lo.is_empty:
         raise ValueError("the collection has empty intersection")
     return factors_of_locus(bs, lo)
+
+
+def _intersection_closure(g: GeometryConfig, loci) -> list[Locus]:
+    """The distinct nonempty intersections of sub-collections of ``loci``, in
+    discovery order: the loci themselves, then breadth-first, each new
+    intersection met with every given locus."""
+    loci = list(loci)
+    closure: list[Locus] = []
+    seen: set[int] = set()  # codes
+    frontier: list[Locus] = []
+    for lo in loci:
+        if not lo.is_empty and lo.code not in seen:
+            seen.add(lo.code)
+            closure.append(lo)
+            frontier.append(lo)
+    while frontier:
+        nxt = []
+        for lo in frontier:
+            for b in loci:
+                li = intersect(g, lo, b)
+                if not li.is_empty and li.code not in seen:
+                    seen.add(li.code)
+                    closure.append(li)
+                    nxt.append(li)
+        frontier = nxt
+    return closure
 
 
 def is_nested_flag_oracle(bs: BuildingSet, sub) -> bool:
@@ -212,38 +260,17 @@ def is_nested_flag_oracle(bs: BuildingSet, sub) -> bool:
     so for the old W_i already.
     """
     g = bs.geometry
-    sub = list(dict.fromkeys(sub))
-    members = set(bs.members)
-    for c in sub:
-        if c not in members:
-            raise ValueError("%s is not a member of the building set" % c)
+    table = bs._table
+    sub = table.indices(dict.fromkeys(sub))
     if not sub:
         return True
-    base = [center_to_locus(g, c) for c in sub]
-    candidates: list[Locus] = []
-    seen: set[Locus] = set()
-    frontier = []
-    for lo in base:
-        if not lo.is_empty and lo not in seen:
-            seen.add(lo)
-            candidates.append(lo)
-            frontier.append(lo)
-    while frontier:
-        nxt = []
-        for lo in frontier:
-            for b in base:
-                li = intersect(g, lo, b)
-                if not li.is_empty and li not in seen:
-                    seen.add(li)
-                    candidates.append(li)
-                    nxt.append(li)
-        frontier = nxt
+    candidates = _intersection_closure(g, [table.loci[k] for k in sub])
 
     want = (1 << len(sub)) - 1
     cover = []
     for lo in candidates:
-        factors = set(factors_of_locus(bs, lo))
-        cover.append(sum(1 << i for i, c in enumerate(sub) if c in factors))
+        factors = table.factor_mask(lo)
+        cover.append(sum(1 << i for i, k in enumerate(sub) if factors >> k & 1))
     if len(candidates) == 0:
         return False
     reachable = 0
@@ -280,40 +307,16 @@ def is_building_set(g: GeometryConfig, members) -> bool:
     pairwise intersection, which is the same family.
     """
     members = list(members)
-    loci = [center_to_locus(g, m) for m in members]
+    table = _MemberTable(g, members)
+    loci = table.loci
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
             if pair_position(g, members[i], members[j]) is PairPosition.NOT_CLEAN:
                 return False
-    closure: list[Locus] = []
-    seen: set[Locus] = set()
-    frontier: list[Locus] = []
-    for lo in loci:
-        if not lo.is_empty and lo not in seen:
-            seen.add(lo)
-            closure.append(lo)
-            frontier.append(lo)
-    while frontier:
-        nxt = []
-        for lo in frontier:
-            for b in loci:
-                li = intersect(g, lo, b)
-                if not li.is_empty and li not in seen:
-                    seen.add(li)
-                    closure.append(li)
-                    nxt.append(li)
-        frontier = nxt
-    for w in closure:
-        containing = [k for k, ml in enumerate(loci) if contains_locus(g, ml, w)]
-        factor_idx = []
-        for k in containing:
-            if not any(
-                j != k and contains_locus(g, loci[k], loci[j]) and not loci_equal(loci[k], loci[j])
-                for j in containing
-            ):
-                factor_idx.append(k)
-        factor_loci = [loci[k] for k in factor_idx]
-        if not loci_equal(intersect_all(g, factor_loci), w):
+    for w in _intersection_closure(g, loci):
+        factors = table.factor_mask(w)
+        factor_loci = [lo for k, lo in enumerate(loci) if factors >> k & 1]
+        if intersect_all(g, factor_loci) != w:
             return False
         if not meets_transversally(g, factor_loci):
             return False

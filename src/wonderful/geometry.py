@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 
 from .labels import MAX_POINTS
 
@@ -67,6 +68,15 @@ class GeometryConfig:
     @property
     def n_components(self) -> int:
         return len(self.components)
+
+    @cached_property
+    def intersections(self) -> dict:
+        """Memo of ``loci.intersect`` in this geometry, keyed on pairs of
+        locus codes.  Not a field: it takes no part in equality, hashing or
+        JSON, and no two configuration objects share one, because the
+        canonical form of an intersection depends on the component
+        dimensions."""
+        return {}
 
     def component_dim(self, c: int) -> int:
         """Dimension of the c-th component, 1-based."""

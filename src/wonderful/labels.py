@@ -113,6 +113,38 @@ def plus_label(n: int, mask: int) -> tuple[int, int]:
     return n + 1, mask | (1 << n)
 
 
+def join_blocks(n: int, blocks) -> list[int]:
+    """The blocks of the finest partition of {1..n} in which each given mask
+    lies inside one block, sorted by least element.
+
+    A path-halving union-find over the elements; the given masks may
+    overlap, and elements no mask covers stay singletons.
+    """
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for b in blocks:
+        base = find((b & -b).bit_length() - 1)
+        rest = b & (b - 1)
+        while rest:
+            low = rest & -rest
+            r = find(low.bit_length() - 1)
+            if r != base:
+                parent[r] = base
+            rest ^= low
+    groups: dict[int, int] = {}
+    for i in range(n):
+        r = find(i)
+        groups[r] = groups.get(r, 0) | (1 << i)
+    # groups first appear at their least element, so they come out sorted
+    return list(groups.values())
+
+
 @dataclass(frozen=True)
 class Partition:
     """A partition of {1,...,n}: disjoint nonempty blocks covering everything.
@@ -179,16 +211,6 @@ class Partition:
     def support(self) -> tuple[int, ...]:
         return tuple(b for b in self.blocks if b.bit_count() >= 2)
 
-    def is_discrete(self) -> bool:
-        return all(b.bit_count() == 1 for b in self.blocks)
-
-    def block_containing(self, i: int) -> int:
-        bit = 1 << (i - 1)
-        for b in self.blocks:
-            if b & bit:
-                return b
-        raise ValueError("element %d not in population %d" % (i, self.n))
-
     def meet(self, other: "Partition") -> "Partition":
         """The partition I^J whose polydiagonal is the intersection of the two
         polydiagonals.
@@ -200,30 +222,7 @@ class Partition:
         """
         if self.n != other.n:
             raise ValueError("meet of partitions over different populations")
-        parent = list(range(self.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for part in (self, other):
-            for b in part.blocks:
-                base = find((b & -b).bit_length() - 1)
-                rest = b & (b - 1)
-                while rest:
-                    low = rest & -rest
-                    r = find(low.bit_length() - 1)
-                    if r != base:
-                        parent[r] = base
-                    rest ^= low
-        groups: dict[int, int] = {}
-        for i in range(self.n):
-            groups.setdefault(find(i), 0)
-            groups[find(i)] |= 1 << i
-        masks = sorted(groups.values(), key=lambda m: m & -m)
-        return Partition(self.n, tuple(masks))
+        return Partition(self.n, tuple(join_blocks(self.n, self.blocks + other.blocks)))
 
     def sort_key(self) -> tuple:
         return tuple(subset_key(b) for b in self.blocks)

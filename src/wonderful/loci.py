@@ -17,11 +17,29 @@ subvarieties iff their canonical forms agree, and the dimension is the exact
 integer sum over blocks (dim D_c if pinned to c, else dim X).  All predicates
 below (containment, transversality, the pair classification) are decided on
 canonical forms; no tolerances exist anywhere.
+
+Each canonical locus also carries one integer ``code`` listing its
+constraints, one bit each:
+
+* bit i*n + j (0-based points) is set when points i+1 and j+1 are forced
+  equal -- row i of an n-by-n bit matrix is the block holding point i+1, so
+  the diagonal bits are always set;
+* bit n*n + (c-1)*n + i is set when point i+1 is pinned to component c.
+
+The empty locus has code 0.  A canonical form is closed under the
+implications between constraints (an equality carries a pin across its
+block, and two points pinned to one point component are already merged), so
+a nonempty locus satisfies a constraint exactly when its code lists it.
+Hence for nonempty loci, inner lies in outer iff every constraint of outer
+holds on inner, i.e. ``outer.code & ~inner.code == 0``: containment is one
+mask test, and equality and hashing go through the code alone.
+Intersections are memoised per geometry on the pair of codes; the memo hangs
+off the ``GeometryConfig`` because merging depends on component dimensions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
@@ -31,11 +49,16 @@ from .labels import (
     elements,
     format_subset,
     full_mask,
+    join_blocks,
     mask_of,
     parse_partition,
     parse_subset,
-    subset_key,
 )
+
+# Distinct intersections one geometry remembers before its memo starts over:
+# about 2 MB at ~500 bytes an entry (n=7).  The flag oracle on the stage-one
+# set of k=2, n=4 fills about 2000 entries.
+INTERSECT_MEMO_LIMIT = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -98,10 +121,6 @@ class Diagonal:
 Center = DLocus | Diagonal
 
 
-def format_center(c: Center) -> str:
-    return str(c)
-
-
 def parse_center(text: str, n: int) -> Center:
     """Parse center labels: "D:c1:{1,2}", "Delta:{1,2}", "Delta:{{1,2},{3,4}}"."""
     t = text.strip()
@@ -132,38 +151,25 @@ def validate_center(g: GeometryConfig, c: Center) -> Center:
     return c
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Locus:
     """Canonical form of an intersection of centers; see the module docstring.
 
     ``blocks`` is a full partition (singletons included) sorted by least
     element, ``pins[k]`` the component carrying block k or None.  The empty
-    locus clears both fields and sets the flag.
+    locus clears both fields and sets the flag.  ``code`` determines the
+    other fields given n, so equality and hashing look at n and code only.
     """
 
     n: int
-    blocks: tuple[int, ...]
-    pins: tuple[int | None, ...]
-    is_empty: bool = False
+    blocks: tuple[int, ...] = field(compare=False)
+    pins: tuple[int | None, ...] = field(compare=False)
+    code: int
+    is_empty: bool = field(default=False, compare=False)
 
     @classmethod
     def empty(cls, n: int) -> "Locus":
-        return cls(n, (), (), True)
-
-    def pin_of(self, i: int) -> int | None:
-        bit = 1 << (i - 1)
-        for b, p in zip(self.blocks, self.pins):
-            if b & bit:
-                return p
-        raise ValueError("element %d not in population %d" % (i, self.n))
-
-    def pinned_set(self, c: int) -> int:
-        """Mask of all points forced onto component c."""
-        m = 0
-        for b, p in zip(self.blocks, self.pins):
-            if p == c:
-                m |= b
-        return m
+        return cls(n, (), (), 0, True)
 
     def __str__(self) -> str:
         if self.is_empty:
@@ -198,11 +204,21 @@ def make_locus(g: GeometryConfig, block_pins) -> Locus:
             out.append((mask, pin))
     out.extend((mask, pin) for pin, mask in merged.items())
     out.sort(key=lambda bp: bp[0] & -bp[0])
-    return Locus(g.n, tuple(b for b, _ in out), tuple(p for _, p in out))
+    n = g.n
+    code = 0
+    for mask, pin in out:
+        rest = mask
+        while rest:
+            low = rest & -rest
+            code |= mask << (n * (low.bit_length() - 1))
+            rest ^= low
+        if pin is not None:
+            code |= mask << (n * (n + pin - 1))
+    return Locus(n, tuple(b for b, _ in out), tuple(p for _, p in out), code)
 
 
 def everything_locus(g: GeometryConfig) -> Locus:
-    return Locus(g.n, Partition.discrete(g.n).blocks, (None,) * g.n)
+    return make_locus(g, [(1 << i, ()) for i in range(g.n)])
 
 
 @lru_cache(maxsize=1 << 16)
@@ -221,38 +237,28 @@ def intersect(g: GeometryConfig, a: Locus, b: Locus) -> Locus:
     """Intersection of loci: meet of the partitions, pins accumulate.
 
     Commutative and associative; the result is canonical (possibly empty).
+    Memoised in ``g.intersections`` on the sorted pair of codes.
     """
     if a.is_empty or b.is_empty:
         return Locus.empty(g.n)
-    parent = list(range(g.n))
+    key = (a.code, b.code) if a.code <= b.code else (b.code, a.code)
+    memo = g.intersections
+    out = memo.get(key)
+    if out is None:
+        if len(memo) >= INTERSECT_MEMO_LIMIT:
+            memo.clear()
+        out = memo[key] = _intersect(g, a, b)
+    return out
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    for lo in (a, b):
-        for mask in lo.blocks:
-            base = find((mask & -mask).bit_length() - 1)
-            rest = mask & (mask - 1)
-            while rest:
-                low = rest & -rest
-                r = find(low.bit_length() - 1)
-                if r != base:
-                    parent[r] = base
-                rest ^= low
-    group_mask: dict[int, int] = {}
-    group_pins: dict[int, set[int]] = {}
-    for i in range(g.n):
-        r = find(i)
-        group_mask[r] = group_mask.get(r, 0) | (1 << i)
-        group_pins.setdefault(r, set())
+def _intersect(g: GeometryConfig, a: Locus, b: Locus) -> Locus:
+    groups = join_blocks(g.n, a.blocks + b.blocks)
+    group_pins: list[set[int]] = [set() for _ in groups]
     for lo in (a, b):
         for mask, pin in zip(lo.blocks, lo.pins):
             if pin is not None:
-                group_pins[find((mask & -mask).bit_length() - 1)].add(pin)
-    return make_locus(g, [(group_mask[r], group_pins[r]) for r in group_mask])
+                group_pins[next(k for k, grp in enumerate(groups) if grp & mask)].add(pin)
+    return make_locus(g, zip(groups, group_pins))
 
 
 def intersect_all(g: GeometryConfig, loci) -> Locus:
@@ -280,35 +286,19 @@ def codimension(g: GeometryConfig, lo: Locus) -> int | None:
 def contains_locus(g: GeometryConfig, outer: Locus, inner: Locus) -> bool:
     """inner subseteq outer, decided on canonical forms.
 
-    Every equality forced by the outer locus must be forced by the inner one
-    (canonical merging already folds equalities through point components),
-    and every pin of the outer locus must be pinned identically inside.
+    Every equality and every pin forced by the outer locus must be forced by
+    the inner one: one mask test on the codes (see the module docstring).
     """
     if inner.is_empty:
         return True
     if outer.is_empty:
         return False
-    for mask, pin in zip(outer.blocks, outer.pins):
-        low = (mask & -mask).bit_length()
-        inner_block = None
-        inner_pin = None
-        for m2, p2 in zip(inner.blocks, inner.pins):
-            if m2 & mask:
-                if inner_block is not None or (mask & ~m2):
-                    return False  # outer block split across inner blocks
-                inner_block, inner_pin = m2, p2
-        if pin is not None and inner_pin != pin:
-            return False
-    return True
+    return not outer.code & ~inner.code
 
 
 def contains(g: GeometryConfig, outer: Center, inner: Center) -> bool:
     """Center containment: the locus of ``inner`` sits inside the locus of ``outer``."""
     return contains_locus(g, center_to_locus(g, outer), center_to_locus(g, inner))
-
-
-def loci_equal(a: Locus, b: Locus) -> bool:
-    return a == b
 
 
 class PairPosition(Enum):
@@ -384,13 +374,6 @@ def check_separation(g: GeometryConfig, cert: SeparationCertificate) -> bool:
     )
 
 
-def center_sort_key(c: Center) -> tuple:
-    """Deterministic order: diagonals after D-loci, then subset order, then component."""
-    if isinstance(c, DLocus):
-        return (0, subset_key(c.subset), c.component)
-    return (1, c.partition.sort_key(), 0)
-
-
 __all__ = [
     "Center",
     "DLocus",
@@ -398,7 +381,6 @@ __all__ = [
     "Locus",
     "PairPosition",
     "SeparationCertificate",
-    "center_sort_key",
     "center_to_locus",
     "check_separation",
     "codimension",
@@ -406,10 +388,8 @@ __all__ = [
     "contains_locus",
     "dimension",
     "everything_locus",
-    "format_center",
     "intersect",
     "intersect_all",
-    "loci_equal",
     "make_locus",
     "meets_transversally",
     "pair_position",

@@ -40,8 +40,6 @@ from .loci import (
     PairPosition,
     center_to_locus,
     contains_locus,
-    format_center,
-    loci_equal,
     pair_position,
     validate_center,
 )
@@ -63,7 +61,7 @@ class BlowupSequence:
             seen.add(c)
 
     def labels(self) -> list[str]:
-        return [format_center(c) for c in self.centers]
+        return [str(c) for c in self.centers]
 
 
 def _d_round(g: GeometryConfig, k: int) -> list[Center]:
@@ -150,10 +148,10 @@ def validate_inclusion_order(seq: BlowupSequence) -> InclusionReport:
     loci = [center_to_locus(g, c) for c in seq.centers]
     for i in range(len(loci)):
         for j in range(i + 1, len(loci)):
-            if contains_locus(g, loci[i], loci[j]) and not loci_equal(loci[i], loci[j]):
+            if contains_locus(g, loci[i], loci[j]) and loci[i] != loci[j]:
                 witness = "%s is strictly contained in %s but comes later" % (
-                    format_center(seq.centers[j]),
-                    format_center(seq.centers[i]),
+                    seq.centers[j],
+                    seq.centers[i],
                 )
                 return InclusionReport(False, (i, j, witness))
     return InclusionReport(True)
@@ -248,7 +246,7 @@ def swap_rewrite(seq: BlowupSequence, target: BlowupSequence) -> RewriteResult:
     and a blocked mandatory swap names the offending pair.
     """
     g = seq.geometry
-    if sorted(map(format_center, seq.centers)) != sorted(map(format_center, target.centers)):
+    if sorted(map(str, seq.centers)) != sorted(map(str, target.centers)):
         raise ValueError("sequences do not hold the same centers")
     work = list(seq.centers)
     steps: list[SwapStep] = []
@@ -258,8 +256,8 @@ def swap_rewrite(seq: BlowupSequence, target: BlowupSequence) -> RewriteResult:
             left, right = work[j - 1], work[j]
             cert = swap_certificate(g, work[: j - 1], left, right)
             if cert is None:
-                return RewriteResult(False, tuple(steps), (format_center(left), format_center(right)))
-            steps.append(SwapStep(j - 1, format_center(left), format_center(right), cert))
+                return RewriteResult(False, tuple(steps), (str(left), str(right)))
+            steps.append(SwapStep(j - 1, str(left), str(right), cert))
             work[j - 1], work[j] = work[j], work[j - 1]
     return RewriteResult(True, tuple(steps))
 

@@ -6,8 +6,9 @@ coordinate subspace, so membership questions become finite enumerations and
 dimensions are exact logarithms of point counts (every locus in this model
 is a product of q^dim points).  The laminar oracle and the Bell recurrence
 are textbook one-liners, the closed-form pair table transcribes the
-expected positions family by family, and the facet rescan tests maximality
-one divisor at a time over the full enumeration.
+expected positions family by family, the facet rescan tests maximality
+one divisor at a time over the full enumeration, and the block walk decides
+containment from the blocks and pins instead of the locus codes.
 """
 
 from __future__ import annotations
@@ -79,6 +80,27 @@ class GridModel:
         dim = round(math.log(len(pts), self.q))
         assert self.q ** dim == len(pts), "point set is not a grid subspace"
         return dim
+
+
+def contains_by_blocks(outer: Locus, inner: Locus) -> bool:
+    """inner subseteq outer, walking the blocks of both canonical forms:
+    each outer block must lie inside one inner block, pinned alike when the
+    outer block is pinned."""
+    if inner.is_empty:
+        return True
+    if outer.is_empty:
+        return False
+    for mask, pin in zip(outer.blocks, outer.pins):
+        inner_block = None
+        inner_pin = None
+        for m2, p2 in zip(inner.blocks, inner.pins):
+            if m2 & mask:
+                if inner_block is not None or (mask & ~m2):
+                    return False  # outer block split across inner blocks
+                inner_block, inner_pin = m2, p2
+        if pin is not None and inner_pin != pin:
+            return False
+    return True
 
 
 def laminar(sets) -> bool:

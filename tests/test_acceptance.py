@@ -27,7 +27,6 @@ from wonderful.loci import (
     codimension,
     contains_locus,
     intersect,
-    loci_equal,
     pair_position,
     PairPosition,
 )
@@ -159,7 +158,7 @@ def test_criterion_05_mixed_pair_separation_certificates():
                         l1 = center_to_locus(g, cert.v1)
                         l2 = center_to_locus(g, cert.v2)
                         assert contains_locus(g, lz, intersect(g, l1, l2))
-                        assert contains_locus(g, l1, lz) and not loci_equal(l1, lz)
+                        assert contains_locus(g, l1, lz) and l1 != lz
                         found += 1
     assert found > 0
     _ok(5, "separation certificate found for every non-nested mixed pair, n <= 4")
@@ -203,7 +202,7 @@ def test_criterion_06_order_machinery():
             lj = center_to_locus(g, centers[i + 1])
             contained = (
                 contains_locus(g, li, lj) or contains_locus(g, lj, li)
-            ) and not loci_equal(li, lj)
+            ) and li != lj
             if contained:
                 swapped = centers.copy()
                 swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]

@@ -2,11 +2,13 @@ import itertools
 
 import pytest
 
+from wonderful.building import _intersection_closure, building_set_for
 from wonderful.geometry import Component, GeometryConfig, Space, point_components
 from wonderful.labels import Partition, mask_of, subsets
 from wonderful.loci import (
     Diagonal,
     DLocus,
+    Locus,
     PairPosition,
     center_to_locus,
     codimension,
@@ -18,7 +20,7 @@ from wonderful.loci import (
     pair_position,
     parse_center,
 )
-from oracles import GridModel, closed_form_pair_position
+from oracles import GridModel, closed_form_pair_position, contains_by_blocks
 
 
 def bracket(n, comps, dim_x=2):
@@ -138,6 +140,64 @@ def test_contains_against_grid_model():
         for a, b in itertools.product(centers, repeat=2):
             expected = model.center_points(b) <= model.center_points(a)
             assert contains(g, a, b) == expected
+
+
+def test_contains_intersection_loci_against_grid_model():
+    # pairwise intersections of centers, with point components (merging
+    # pins) and positive-dimensional ones (no merging)
+    for n in (2, 3):
+        for comps in ([0], [1], [0, 1]):
+            g = bracket(n, comps, dim_x=2)
+            model = GridModel(g)
+            centers = all_centers(g)
+            points = {c: model.center_points(c) for c in centers}
+            loci = {}
+            for a, b in itertools.combinations_with_replacement(centers, 2):
+                li = intersect(g, center_to_locus(g, a), center_to_locus(g, b))
+                pts = points[a] & points[b]
+                assert loci.setdefault(li, pts) == pts
+            for outer, inner in itertools.product(loci, repeat=2):
+                assert contains_locus(g, outer, inner) == (loci[inner] <= loci[outer]), (
+                    n, comps, str(outer), str(inner))
+
+
+def test_contains_code_mask_matches_block_walk():
+    point_pair = point_components(2, n=4)
+    mixed = bracket(3, [0, 1], dim_x=2)
+    batteries = [
+        (point_pair, building_set_for(point_pair)[0].members),
+        (mixed, building_set_for(mixed)[0].members),
+        (mixed, all_centers(mixed)),
+    ]
+    for g, centers in batteries:
+        closure = _intersection_closure(g, [center_to_locus(g, c) for c in centers])
+        closure.append(Locus.empty(g.n))
+        assert len(closure) > len(centers)
+        for outer, inner in itertools.product(closure, repeat=2):
+            assert contains_locus(g, outer, inner) == contains_by_blocks(outer, inner), (
+                str(outer), str(inner))
+            fields_equal = (outer.blocks, outer.pins, outer.is_empty) == (
+                inner.blocks, inner.pins, inner.is_empty)
+            assert (outer == inner) == fields_equal
+
+
+def test_intersect_memo_is_per_geometry():
+    # D:c1:{1} and D:c1:{2} have the same codes on a point and on a curve,
+    # but only on the point do the two pinned points merge
+    centers = [parse_center(t, 3) for t in ("D:c1:{1}", "D:c1:{2}")]
+    expected = {0: ((0b011, 0b100), (1, None)), 1: ((0b001, 0b010, 0b100), (1, 1, None))}
+    for order in ((0, 1), (1, 0)):
+        codes = set()
+        for dim in order:
+            g = point_components(1, n=3) if dim == 0 else GeometryConfig(3, 2, (Component("q", 1),))
+            a, b = (center_to_locus(g, c) for c in centers)
+            codes.add((a.code, b.code))
+            li = intersect(g, a, b)
+            assert (li.blocks, li.pins) == expected[dim], (order, dim)
+            assert intersect(g, b, a) is li
+            model = GridModel(g)
+            assert model.locus_points(li) == model.center_points(centers[0]) & model.center_points(centers[1])
+        assert len(codes) == 1
 
 
 def test_contains_mutual_means_equal_locus():
