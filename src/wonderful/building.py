@@ -38,8 +38,6 @@ from .loci import (
     intersect,
     intersect_all,
     meets_transversally,
-    pair_position,
-    PairPosition,
     validate_center,
 )
 
@@ -309,10 +307,6 @@ def is_building_set(g: GeometryConfig, members) -> bool:
     members = list(members)
     table = _MemberTable(g, members)
     loci = table.loci
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            if pair_position(g, members[i], members[j]) is PairPosition.NOT_CLEAN:
-                return False
     for w in _intersection_closure(g, loci):
         factors = table.factor_mask(w)
         factor_loci = [lo for k, lo in enumerate(loci) if factors >> k & 1]

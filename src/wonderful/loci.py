@@ -306,7 +306,6 @@ class PairPosition(Enum):
     TRANSVERSAL = "transversal"
     CLEAN_CONTAINMENT = "clean-containment"
     CLEAN_OVERLAP = "clean-overlap"
-    NOT_CLEAN = "not-clean"
 
 
 def pair_position(g: GeometryConfig, a: Center, b: Center) -> PairPosition:
@@ -314,9 +313,9 @@ def pair_position(g: GeometryConfig, a: Center, b: Center) -> PairPosition:
 
     disjoint: empty intersection.  transversal: codim(a cap b) equals
     codim(a) + codim(b).  Containment is reported separately, and anything
-    else intersecting non-additively is a clean overlap.  Within these two
-    families every pair is simultaneously linearizable, so NOT_CLEAN is never
-    produced; the variant only keeps the geometric trichotomy honest.
+    else intersecting non-additively is a clean overlap: within these two
+    families every pair is simultaneously linearizable, so every intersection
+    is clean.
     """
     la = center_to_locus(g, a)
     lb = center_to_locus(g, b)
@@ -366,12 +365,7 @@ def check_separation(g: GeometryConfig, cert: SeparationCertificate) -> bool:
     l2 = center_to_locus(g, cert.v2)
     lz = center_to_locus(g, cert.center)
     li = intersect(g, l1, l2)
-    return (
-        pair_position(g, cert.v1, cert.v2) is not PairPosition.NOT_CLEAN
-        and contains_locus(g, lz, li)
-        and contains_locus(g, l1, lz)
-        and lz != l1
-    )
+    return contains_locus(g, lz, li) and contains_locus(g, l1, lz) and lz != l1
 
 
 __all__ = [

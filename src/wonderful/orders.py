@@ -192,8 +192,23 @@ class RewriteResult:
     blocking: tuple[str, str] | None = None
 
 
+class _Prefix:
+    """The first ``length`` centers of a sequence, given the position of each
+    center in it: membership is one dict lookup."""
+
+    __slots__ = ("where", "length")
+
+    def __init__(self, where: dict, length: int):
+        self.where = where
+        self.length = length
+
+    def __contains__(self, center) -> bool:
+        return self.where.get(center, self.length) < self.length
+
+
 def swap_certificate(g: GeometryConfig, prefix, a: Center, b: Center) -> str | None:
-    """Why the adjacent centers a, b may trade places after ``prefix``.
+    """Why the adjacent centers a, b may trade places after ``prefix``, the
+    centers already blown up (any collection that answers ``in``).
 
     Ambient disjointness or transversality always suffices.  Otherwise the
     pair may still commute at this stage of the construction:
@@ -209,7 +224,6 @@ def swap_certificate(g: GeometryConfig, prefix, a: Center, b: Center) -> str | N
     pos = pair_position(g, a, b)
     if pos in (PairPosition.DISJOINT, PairPosition.TRANSVERSAL):
         return "ambient-" + pos.value
-    prefix_set = set(prefix)
     d, delta = None, None
     if isinstance(a, DLocus) and isinstance(b, Diagonal) and b.is_simple:
         d, delta = a, b
@@ -217,23 +231,23 @@ def swap_certificate(g: GeometryConfig, prefix, a: Center, b: Center) -> str | N
         d, delta = b, a
     if d is not None:
         meet = d.subset & delta.index_set
-        if meet.bit_count() >= 2 and DLocus(g.n, d.component, meet) in prefix_set:
+        if meet.bit_count() >= 2 and DLocus(g.n, d.component, meet) in prefix:
             return "transform-transversal after blowing up %s" % DLocus(g.n, d.component, meet)
         union = d.subset | delta.index_set
-        if union != d.subset and DLocus(g.n, d.component, union) in prefix_set:
+        if union != d.subset and DLocus(g.n, d.component, union) in prefix:
             return "transform-disjoint after blowing up %s" % DLocus(g.n, d.component, union)
         return None
     if isinstance(a, DLocus) and isinstance(b, DLocus) and a.component == b.component:
         union = a.subset | b.subset
         if union not in (a.subset, b.subset):
             z = DLocus(g.n, a.component, union)
-            if z in prefix_set:
+            if z in prefix:
                 return "transform-disjoint after blowing up %s" % z
     if isinstance(a, Diagonal) and isinstance(b, Diagonal) and a.is_simple and b.is_simple:
         union = a.index_set | b.index_set
         if union not in (a.index_set, b.index_set):
             z = Diagonal.simple(g.n, union)
-            if z in prefix_set:
+            if z in prefix:
                 return "transform-disjoint after blowing up %s" % z
     return None
 
@@ -249,16 +263,17 @@ def swap_rewrite(seq: BlowupSequence, target: BlowupSequence) -> RewriteResult:
     if sorted(map(str, seq.centers)) != sorted(map(str, target.centers)):
         raise ValueError("sequences do not hold the same centers")
     work = list(seq.centers)
+    where = {c: i for i, c in enumerate(work)}
     steps: list[SwapStep] = []
     for p, want in enumerate(target.centers):
-        q = work.index(want, p)
-        for j in range(q, p, -1):
+        for j in range(where[want], p, -1):
             left, right = work[j - 1], work[j]
-            cert = swap_certificate(g, work[: j - 1], left, right)
+            cert = swap_certificate(g, _Prefix(where, j - 1), left, right)
             if cert is None:
                 return RewriteResult(False, tuple(steps), (str(left), str(right)))
             steps.append(SwapStep(j - 1, str(left), str(right), cert))
-            work[j - 1], work[j] = work[j], work[j - 1]
+            work[j - 1], work[j] = right, left
+            where[right], where[left] = j - 1, j
     return RewriteResult(True, tuple(steps))
 
 

@@ -5,11 +5,35 @@ Permutations relabel index sets; component indices and expansion depths are
 untouched.  The nestedness predicate is invariant (all its clauses are
 boolean combinations of disjointness and containment of index sets), which
 is the checkable shadow of equivariance of the whole construction.
+
+Orbits are found without listing the group.  The index sets of a nested set
+form a laminar family on {1..n}: the D-divisors of one component form a
+chain, D-divisors of different components are disjoint, diagonals are
+pairwise disjoint or nested, and a diagonal Delta_I meets a D-divisor
+D_{c,S} only when I lies inside S.  Ordered by inclusion, the index sets
+make a forest.  A node carries its tags (the sorted (D, c) and Delta labels
+on that index set) and its number of free points (those in no child).  The
+AHU code of a node (Aho, Hopcroft and Ullman, 1974) is (tags, free points,
+sorted child codes), and the code of the nested set is the sorted tuple of
+its root codes.  A divisor is the one-node forest: its code is its kind,
+its component and |S|.
+
+The code is a complete invariant.  A permutation preserves inclusion, sizes
+and tags, hence the code.  Conversely, equal codes give an isomorphism of
+the two forests that keeps tags and free-point counts, node by node.
+Sending each node's free points onto its partner's, and the points outside
+every root onto each other, defines a permutation that carries every index
+set onto its partner; as tags are kept, it carries every divisor of the one
+nested set onto a divisor of the other.  The items ``orbits`` partitions (all divisors, or all nested
+sets of one size) are closed under relabeling, so an orbit is exactly the
+items that share a code: its size is their number, and the stabilizer order
+is n! over it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 from .geometry import GeometryConfig
@@ -160,20 +184,29 @@ class Orbit:
     stabilizer_order: int
 
 
-def _orbit_partition(items, n, key):
-    items = sorted(items, key=key)
-    index = {key(x): i for i, x in enumerate(items)}
-    seen = [False] * len(items)
-    perms = list(all_permutations(n))
-    out = []
-    for i, x in enumerate(items):
-        if seen[i]:
-            continue
-        orbit_keys = {key(act(p, x)) for p in perms}
-        for k in orbit_keys:
-            seen[index[k]] = True
-        out.append(Orbit(x, len(orbit_keys), len(perms) // len(orbit_keys)))
-    return tuple(out)
+def _forest_code(divisors) -> tuple:
+    """The AHU code of the labelled laminar forest of a nested collection of
+    boundary divisors; see the module docstring."""
+    tags: dict[int, list] = {}
+    for d in divisors:
+        tags.setdefault(d.subset, []).append((0, d.component) if isinstance(d, DTilde) else (1, 0))
+    roots: list[tuple[int, tuple]] = []  # (index set, code) of the nodes seen without a parent yet
+    for s in sorted(tags, key=int.bit_count):  # children before parents
+        kids = [(t, code) for t, code in roots if not t & ~s]
+        roots = [(t, code) for t, code in roots if t & ~s]
+        free = s.bit_count() - sum(t.bit_count() for t, _ in kids)
+        roots.append((s, (tuple(sorted(tags[s])), free, tuple(sorted(code for _, code in kids)))))
+    return tuple(sorted(code for _, code in roots))
+
+
+def _orbit_partition(items, n, key, code):
+    """Group the items by their code; each orbit is listed at its least member
+    under ``key``, in the order of those members."""
+    groups: dict[tuple, list] = {}
+    for x in sorted(items, key=key):
+        groups.setdefault(code(x), []).append(x)
+    whole = math.factorial(n)
+    return tuple(Orbit(xs[0], len(xs), whole // len(xs)) for xs in groups.values())
 
 
 def orbits(g: GeometryConfig, kind: str, size: int | None = None) -> tuple[Orbit, ...]:
@@ -183,22 +216,23 @@ def orbits(g: GeometryConfig, kind: str, size: int | None = None) -> tuple[Orbit
     nested sets of the given cardinality.  Sizes always divide n!.
     """
     if kind == "divisors":
-        return _orbit_partition(divisors_for(g), g.n, divisor_sort_key)
+        return _orbit_partition(divisors_for(g), g.n, divisor_sort_key, lambda d: _forest_code((d,)))
     if kind == "nested":
         if size is None:
             raise ValueError("orbit kind 'nested' needs a size")
         items = [ns for ns in enumerate_nested_sets(g, max_size=size) if len(ns) == size]
-        return _orbit_partition(items, g.n, lambda ns: tuple(divisor_sort_key(d) for d in ns.divisors))
+        return _orbit_partition(
+            items,
+            g.n,
+            lambda ns: tuple(divisor_sort_key(d) for d in ns.divisors),
+            lambda ns: _forest_code(ns.divisors),
+        )
     raise ValueError("unknown orbit kind %r" % kind)
 
 
 def stabilizer(g: GeometryConfig, ns: NestedSet) -> tuple[Permutation, ...]:
-    """The permutations fixing the nested set as a set of divisors.
-
-    Orders here are tiny (subgroups of S_n for desk-scale n); any order
-    below 60 forces solvability, which covers everything this module is
-    asked to produce at n <= 4.
-    """
+    """The permutations fixing the nested set as a set of divisors, found by
+    running through all n! of them."""
     return tuple(p for p in all_permutations(g.n) if act(p, ns) == ns)
 
 

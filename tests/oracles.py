@@ -7,8 +7,9 @@ dimensions are exact logarithms of point counts (every locus in this model
 is a product of q^dim points).  The laminar oracle and the Bell recurrence
 are textbook one-liners, the closed-form pair table transcribes the
 expected positions family by family, the facet rescan tests maximality
-one divisor at a time over the full enumeration, and the block walk decides
-containment from the blocks and pins instead of the locus codes.
+one divisor at a time over the full enumeration, the block walk decides
+containment from the blocks and pins instead of the locus codes, and the
+orbit brute force applies all n! relabelings to each representative.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import math
 from wonderful.geometry import GeometryConfig
 from wonderful.labels import elements
 from wonderful.loci import Center, Diagonal, DLocus, Locus, PairPosition
-from wonderful.nested import NestedSet, divisors_for, enumerate_nested_sets, pair_compatible
+from wonderful.nested import NestedSet, divisor_sort_key, divisors_for, enumerate_nested_sets, pair_compatible
+from wonderful.symmetry import Orbit, act, all_permutations
 
 
 class GridModel:
@@ -125,6 +127,29 @@ def maximal_by_rescan(g: GeometryConfig) -> tuple[NestedSet, ...]:
         )
         if not extendable:
             out.append(ns)
+    return tuple(out)
+
+
+def orbits_by_brute_force(g: GeometryConfig, kind: str, size: int | None = None) -> tuple[Orbit, ...]:
+    """The orbits of the divisors, or of the nested sets of one size: each item
+    not yet seen, in canonical order, is moved by all n! permutations."""
+    if kind == "divisors":
+        items, key = divisors_for(g), divisor_sort_key
+    else:
+        items = [ns for ns in enumerate_nested_sets(g, max_size=size) if len(ns) == size]
+        key = lambda ns: tuple(divisor_sort_key(d) for d in ns.divisors)  # noqa: E731
+    items = sorted(items, key=key)
+    index = {key(x): i for i, x in enumerate(items)}
+    seen = [False] * len(items)
+    perms = list(all_permutations(g.n))
+    out = []
+    for i, x in enumerate(items):
+        if seen[i]:
+            continue
+        orbit_keys = {key(act(p, x)) for p in perms}
+        for k in orbit_keys:
+            seen[index[k]] = True
+        out.append(Orbit(x, len(orbit_keys), len(perms) // len(orbit_keys)))
     return tuple(out)
 
 

@@ -136,6 +136,14 @@ def test_orbits_table(runner):
     ]
 
 
+def test_orbits_n12_answers(runner):
+    # 12! relabelings would never finish; the forest codes need none
+    result = runner.invoke(main, ["orbits", "--kind", "divisors", "--format", "json", "--n", "12", "--components", "2"])
+    assert result.exit_code == 0
+    rows = json.loads(result.output)
+    assert sum(row["size"] for row in rows) == count_divisors(point_components(2, n=12))
+
+
 def test_bad_config_exits_2(runner, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"n": 2, "dim_X": 1, "components": [{"name": "a", "dim": 5}]}')

@@ -253,7 +253,12 @@ def test_pair_position_never_not_clean():
     g = bracket(3, [0, 1], dim_x=2)
     centers = all_centers(g)
     for a, b in itertools.combinations(centers, 2):
-        assert pair_position(g, a, b) is not PairPosition.NOT_CLEAN
+        assert pair_position(g, a, b) in (
+            PairPosition.DISJOINT,
+            PairPosition.TRANSVERSAL,
+            PairPosition.CLEAN_CONTAINMENT,
+            PairPosition.CLEAN_OVERLAP,
+        )
 
 
 def test_cross_component_overlap_always_empty():

@@ -153,6 +153,31 @@ def test_two_block_rewrites_to_interleaved():
             assert sorted(map(str, work)) == sorted(src.labels())
 
 
+def test_rewrite_position_map():
+    # pairwise disjoint centers: reversing them takes every swap, and the
+    # later pulls start from positions that earlier swaps have shifted
+    g = point_components(3, n=1)
+    centers = tuple(DLocus(1, c, 0b1) for c in (1, 2, 3))
+    res = swap_rewrite(BlowupSequence(g, centers), BlowupSequence(g, centers[::-1]))
+    assert res.ok and len(res.swaps) == 3
+    # the left center of a swap is not yet blown up, so it certifies nothing
+    g = point_components(1, n=2)
+    pair = (DLocus(2, 1, 0b11), Diagonal.simple(2, 0b11))
+    assert not swap_rewrite(BlowupSequence(g, pair), BlowupSequence(g, pair[::-1])).ok
+    # a plain list of the centers already blown up gives the certificate
+    # that swap_rewrite found through its position map, at every swap
+    for n, k in [(3, 1), (4, 2), (5, 1)]:
+        g = point_components(k, n=n)
+        src = two_block_order(g)
+        res = swap_rewrite(src, generate_order(g, "interleaved"))
+        assert res.ok
+        work = list(src.centers)
+        for step in res.swaps:
+            j = step.position
+            assert swap_certificate(g, work[:j], work[j], work[j + 1]) == step.certificate
+            work[j], work[j + 1] = work[j + 1], work[j]
+
+
 def test_swap_certificate_tiers():
     g = point_components(1, n=3)
     d123, d12 = DLocus(3, 1, 0b111), DLocus(3, 1, 0b011)

@@ -1,13 +1,36 @@
 import itertools
+import math
 import random
 
 import pytest
 
 from wonderful.geometry import GeometryConfig, Space, point_components
 from wonderful.loci import Diagonal, DLocus
-from wonderful.nested import DTilde, DeltaTilde, divisors_for, enumerate_nested_sets, is_nested, make_nested_set
+from wonderful import symmetry
+from wonderful.nested import (
+    BudgetError,
+    DTilde,
+    DeltaTilde,
+    divisors_for,
+    enumerate_nested_sets,
+    is_nested,
+    make_nested_set,
+)
 from wonderful.symmetry import Permutation, act, all_permutations, orbits, stabilizer
 from wonderful.trees import fiber_tree
+
+from oracles import orbits_by_brute_force
+
+ORBIT_KINDS = [("divisors", None), ("nested", 1), ("nested", 2), ("nested", 3)]
+
+
+def every_space(n_max):
+    """Each space at n = 1..n_max; components k = 0..3 where the space has them."""
+    for n in range(1, n_max + 1):
+        for k in range(4):
+            yield point_components(k, n=n)
+            yield point_components(k, n=n, space=Space.XD_UPPER)
+        yield GeometryConfig(n, 2, (), Space.FM)
 
 
 def test_act_examples():
@@ -133,3 +156,50 @@ def test_equivariance_sampled_large_n():
         rng.shuffle(images)
         p = Permutation(tuple(images))
         assert is_nested(g, [act(p, d) for d in sub]) == is_nested(g, sub)
+
+
+def test_orbits_match_brute_force():
+    for g in every_space(5):
+        for kind, size in ORBIT_KINDS:
+            try:
+                want = orbits_by_brute_force(g, kind, size)
+            except BudgetError:
+                with pytest.raises(BudgetError):
+                    orbits(g, kind, size)
+                continue
+            assert orbits(g, kind, size) == want, (g, kind, size)
+
+
+def test_stabilizer_order_counts_the_stabilizer():
+    for g in every_space(4):
+        for kind, size in ORBIT_KINDS:
+            try:
+                out = orbits(g, kind, size)
+            except BudgetError:
+                continue
+            for o in out:
+                assert o.stabilizer_order == len(stabilizer(g, o.representative)), (g, o)
+
+
+def test_divisor_orbits_closed_forms():
+    # one orbit per (component, |S|) and per diagonal size: k*n + n - 1 of them
+    for k in (1, 2, 3):
+        for n in range(1, 13):
+            out = orbits(point_components(k, n=n), "divisors")
+            assert len(out) == k * n + n - 1
+            for o in out:
+                s = o.representative.subset.bit_count()
+                assert o.size == math.comb(n, s)
+                assert o.stabilizer_order == math.factorial(s) * math.factorial(n - s)
+
+
+def test_orbits_list_no_permutation(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("orbits moved an item by a permutation")
+
+    monkeypatch.setattr(symmetry, "all_permutations", refuse)
+    monkeypatch.setattr(symmetry, "act", refuse)
+    assert len(orbits(point_components(2, n=12), "divisors")) == 35
+    assert sum(o.size for o in orbits(point_components(1, n=4), "nested", 3)) == sum(
+        1 for ns in enumerate_nested_sets(point_components(1, n=4), max_size=3) if len(ns) == 3
+    )
