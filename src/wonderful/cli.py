@@ -118,7 +118,7 @@ def divisors(fmt, **cfg):
 
 @main.command()
 @with_config
-@click.option("--max-size", type=int, default=None)
+@click.option("--max-size", type=click.IntRange(min=0), default=None)
 @click.option("--fvector", "want_fvector", is_flag=True, help="Print only the face counts.")
 @click.option("--format", "fmt", type=click.Choice(["table", "json", "csv"]), default="table")
 def nested(max_size, want_fvector, fmt, **cfg):

@@ -18,18 +18,31 @@ intersection sits inside the blowup center D_{c, S union I}, which is
 strictly contained in D_{c,S}, and blowing up such a center separates the
 transforms.
 
+With a diagonal divisor read as component 0, the rules are tests on the
+index-set masks.  Disjoint sets are compatible unless both are D-divisors
+of one component.  Sets that meet are compatible when the two share the
+component and one set contains the other, or when a diagonal's set lies
+inside a D-divisor's.  So every divisor is compatible with itself.
+
 Pairwise-ness makes the complex the clique complex of one compatibility
 graph (an int bitmask per divisor), walked by the pivot-free Bron-Kerbosch
-recursion.  Counting functions count nested sets; whether distinct nested
-sets can cut out one and the same stratum is left open here, deliberately.
+recursion.  A face the walk reports is a clique by construction: every
+chosen index is drawn, in increasing order, from the candidates compatible
+with all earlier ones, over the canonically sorted ``divisors_for(g)``.  So
+walked faces are built without re-sorting and without re-running
+``is_nested``; the public ``NestedSet`` constructor, which takes outside
+input, still checks both.  Counting functions count nested sets; whether
+distinct nested sets can cut out one and the same stratum is left open
+here, deliberately.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .geometry import GeometryConfig, Space
-from .labels import format_subset, full_mask, parse_subset, subset_key, subset_relation, subsets, SubsetRelation
+from .labels import format_subset, full_mask, parse_subset, subset_key, subsets
 from .loci import (
     Center,
     Diagonal,
@@ -59,8 +72,12 @@ class DTilde:
         if self.subset & ~full_mask(self.n):
             raise ValueError("index set exceeds population %d" % self.n)
 
-    def __str__(self):
+    @cached_property
+    def label(self) -> str:
         return "D:c%d:%s" % (self.component, format_subset(self.subset))
+
+    def __str__(self):
+        return self.label
 
 
 @dataclass(frozen=True)
@@ -69,6 +86,7 @@ class DeltaTilde:
 
     n: int
     subset: int
+    component = 0  # not a field: the code pair_compatible reads for a diagonal
 
     def __post_init__(self):
         if self.subset.bit_count() < 2:
@@ -76,8 +94,12 @@ class DeltaTilde:
         if self.subset & ~full_mask(self.n):
             raise ValueError("index set exceeds population %d" % self.n)
 
-    def __str__(self):
+    @cached_property
+    def label(self) -> str:
         return "Delta:" + format_subset(self.subset)
+
+    def __str__(self):
+        return self.label
 
 
 BoundaryDivisor = DTilde | DeltaTilde
@@ -142,21 +164,15 @@ def count_divisors(g: GeometryConfig) -> int:
 
 def pair_compatible(a: BoundaryDivisor, b: BoundaryDivisor) -> bool:
     """The pairwise nestedness criterion; see the module docstring."""
-    if isinstance(a, DTilde) and isinstance(b, DTilde):
-        rel = subset_relation(a.subset, b.subset)
-        if a.component != b.component:
-            return rel is SubsetRelation.DISJOINT
-        return rel in (SubsetRelation.A_IN_B, SubsetRelation.B_IN_A)
-    if isinstance(a, DeltaTilde) and isinstance(b, DeltaTilde):
-        return subset_relation(a.subset, b.subset) in (
-            SubsetRelation.DISJOINT,
-            SubsetRelation.A_IN_B,
-            SubsetRelation.B_IN_A,
-        )
-    if isinstance(a, DeltaTilde):
-        a, b = b, a
-    rel = subset_relation(a.subset, b.subset)  # a = D-divisor, b = diagonal
-    return rel in (SubsetRelation.DISJOINT, SubsetRelation.B_IN_A, SubsetRelation.EQUAL)
+    ca, cb, s, t = a.component, b.component, a.subset, b.subset
+    inter = s & t
+    if not inter:
+        return ca != cb or not ca
+    if ca == cb:
+        return inter == s or inter == t
+    if ca and cb:
+        return False
+    return inter == (t if ca else s)  # the diagonal's index set inside S
 
 
 def is_nested(g: GeometryConfig, divisors) -> bool:
@@ -169,8 +185,12 @@ def is_nested(g: GeometryConfig, divisors) -> bool:
 
 @dataclass(frozen=True)
 class NestedSet:
-    """A nested collection of boundary divisors; the constructor enforces the
-    pairwise criterion."""
+    """A nested collection of boundary divisors in canonical order.
+
+    The constructor enforces the order and the pairwise criterion, since it
+    takes outside input (parsed labels, relabelings, fiber trees).  Faces of
+    the clique walk skip both checks through ``_walked``: the walk only
+    ever extends a face by a later divisor compatible with all of it."""
 
     geometry: GeometryConfig
     divisors: tuple[BoundaryDivisor, ...]
@@ -182,8 +202,15 @@ class NestedSet:
         if not is_nested(self.geometry, self.divisors):
             raise ValueError("collection is not nested")
 
+    @classmethod
+    def _walked(cls, g: GeometryConfig, divisors: tuple[BoundaryDivisor, ...]) -> "NestedSet":
+        ns = object.__new__(cls)
+        object.__setattr__(ns, "geometry", g)
+        object.__setattr__(ns, "divisors", divisors)
+        return ns
+
     def labels(self) -> tuple[str, ...]:
-        return tuple(str(d) for d in self.divisors)
+        return tuple(d.label for d in self.divisors)
 
     def __len__(self):
         return len(self.divisors)
@@ -206,9 +233,10 @@ def _budgeted_divisors(g: GeometryConfig, max_size: int | None, divisor_bound: i
 
 def _walk(divisors, max_size, visit) -> None:
     """Call ``visit(chosen, common)`` on every nonempty nested set of at most
-    ``max_size`` divisors, each before its extensions: ``chosen`` holds
-    increasing divisor indices, and bit j of ``common`` is set when divisor j
-    is outside ``chosen`` and compatible with all of it (0 means maximal)."""
+    ``max_size`` divisors, each before its extensions: ``chosen`` holds its
+    divisors in the order of ``divisors``, and bit j of ``common`` is set
+    when divisor j is outside ``chosen`` and compatible with all of it (0
+    means maximal)."""
     adj = [0] * len(divisors)
     for i, a in enumerate(divisors):
         for j in range(i + 1, len(divisors)):
@@ -221,7 +249,7 @@ def _walk(divisors, max_size, visit) -> None:
             low = cand & -cand
             cand ^= low
             i = low.bit_length() - 1
-            face = chosen + (i,)
+            face = chosen + (divisors[i],)
             visit(face, common & adj[i])
             if max_size is None or len(face) < max_size:
                 extend(face, cand & adj[i], common & adj[i])
@@ -237,18 +265,22 @@ def enumerate_nested_sets(
     deterministic order.
 
     The nested sets are the cliques of the compatibility graph, listed depth
-    first in canonical divisor order; with max_size <= 1 no graph is built.
-    Exhaustive enumeration over more than ENUMERATION_DIVISOR_BOUND divisors
-    is refused unless max_size <= 2; a caller that knows better may raise
-    ``divisor_bound`` explicitly (the command line interface never does).
+    first in canonical divisor order; with max_size <= 1 no graph is built,
+    and a negative max_size is a ValueError.  Exhaustive enumeration over
+    more than ENUMERATION_DIVISOR_BOUND divisors is refused unless
+    max_size <= 2; a caller that knows better may raise ``divisor_bound``
+    explicitly (the command line interface never does).
     """
+    if max_size is not None and max_size < 0:
+        raise ValueError("max_size must be >= 0, got %d" % max_size)
     divisors = _budgeted_divisors(g, max_size, divisor_bound)
-    out = [NestedSet(g, ())]
+    face = NestedSet._walked
+    out = [face(g, ())]
     if max_size is not None and max_size <= 1:
-        return tuple(out + [NestedSet(g, (d,)) for d in divisors if max_size == 1])
+        return tuple(out + [face(g, (d,)) for d in divisors if max_size == 1])
 
     def visit(chosen, common):
-        out.append(NestedSet(g, tuple(divisors[i] for i in chosen)))
+        out.append(face(g, chosen))
 
     _walk(divisors, max_size, visit)
     return tuple(out)
@@ -271,11 +303,12 @@ def maximal_nested_sets(g: GeometryConfig, divisor_bound: int | None = None) -> 
     """Nested sets maximal under inclusion.  Pairwise-ness makes maximality a
     local test: no divisor outside the set is compatible with all of it."""
     divisors = _budgeted_divisors(g, None, divisor_bound)
-    out = [NestedSet(g, ())] if not divisors else []
+    face = NestedSet._walked
+    out = [face(g, ())] if not divisors else []
 
     def visit(chosen, common):
         if not common:
-            out.append(NestedSet(g, tuple(divisors[i] for i in chosen)))
+            out.append(face(g, chosen))
 
     _walk(divisors, None, visit)
     return tuple(out)
@@ -291,8 +324,7 @@ def mixed_pair_certificate(g: GeometryConfig, d: DTilde, delta: DeltaTilde) -> S
     """
     validate_divisor(g, d)
     validate_divisor(g, delta)
-    rel = subset_relation(d.subset, delta.subset)
-    if rel is SubsetRelation.DISJOINT or rel in (SubsetRelation.B_IN_A, SubsetRelation.EQUAL):
+    if not d.subset & delta.subset or not delta.subset & ~d.subset:
         raise ValueError("the pair %s, %s is nested; no separation needed" % (d, delta))
     cert = SeparationCertificate(
         v1=DLocus(g.n, d.component, d.subset),

@@ -9,7 +9,9 @@ are textbook one-liners, the closed-form pair table transcribes the
 expected positions family by family, the facet rescan tests maximality
 one divisor at a time over the full enumeration, the block walk decides
 containment from the blocks and pins instead of the locus codes, and the
-orbit brute force applies all n! relabelings to each representative.
+orbit brute force applies all n! relabelings to each representative.  The
+relation rule is the pairwise nestedness criterion as first written, one
+subset relation per pair.
 """
 
 from __future__ import annotations
@@ -18,9 +20,18 @@ import itertools
 import math
 
 from wonderful.geometry import GeometryConfig
-from wonderful.labels import elements
+from wonderful.labels import SubsetRelation, elements, subset_relation
 from wonderful.loci import Center, Diagonal, DLocus, Locus, PairPosition
-from wonderful.nested import NestedSet, divisor_sort_key, divisors_for, enumerate_nested_sets, pair_compatible
+from wonderful.nested import (
+    BoundaryDivisor,
+    DeltaTilde,
+    DTilde,
+    NestedSet,
+    divisor_sort_key,
+    divisors_for,
+    enumerate_nested_sets,
+    pair_compatible,
+)
 from wonderful.symmetry import Orbit, act, all_permutations
 
 
@@ -112,6 +123,27 @@ def laminar(sets) -> bool:
         if a & b and not (a <= b or b <= a):
             return False
     return True
+
+
+def pair_compatible_by_relation(a: BoundaryDivisor, b: BoundaryDivisor) -> bool:
+    """The pairwise criterion by the subset relation of the two index sets.
+    Equal index sets classify as EQUAL, which the D-D and Delta-Delta
+    branches reject, so a divisor fails against itself here."""
+    if isinstance(a, DTilde) and isinstance(b, DTilde):
+        rel = subset_relation(a.subset, b.subset)
+        if a.component != b.component:
+            return rel is SubsetRelation.DISJOINT
+        return rel in (SubsetRelation.A_IN_B, SubsetRelation.B_IN_A)
+    if isinstance(a, DeltaTilde) and isinstance(b, DeltaTilde):
+        return subset_relation(a.subset, b.subset) in (
+            SubsetRelation.DISJOINT,
+            SubsetRelation.A_IN_B,
+            SubsetRelation.B_IN_A,
+        )
+    if isinstance(a, DeltaTilde):
+        a, b = b, a
+    rel = subset_relation(a.subset, b.subset)  # a = D-divisor, b = diagonal
+    return rel in (SubsetRelation.DISJOINT, SubsetRelation.B_IN_A, SubsetRelation.EQUAL)
 
 
 def maximal_by_rescan(g: GeometryConfig) -> tuple[NestedSet, ...]:

@@ -162,6 +162,13 @@ def test_budget_exceeded_exits_3(runner):
     assert shallow.exit_code == 0
 
 
+def test_negative_max_size_exits_2(runner):
+    result = runner.invoke(main, ["nested", "--max-size", "-1", "--format", "json", "--n", "2", "--components", "1"])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "--max-size" in result.output and "nested_sets" not in result.output
+
+
 def test_certify_passes(runner):
     result = runner.invoke(main, ["certify"])
     assert result.exit_code == 0

@@ -13,6 +13,7 @@ from wonderful.nested import (
     DeltaTilde,
     NestedSet,
     count_divisors,
+    divisor_sort_key,
     divisors_for,
     enumerate_nested_sets,
     f_vector,
@@ -20,9 +21,10 @@ from wonderful.nested import (
     make_nested_set,
     maximal_nested_sets,
     mixed_pair_certificate,
+    pair_compatible,
     parse_divisor,
 )
-from oracles import laminar, maximal_by_rescan
+from oracles import laminar, maximal_by_rescan, pair_compatible_by_relation
 
 
 def test_is_nested_pair_rules():
@@ -35,6 +37,16 @@ def test_is_nested_pair_rules():
     assert not is_nested(g, [DTilde(3, 1, 0b001), DTilde(3, 1, 0b010)])
     assert is_nested(g, [DeltaTilde(3, 0b011), DeltaTilde(3, 0b111)])
     assert is_nested(g, [])
+
+
+def test_pair_rule_matches_relation_rule():
+    for n in range(1, 6):
+        spaces = [GeometryConfig(n, 2, (), Space.FM)]
+        for k in range(4):
+            spaces += [point_components(k, n=n), point_components(k, n=n, space=Space.XD_UPPER)]
+        for g in spaces:
+            for a, b in itertools.permutations(divisors_for(g), 2):
+                assert pair_compatible(a, b) == pair_compatible_by_relation(a, b), (g, a, b)
 
 
 def test_divisor_validation():
@@ -132,6 +144,40 @@ def test_budget_guard():
     assert len(enumerate_nested_sets(g, max_size=1)) == count_divisors(g) + 1
 
 
+def test_negative_max_size_is_refused():
+    g = point_components(1, n=2)
+    with pytest.raises(ValueError):
+        enumerate_nested_sets(g, max_size=-1)
+    assert enumerate_nested_sets(g, max_size=0) == (NestedSet(g, ()),)
+
+
+def test_walks_test_each_pair_once_and_never_revalidate(monkeypatch):
+    pairs, checks = [], []
+    original_pair, original_nested = nested.pair_compatible, nested.is_nested
+
+    def counting_pair(a, b):
+        pairs.append((a, b))
+        return original_pair(a, b)
+
+    def counting_nested(g, divisors):
+        checks.append(divisors)
+        return original_nested(g, divisors)
+
+    monkeypatch.setattr(nested, "pair_compatible", counting_pair)
+    monkeypatch.setattr(nested, "is_nested", counting_nested)
+    g = point_components(2, n=3)
+    d = count_divisors(g)
+    for walk in (f_vector, enumerate_nested_sets, maximal_nested_sets):
+        pairs.clear()
+        walk(g)
+        assert len(pairs) == d * (d - 1) // 2, walk
+    enumerate_nested_sets(g, max_size=1)
+    assert checks == []
+    # the public constructor still checks
+    make_nested_set(g, [DTilde(3, 1, 0b011)])
+    assert len(checks) == 1
+
+
 def test_shallow_and_refused_queries_test_no_pairs(monkeypatch):
     calls = []
     original = nested.pair_compatible
@@ -165,6 +211,26 @@ def test_facets_and_f_vector_match_enumeration(g):
     assert f_vector(g) == tuple(sizes[k] for k in range(max(sizes) + 1))
 
 
+def test_every_divisor_is_compatible_with_itself():
+    for g in SMALL_COMPLEXES:
+        for d in divisors_for(g):
+            assert pair_compatible(d, d), d
+            assert is_nested(g, [d])
+
+
+@pytest.mark.parametrize(
+    "g, bound", [(g, None) for g in SMALL_COMPLEXES] + [(point_components(3, n=4), 200)],
+    ids=["k2n3", "k1n4-upper", "k3n3", "fm4", "m07"],
+)
+def test_walked_faces_are_canonical_and_nested(g, bound):
+    faces = enumerate_nested_sets(g, max_size=3, divisor_bound=bound)
+    facets = maximal_nested_sets(g, divisor_bound=bound)
+    for ns in faces + facets:
+        assert list(ns.divisors) == sorted(set(ns.divisors), key=divisor_sort_key)
+        assert is_nested(g, ns.divisors)
+        assert make_nested_set(g, ns.divisors) == ns
+
+
 def _double_factorial(k):
     return 1 if k <= 1 else k * _double_factorial(k - 2)
 
@@ -196,6 +262,17 @@ def test_nested_set_constructor_enforces_predicate():
         make_nested_set(g, [DTilde(3, 1, 0b001), DeltaTilde(3, 0b011)])
     ns = make_nested_set(g, [DeltaTilde(3, 0b011), DTilde(3, 1, 0b111)])
     assert ns.labels() == ("D:c1:{1,2,3}", "Delta:{1,2}")
+
+
+def test_public_nested_set_constructor_checks_its_input():
+    g = point_components(1, n=3)
+    with pytest.raises(ValueError):
+        NestedSet(g, (DTilde(3, 1, 0b001), DeltaTilde(3, 0b011)))  # sorted, not nested
+    with pytest.raises(ValueError):
+        NestedSet(g, (DeltaTilde(3, 0b011), DTilde(3, 1, 0b111)))  # nested, not sorted
+    with pytest.raises(ValueError):
+        NestedSet(g, (DTilde(3, 1, 0b111), DTilde(3, 1, 0b111)))  # repeated
+    assert NestedSet(g, (DTilde(3, 1, 0b111), DeltaTilde(3, 0b011))).labels() == ("D:c1:{1,2,3}", "Delta:{1,2}")
 
 
 def test_divisor_labels_round_trip():
