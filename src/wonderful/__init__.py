@@ -30,10 +30,7 @@ from .building import (
     universal_family_centers,
 )
 from .nested import (
-    BoundaryDivisor,
     BudgetError,
-    DTilde,
-    DeltaTilde,
     NestedSet,
     count_divisors,
     divisors_for,
@@ -43,7 +40,6 @@ from .nested import (
     make_nested_set,
     maximal_nested_sets,
     mixed_pair_certificate,
-    parse_divisor,
 )
 from .orders import (
     BlowupSequence,

@@ -18,9 +18,7 @@ from .building import building_set_for, is_nested_flag_oracle
 from .geometry import Component, GeometryConfig, Space, point_components
 from .labels import subset_relation, SubsetRelation
 from .nested import (
-    DTilde,
     count_divisors,
-    divisor_to_center,
     divisors_for,
     enumerate_nested_sets,
     f_vector,
@@ -81,14 +79,12 @@ def _check_oracle_agreement() -> CheckResult:
         g = point_components(k, space=Space.XD_UPPER, n=n)
         first, _ = building_set_for(g)
         members = first.members
-        divisors = [DTilde(g.n, m.component, m.subset) for m in members]
         for picks in itertools.product((0, 1), repeat=len(members)):
             sub = [members[i] for i in range(len(members)) if picks[i]]
-            ds = [divisors[i] for i in range(len(members)) if picks[i]]
-            if is_nested(g, ds) != is_nested_flag_oracle(first, sub):
+            if is_nested(g, sub) != is_nested_flag_oracle(first, sub):
                 return CheckResult(
                     "nested-oracle-agreement", False,
-                    "k=%d n=%d disagreement on %s" % (k, n, [str(d) for d in ds]),
+                    "k=%d n=%d disagreement on %s" % (k, n, [str(d) for d in sub]),
                 )
     # larger configuration: both predicates are downward closed, so agreement
     # on pairs plus oracle truth on every pairwise-nested collection covers
@@ -96,13 +92,11 @@ def _check_oracle_agreement() -> CheckResult:
     g = point_components(2, space=Space.XD_UPPER, n=3)
     first, _ = building_set_for(g)
     members = first.members
-    for a, b in itertools.combinations(range(len(members)), 2):
-        ds = [DTilde(g.n, members[i].component, members[i].subset) for i in (a, b)]
-        if is_nested(g, ds) != is_nested_flag_oracle(first, [members[a], members[b]]):
-            return CheckResult("nested-oracle-agreement", False, "pair disagreement %s" % [str(d) for d in ds])
+    for pair in itertools.combinations(members, 2):
+        if is_nested(g, pair) != is_nested_flag_oracle(first, pair):
+            return CheckResult("nested-oracle-agreement", False, "pair disagreement %s" % [str(d) for d in pair])
     for ns in enumerate_nested_sets(g):
-        sub = [members[members.index(divisor_to_center(d))] for d in ns.divisors]
-        if not is_nested_flag_oracle(first, sub):
+        if not is_nested_flag_oracle(first, ns.divisors):
             return CheckResult("nested-oracle-agreement", False, "oracle rejects nested %s" % list(ns.labels()))
     return CheckResult("nested-oracle-agreement", True, "closed form == flag oracle on all small D-collections")
 

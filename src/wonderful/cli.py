@@ -17,6 +17,7 @@ import click
 
 from . import certify as certify_mod
 from .geometry import Component, ConfigError, GeometryConfig, Space, load_config
+from .loci import parse_center
 from .nested import (
     BudgetError,
     count_divisors,
@@ -25,7 +26,6 @@ from .nested import (
     f_vector,
     make_nested_set,
     maximal_nested_sets,
-    parse_divisor,
 )
 from .orders import SCHEMES, BlowupSequence, generate_order, swap_rewrite, two_block_order, validate_inclusion_order
 from .symmetry import orbits
@@ -95,7 +95,23 @@ def build_config(config_path, n_points, dim_x, n_point_components, component_spe
         _fail(2, str(exc))
 
 
-@click.group()
+class _JsonErrors(click.Group):
+    """Reports click's own usage errors, like every other error, as one JSON
+    line on stderr.  A caller that passes ``standalone_mode=False`` handles
+    click's exceptions itself and gets them unchanged."""
+
+    def main(self, *args, standalone_mode=True, **kwargs):
+        if not standalone_mode:
+            return super().main(*args, standalone_mode=False, **kwargs)
+        try:
+            return super().main(*args, standalone_mode=False, **kwargs)
+        except click.ClickException as exc:
+            _fail(exc.exit_code, exc.format_message())
+        except click.Abort:
+            _fail(1, "aborted")
+
+
+@click.group(cls=_JsonErrors)
 def main():
     """Combinatorics of wonderful compactifications of configuration spaces
     relative to a subvariety."""
@@ -207,8 +223,6 @@ def _sequence_from(g, text) -> BlowupSequence:
         return generate_order(g, text)
     if text == "two_block":
         return two_block_order(g)
-    from .loci import parse_center
-
     labels = _parse_label_array(text)
     return BlowupSequence(g, tuple(parse_center(t, g.n) for t in labels))
 
@@ -280,7 +294,7 @@ def fiber(nested_literal, fmt, **cfg):
     g = build_config(**cfg)
     try:
         labels = _parse_label_array(nested_literal)
-        ns = make_nested_set(g, [parse_divisor(t, g.n) for t in labels])
+        ns = make_nested_set(g, [parse_center(t, g.n) for t in labels])
         tree = fiber_tree(g, ns)
     except ValueError as exc:
         _fail(2, str(exc))

@@ -205,8 +205,20 @@ class Partition:
 
     @classmethod
     def simple(cls, n: int, mask: int) -> "Partition":
-        """The partition merging exactly the given index set (a simple diagonal shape)."""
-        return cls.from_blocks(n, [mask])
+        """The partition merging exactly the given index set (a simple
+        diagonal shape).  Its blocks are made canonical, so the
+        constructor's checks are skipped: every simple diagonal is built
+        here."""
+        check_population(n)
+        if mask & ~full_mask(n):
+            raise ValueError("block %s exceeds population %d" % (format_subset(mask), n))
+        blocks = [1 << i for i in range(n) if not mask >> i & 1]
+        if mask:
+            blocks.insert((mask & -mask).bit_length() - 1, mask)  # after the singletons below it
+        out = object.__new__(cls)
+        object.__setattr__(out, "n", n)
+        object.__setattr__(out, "blocks", tuple(blocks))
+        return out
 
     def support(self) -> tuple[int, ...]:
         return tuple(b for b in self.blocks if b.bit_count() >= 2)

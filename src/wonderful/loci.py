@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .geometry import GeometryConfig
 from .labels import (
@@ -63,7 +63,9 @@ INTERSECT_MEMO_LIMIT = 1 << 12
 
 @dataclass(frozen=True)
 class DLocus:
-    """D_{c,S}: the points labeled by S sit on component number c (1-based)."""
+    """D_{c,S}: the points labeled by S sit on component number c (1-based).
+
+    Also the boundary divisor covering D_{c,S}; see ``nested``."""
 
     n: int
     component: int
@@ -77,23 +79,45 @@ class DLocus:
         if self.component < 1:
             raise ValueError("component indices are 1-based")
 
-    def __str__(self) -> str:
+    @cached_property
+    def label(self) -> str:
         return "D:c%d:%s" % (self.component, format_subset(self.subset))
+
+    def __str__(self) -> str:
+        return self.label
 
 
 @dataclass(frozen=True)
 class Diagonal:
-    """The polydiagonal of a partition; simple diagonals have one merged block."""
+    """The polydiagonal of a partition; simple diagonals have one merged block.
+
+    A simple diagonal Delta_I also names the boundary divisor covering it
+    (see ``nested``), so it reads like a D-locus: ``subset`` is I and
+    ``component`` is 0, the code the pairwise criterion reads for a
+    diagonal.  Neither is a field.  ``subset`` is derived from the partition
+    once, at construction; a polydiagonal covers no divisor and has
+    ``subset`` 0."""
 
     partition: Partition
+    component = 0  # not a field
 
+    # subset is stored on the instance rather than computed by a descriptor:
+    # the pairwise criterion reads it for every pair of divisors
     def __post_init__(self):
-        if not self.partition.support():
+        support = self.partition.support()
+        if not support:
             raise ValueError("a diagonal needs at least one block of size >= 2")
+        object.__setattr__(self, "subset", support[0] if len(support) == 1 else 0)
 
     @classmethod
     def simple(cls, n: int, mask: int) -> "Diagonal":
-        return cls(Partition.simple(n, mask))
+        """Delta_I for I = mask, without re-deriving I from the partition."""
+        if mask.bit_count() < 2:
+            raise ValueError("a diagonal needs at least one block of size >= 2")
+        out = object.__new__(cls)
+        object.__setattr__(out, "partition", Partition.simple(n, mask))
+        object.__setattr__(out, "subset", mask)
+        return out
 
     @property
     def n(self) -> int:
@@ -101,21 +125,16 @@ class Diagonal:
 
     @property
     def is_simple(self) -> bool:
-        return len(self.partition.support()) == 1
+        return bool(self.subset)
 
-    @property
-    def index_set(self) -> int:
-        """The merged index set of a simple diagonal."""
-        support = self.partition.support()
-        if len(support) != 1:
-            raise ValueError("not a simple diagonal: %s" % self)
-        return support[0]
+    @cached_property
+    def label(self) -> str:
+        if self.is_simple:
+            return "Delta:" + format_subset(self.subset)
+        return "Delta:" + str(self.partition)
 
     def __str__(self) -> str:
-        support = self.partition.support()
-        if len(support) == 1:
-            return "Delta:" + format_subset(support[0])
-        return "Delta:" + str(self.partition)
+        return self.label
 
 
 Center = DLocus | Diagonal
@@ -143,9 +162,8 @@ def parse_center(text: str, n: int) -> Center:
 
 
 def validate_center(g: GeometryConfig, c: Center) -> Center:
-    n = c.n if isinstance(c, DLocus) else c.partition.n
-    if n != g.n:
-        raise ValueError("center population %d does not match configuration n=%d" % (n, g.n))
+    if c.n != g.n:
+        raise ValueError("center population %d does not match configuration n=%d" % (c.n, g.n))
     if isinstance(c, DLocus) and not 1 <= c.component <= g.n_components:
         raise ValueError("center %s references a missing component" % c)
     return c

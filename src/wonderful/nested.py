@@ -3,9 +3,11 @@ nested-set complex.
 
 The boundary of the compactified space is a union of divisors: a transform
 of D_{c,S} for every component c and nonempty S, plus (in the space of
-distinct points) a transform of every simple diagonal, |I| >= 2.  A
-collection of boundary divisors has nonempty intersection exactly when it is
-nested, and nestedness is a pairwise condition:
+distinct points) a transform of every simple diagonal, |I| >= 2.  Each
+divisor is named by the center it covers: a ``DLocus`` or a simple
+``Diagonal``, whose labels and index sets it shares.  A collection of
+boundary divisors has nonempty intersection exactly when it is nested, and
+nestedness is a pairwise condition:
 
 * two D-divisors with different components need disjoint index sets; with
   the same component one index set must contain the other;
@@ -18,11 +20,12 @@ intersection sits inside the blowup center D_{c, S union I}, which is
 strictly contained in D_{c,S}, and blowing up such a center separates the
 transforms.
 
-With a diagonal divisor read as component 0, the rules are tests on the
-index-set masks.  Disjoint sets are compatible unless both are D-divisors
-of one component.  Sets that meet are compatible when the two share the
-component and one set contains the other, or when a diagonal's set lies
-inside a D-divisor's.  So every divisor is compatible with itself.
+A simple diagonal reports component 0, so the rules are tests on the
+``component`` and ``subset`` of the two divisors.  Disjoint sets are
+compatible unless both are D-divisors of one component.  Sets that meet are
+compatible when the two share the component and one set contains the
+other, or when a diagonal's set lies inside a D-divisor's.  So every
+divisor is compatible with itself.
 
 Pairwise-ness makes the complex the clique complex of one compatibility
 graph (an int bitmask per divisor), walked by the pivot-free Bron-Kerbosch
@@ -39,16 +42,16 @@ here, deliberately.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .geometry import GeometryConfig, Space
-from .labels import format_subset, full_mask, parse_subset, subset_key, subsets
+from .labels import subset_key, subsets
 from .loci import (
     Center,
     Diagonal,
     DLocus,
     SeparationCertificate,
     check_separation,
+    validate_center,
 )
 
 ENUMERATION_DIVISOR_BOUND = 40
@@ -58,99 +61,32 @@ class BudgetError(RuntimeError):
     """Exhaustive enumeration refused; the offending bound is named."""
 
 
-@dataclass(frozen=True)
-class DTilde:
-    """Boundary divisor covering D_{c,S}."""
-
-    n: int
-    component: int
-    subset: int
-
-    def __post_init__(self):
-        if self.subset == 0:
-            raise ValueError("a D-divisor needs a nonempty index set")
-        if self.subset & ~full_mask(self.n):
-            raise ValueError("index set exceeds population %d" % self.n)
-
-    @cached_property
-    def label(self) -> str:
-        return "D:c%d:%s" % (self.component, format_subset(self.subset))
-
-    def __str__(self):
-        return self.label
+def divisor_sort_key(d: Center) -> tuple:
+    """D-divisors by component, then the diagonals; by index set within each."""
+    return (not d.component, d.component, subset_key(d.subset))
 
 
-@dataclass(frozen=True)
-class DeltaTilde:
-    """Boundary divisor covering the simple diagonal of I, |I| >= 2."""
-
-    n: int
-    subset: int
-    component = 0  # not a field: the code pair_compatible reads for a diagonal
-
-    def __post_init__(self):
-        if self.subset.bit_count() < 2:
-            raise ValueError("a diagonal divisor needs |I| >= 2")
-        if self.subset & ~full_mask(self.n):
-            raise ValueError("index set exceeds population %d" % self.n)
-
-    @cached_property
-    def label(self) -> str:
-        return "Delta:" + format_subset(self.subset)
-
-    def __str__(self):
-        return self.label
-
-
-BoundaryDivisor = DTilde | DeltaTilde
-
-
-def parse_divisor(text: str, n: int) -> BoundaryDivisor:
-    t = text.strip()
-    if t.startswith("D:"):
-        head, sep, subset_text = t[2:].partition(":")
-        if not sep or not head.startswith("c"):
-            raise ValueError("bad divisor label %r" % text)
-        return DTilde(n, int(head[1:]), parse_subset(subset_text))
-    if t.startswith("Delta:"):
-        return DeltaTilde(n, parse_subset(t[len("Delta:"):]))
-    raise ValueError("divisor label must start with 'D:' or 'Delta:', got %r" % text)
-
-
-def divisor_sort_key(d: BoundaryDivisor) -> tuple:
-    if isinstance(d, DTilde):
-        return (0, d.component, subset_key(d.subset))
-    return (1, 0, subset_key(d.subset))
-
-
-def divisor_to_center(d: BoundaryDivisor) -> Center:
-    if isinstance(d, DTilde):
-        return DLocus(d.n, d.component, d.subset)
-    return Diagonal.simple(d.n, d.subset)
-
-
-def validate_divisor(g: GeometryConfig, d: BoundaryDivisor) -> BoundaryDivisor:
-    if d.n != g.n:
-        raise ValueError("divisor population %d does not match n=%d" % (d.n, g.n))
-    if isinstance(d, DTilde):
-        if not 1 <= d.component <= g.n_components:
-            raise ValueError("divisor %s references a missing component" % d)
-    elif g.space is Space.XD_UPPER:
-        raise ValueError("diagonal divisors do not exist in the colliding-points space")
+def validate_divisor(g: GeometryConfig, d: Center) -> Center:
+    """A center of ``g`` that covers a boundary divisor: any D_{c,S}, or a
+    simple diagonal outside the colliding-points space."""
+    validate_center(g, d)
+    if isinstance(d, Diagonal):
+        if not d.is_simple:
+            raise ValueError("%s is a polydiagonal, not a boundary divisor" % d)
+        if g.space is Space.XD_UPPER:
+            raise ValueError("diagonal divisors do not exist in the colliding-points space")
     return d
 
 
-def divisors_for(g: GeometryConfig) -> tuple[BoundaryDivisor, ...]:
-    """All boundary divisors of the configured space, canonically ordered."""
-    out: list[BoundaryDivisor] = []
+def divisors_for(g: GeometryConfig) -> tuple[Center, ...]:
+    """All boundary divisors of the configured space, canonically ordered:
+    ``subsets`` lists the index sets by ``subset_key`` already."""
+    out: list[Center] = []
     if g.space is not Space.FM:
         for c in range(1, g.n_components + 1):
-            for mask in subsets(g.n, min_size=1):
-                out.append(DTilde(g.n, c, mask))
+            out.extend(DLocus(g.n, c, mask) for mask in subsets(g.n, min_size=1))
     if g.space is not Space.XD_UPPER:
-        for mask in subsets(g.n, min_size=2):
-            out.append(DeltaTilde(g.n, mask))
-    out.sort(key=divisor_sort_key)
+        out.extend(Diagonal.simple(g.n, mask) for mask in subsets(g.n, min_size=2))
     return tuple(out)
 
 
@@ -162,7 +98,7 @@ def count_divisors(g: GeometryConfig) -> int:
     return d_part + delta_part
 
 
-def pair_compatible(a: BoundaryDivisor, b: BoundaryDivisor) -> bool:
+def pair_compatible(a: Center, b: Center) -> bool:
     """The pairwise nestedness criterion; see the module docstring."""
     ca, cb, s, t = a.component, b.component, a.subset, b.subset
     inter = s & t
@@ -193,7 +129,7 @@ class NestedSet:
     ever extends a face by a later divisor compatible with all of it."""
 
     geometry: GeometryConfig
-    divisors: tuple[BoundaryDivisor, ...]
+    divisors: tuple[Center, ...]
 
     def __post_init__(self):
         ordered = tuple(sorted(set(self.divisors), key=divisor_sort_key))
@@ -203,7 +139,7 @@ class NestedSet:
             raise ValueError("collection is not nested")
 
     @classmethod
-    def _walked(cls, g: GeometryConfig, divisors: tuple[BoundaryDivisor, ...]) -> "NestedSet":
+    def _walked(cls, g: GeometryConfig, divisors: tuple[Center, ...]) -> "NestedSet":
         ns = object.__new__(cls)
         object.__setattr__(ns, "geometry", g)
         object.__setattr__(ns, "divisors", divisors)
@@ -314,7 +250,7 @@ def maximal_nested_sets(g: GeometryConfig, divisor_bound: int | None = None) -> 
     return tuple(out)
 
 
-def mixed_pair_certificate(g: GeometryConfig, d: DTilde, delta: DeltaTilde) -> SeparationCertificate:
+def mixed_pair_certificate(g: GeometryConfig, d: DLocus, delta: Diagonal) -> SeparationCertificate:
     """Constructive disjointness for a non-nested mixed pair.
 
     Requires S meeting I with I not inside S.  The witness blowup center is
@@ -326,26 +262,18 @@ def mixed_pair_certificate(g: GeometryConfig, d: DTilde, delta: DeltaTilde) -> S
     validate_divisor(g, delta)
     if not d.subset & delta.subset or not delta.subset & ~d.subset:
         raise ValueError("the pair %s, %s is nested; no separation needed" % (d, delta))
-    cert = SeparationCertificate(
-        v1=DLocus(g.n, d.component, d.subset),
-        v2=Diagonal.simple(g.n, delta.subset),
-        center=DLocus(g.n, d.component, d.subset | delta.subset),
-    )
+    cert = SeparationCertificate(v1=d, v2=delta, center=DLocus(g.n, d.component, d.subset | delta.subset))
     if not check_separation(g, cert):
         raise AssertionError("separation certificate failed for %s, %s" % (d, delta))
     return cert
 
 
 __all__ = [
-    "BoundaryDivisor",
     "BudgetError",
-    "DTilde",
-    "DeltaTilde",
     "ENUMERATION_DIVISOR_BOUND",
     "NestedSet",
     "count_divisors",
     "divisor_sort_key",
-    "divisor_to_center",
     "divisors_for",
     "enumerate_nested_sets",
     "f_vector",
@@ -354,6 +282,5 @@ __all__ = [
     "maximal_nested_sets",
     "mixed_pair_certificate",
     "pair_compatible",
-    "parse_divisor",
     "validate_divisor",
 ]

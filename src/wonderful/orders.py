@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .building import BuildingSet, Stage, inclusion_key, is_building_set
+from .building import inclusion_key, is_building_set
 from .geometry import GeometryConfig, Space
 from .labels import subset_key, subsets
 from .loci import (
@@ -164,13 +164,10 @@ def validate_building_set_order(seq: BlowupSequence) -> bool:
     ambient product, or the diagonal transforms of stage two); interleaved
     mixed orders are justified by swap_rewrite instead.
     """
-    kinds = {type(c) for c in seq.centers}
-    if kinds == {DLocus, Diagonal}:
+    if {type(c) for c in seq.centers} == {DLocus, Diagonal}:
         raise ValueError(
             "mixed-stage sequence; validate per stage or justify via swap_rewrite"
         )
-    stage = Stage.TRANSFORM if kinds == {Diagonal} else Stage.AMBIENT
-    bs = BuildingSet(seq.geometry, seq.centers, stage)
     return all(
         is_building_set(seq.geometry, seq.centers[:k])
         for k in range(1, len(seq.centers) + 1)
@@ -230,10 +227,10 @@ def swap_certificate(g: GeometryConfig, prefix, a: Center, b: Center) -> str | N
     elif isinstance(b, DLocus) and isinstance(a, Diagonal) and a.is_simple:
         d, delta = b, a
     if d is not None:
-        meet = d.subset & delta.index_set
+        meet = d.subset & delta.subset
         if meet.bit_count() >= 2 and DLocus(g.n, d.component, meet) in prefix:
             return "transform-transversal after blowing up %s" % DLocus(g.n, d.component, meet)
-        union = d.subset | delta.index_set
+        union = d.subset | delta.subset
         if union != d.subset and DLocus(g.n, d.component, union) in prefix:
             return "transform-disjoint after blowing up %s" % DLocus(g.n, d.component, union)
         return None
@@ -244,8 +241,8 @@ def swap_certificate(g: GeometryConfig, prefix, a: Center, b: Center) -> str | N
             if z in prefix:
                 return "transform-disjoint after blowing up %s" % z
     if isinstance(a, Diagonal) and isinstance(b, Diagonal) and a.is_simple and b.is_simple:
-        union = a.index_set | b.index_set
-        if union not in (a.index_set, b.index_set):
+        union = a.subset | b.subset
+        if union not in (a.subset, b.subset):
             z = Diagonal.simple(g.n, union)
             if z in prefix:
                 return "transform-disjoint after blowing up %s" % z

@@ -1,5 +1,5 @@
-"""The symmetric group acting on labels: centers, divisors, nested sets,
-degeneration trees.
+"""The symmetric group acting on labels: centers (boundary divisors among
+them), nested sets, degeneration trees.
 
 Permutations relabel index sets; component indices and expansion depths are
 untouched.  The nestedness predicate is invariant (all its clauses are
@@ -11,12 +11,12 @@ form a laminar family on {1..n}: the D-divisors of one component form a
 chain, D-divisors of different components are disjoint, diagonals are
 pairwise disjoint or nested, and a diagonal Delta_I meets a D-divisor
 D_{c,S} only when I lies inside S.  Ordered by inclusion, the index sets
-make a forest.  A node carries its tags (the sorted (D, c) and Delta labels
-on that index set) and its number of free points (those in no child).  The
-AHU code of a node (Aho, Hopcroft and Ullman, 1974) is (tags, free points,
-sorted child codes), and the code of the nested set is the sorted tuple of
-its root codes.  A divisor is the one-node forest: its code is its kind,
-its component and |S|.
+make a forest.  A node carries its tags (the sorted components of the
+divisors on that index set, 0 for the diagonal) and its number of free
+points (those in no child).  The AHU code of a node (Aho, Hopcroft and
+Ullman, 1974) is (tags, free points, sorted child codes), and the code of
+the nested set is the sorted tuple of its root codes.  A divisor is the
+one-node forest: its code is its component and |S|.
 
 The code is a complete invariant.  A permutation preserves inclusion, sizes
 and tags, hence the code.  Conversely, equal codes give an isomorphism of
@@ -40,8 +40,6 @@ from .geometry import GeometryConfig
 from .labels import Partition, elements
 from .loci import Diagonal, DLocus
 from .nested import (
-    DTilde,
-    DeltaTilde,
     NestedSet,
     divisor_sort_key,
     divisors_for,
@@ -146,25 +144,18 @@ def all_permutations(n: int):
 
 
 def act(p: Permutation, x):
-    """Relabel x by the permutation; x may be a center, a boundary divisor,
-    a nested set, or a degeneration tree."""
+    """Relabel x by the permutation; x may be a center (which covers the
+    boundary divisors too), a nested set, or a degeneration tree."""
     if isinstance(x, DLocus):
         if p.n != x.n:
             raise ValueError("permutation degree %d does not match population %d" % (p.n, x.n))
         return DLocus(x.n, x.component, p.apply_mask(x.subset))
     if isinstance(x, Diagonal):
-        part = x.partition
-        if p.n != part.n:
-            raise ValueError("permutation degree %d does not match population %d" % (p.n, part.n))
-        return Diagonal(Partition.from_blocks(part.n, [p.apply_mask(b) for b in part.blocks]))
-    if isinstance(x, DTilde):
         if p.n != x.n:
             raise ValueError("permutation degree %d does not match population %d" % (p.n, x.n))
-        return DTilde(x.n, x.component, p.apply_mask(x.subset))
-    if isinstance(x, DeltaTilde):
-        if p.n != x.n:
-            raise ValueError("permutation degree %d does not match population %d" % (p.n, x.n))
-        return DeltaTilde(x.n, p.apply_mask(x.subset))
+        if x.is_simple:
+            return Diagonal.simple(x.n, p.apply_mask(x.subset))
+        return Diagonal(Partition.from_blocks(x.n, map(p.apply_mask, x.partition.blocks)))
     if isinstance(x, NestedSet):
         return make_nested_set(x.geometry, [act(p, d) for d in x.divisors])
     if isinstance(x, DegenerationTree):
@@ -189,7 +180,7 @@ def _forest_code(divisors) -> tuple:
     boundary divisors; see the module docstring."""
     tags: dict[int, list] = {}
     for d in divisors:
-        tags.setdefault(d.subset, []).append((0, d.component) if isinstance(d, DTilde) else (1, 0))
+        tags.setdefault(d.subset, []).append(d.component)
     roots: list[tuple[int, tuple]] = []  # (index set, code) of the nodes seen without a parent yet
     for s in sorted(tags, key=int.bit_count):  # children before parents
         kids = [(t, code) for t, code in roots if not t & ~s]

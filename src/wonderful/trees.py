@@ -26,7 +26,7 @@ from enum import Enum
 from .geometry import GeometryConfig, extended_config
 from .labels import elements, format_subset, mask_of
 from .loci import Diagonal, DLocus, SeparationCertificate, check_separation
-from .nested import DTilde, DeltaTilde, NestedSet, make_nested_set
+from .nested import NestedSet, make_nested_set
 
 
 class VertexKind(Enum):
@@ -157,7 +157,7 @@ def fiber_tree(g: GeometryConfig, ns: NestedSet) -> DegenerationTree:
     d_sets: dict[int, list[int]] = {}
     delta_sets: list[int] = []
     for d in ns.divisors:
-        if isinstance(d, DTilde):
+        if d.component:
             d_sets.setdefault(d.component, []).append(d.subset)
         else:
             delta_sets.append(d.subset)
@@ -219,9 +219,9 @@ def tree_to_nested(t: DegenerationTree) -> NestedSet:
     divisors = []
     for v in t.vertices:
         if v.kind is VertexKind.DLEVEL:
-            divisors.append(DTilde(g.n, v.component, t.subtree_marks(v.vid)))
+            divisors.append(DLocus(g.n, v.component, t.subtree_marks(v.vid)))
         elif v.kind is VertexKind.SCREEN:
-            divisors.append(DeltaTilde(g.n, t.subtree_marks(v.vid)))
+            divisors.append(Diagonal.simple(g.n, t.subtree_marks(v.vid)))
     return make_nested_set(g, divisors)
 
 

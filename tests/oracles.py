@@ -23,9 +23,6 @@ from wonderful.geometry import GeometryConfig
 from wonderful.labels import SubsetRelation, elements, subset_relation
 from wonderful.loci import Center, Diagonal, DLocus, Locus, PairPosition
 from wonderful.nested import (
-    BoundaryDivisor,
-    DeltaTilde,
-    DTilde,
     NestedSet,
     divisor_sort_key,
     divisors_for,
@@ -125,22 +122,22 @@ def laminar(sets) -> bool:
     return True
 
 
-def pair_compatible_by_relation(a: BoundaryDivisor, b: BoundaryDivisor) -> bool:
+def pair_compatible_by_relation(a: Center, b: Center) -> bool:
     """The pairwise criterion by the subset relation of the two index sets.
     Equal index sets classify as EQUAL, which the D-D and Delta-Delta
     branches reject, so a divisor fails against itself here."""
-    if isinstance(a, DTilde) and isinstance(b, DTilde):
+    if isinstance(a, DLocus) and isinstance(b, DLocus):
         rel = subset_relation(a.subset, b.subset)
         if a.component != b.component:
             return rel is SubsetRelation.DISJOINT
         return rel in (SubsetRelation.A_IN_B, SubsetRelation.B_IN_A)
-    if isinstance(a, DeltaTilde) and isinstance(b, DeltaTilde):
+    if isinstance(a, Diagonal) and isinstance(b, Diagonal):
         return subset_relation(a.subset, b.subset) in (
             SubsetRelation.DISJOINT,
             SubsetRelation.A_IN_B,
             SubsetRelation.B_IN_A,
         )
-    if isinstance(a, DeltaTilde):
+    if isinstance(a, Diagonal):
         a, b = b, a
     rel = subset_relation(a.subset, b.subset)  # a = D-divisor, b = diagonal
     return rel in (SubsetRelation.DISJOINT, SubsetRelation.B_IN_A, SubsetRelation.EQUAL)
@@ -213,14 +210,14 @@ def closed_form_pair_position(g: GeometryConfig, a: Center, b: Center) -> PairPo
             return PairPosition.CLEAN_CONTAINMENT
         return PairPosition.TRANSVERSAL if inter == 0 else PairPosition.CLEAN_OVERLAP
     if isinstance(a, Diagonal) and isinstance(b, Diagonal):
-        i_set, j_set = a.index_set, b.index_set
+        i_set, j_set = a.subset, b.subset
         inter = i_set & j_set
         if inter in (i_set, j_set):
             return PairPosition.CLEAN_CONTAINMENT
         return PairPosition.TRANSVERSAL if inter.bit_count() <= 1 else PairPosition.CLEAN_OVERLAP
     if isinstance(a, Diagonal):
         a, b = b, a
-    s_set, i_set = a.subset, b.index_set
+    s_set, i_set = a.subset, b.subset
     if g.component_dim(a.component) == 0 and i_set & ~s_set == 0:
         return PairPosition.CLEAN_CONTAINMENT
     if (s_set & i_set).bit_count() <= 1:

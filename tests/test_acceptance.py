@@ -31,10 +31,7 @@ from wonderful.loci import (
     PairPosition,
 )
 from wonderful.nested import (
-    DTilde,
-    DeltaTilde,
     count_divisors,
-    divisor_to_center,
     divisors_for,
     enumerate_nested_sets,
     f_vector,
@@ -120,21 +117,19 @@ def test_criterion_04_closed_form_equals_flag_oracle():
             g = point_components(k, n=n, space=Space.XD_UPPER)
             first, _ = building_set_for(g)
             members = list(first.members)
-            as_div = {m: DTilde(g.n, m.component, m.subset) for m in members}
             for a, b in itertools.combinations(members, 2):
-                assert is_nested_flag_oracle(first, [a, b]) == is_nested(g, [as_div[a], as_div[b]])
+                assert is_nested_flag_oracle(first, [a, b]) == is_nested(g, [a, b])
             for ns in enumerate_nested_sets(g):
-                sub = [divisor_to_center(d) for d in ns.divisors]
-                assert is_nested_flag_oracle(first, sub)
+                assert is_nested_flag_oracle(first, ns.divisors)
             if len(members) <= 14:
                 for r in range(len(members) + 1):
                     for sub in itertools.combinations(members, r):
-                        expected = is_nested(g, [as_div[m] for m in sub])
+                        expected = is_nested(g, sub)
                         assert is_nested_flag_oracle(first, sub) == expected
             else:
                 for _ in range(300):
                     sub = rng.sample(members, rng.randint(0, 6))
-                    expected = is_nested(g, [as_div[m] for m in sub])
+                    expected = is_nested(g, sub)
                     assert is_nested_flag_oracle(first, sub) == expected, [str(m) for m in sub]
     _ok(4, "closed-form nestedness == flag-search oracle on D-collections")
 
@@ -152,7 +147,7 @@ def test_criterion_05_mixed_pair_separation_certificates():
             for s in subsets(g.n, min_size=1):
                 for i in subsets(g.n, min_size=2):
                     if s & i and i & ~s:
-                        cert = mixed_pair_certificate(g, DTilde(g.n, c, s), DeltaTilde(g.n, i))
+                        cert = mixed_pair_certificate(g, DLocus(g.n, c, s), Diagonal.simple(g.n, i))
                         assert check_separation(g, cert)
                         lz = center_to_locus(g, cert.center)
                         l1 = center_to_locus(g, cert.v1)
@@ -255,11 +250,11 @@ def test_criterion_08_degeneration_fibers():
             assert sorted(i for v in t.vertices for i in t.marks_on(v.vid)) == list(range(1, g.n + 1))
     # the two displayed generic fibers
     g = point_components(1, n=3)
-    t = fiber_tree(g, make_nested_set(g, [DTilde(3, 1, 0b011)]))
+    t = fiber_tree(g, make_nested_set(g, [DLocus(3, 1, 0b011)]))
     assert [v.kind for v in t.vertices] == [VertexKind.ROOT, VertexKind.DLEVEL]
     assert t.marks_on(1) == (1, 2) and t.marks_on(0) == (3,)
     g_fm = GeometryConfig(3, 2, (), Space.FM)
-    t2 = fiber_tree(g_fm, make_nested_set(g_fm, [DeltaTilde(3, 0b011)]))
+    t2 = fiber_tree(g_fm, make_nested_set(g_fm, [Diagonal.simple(3, 0b011)]))
     assert [v.kind for v in t2.vertices] == [VertexKind.ROOT, VertexKind.SCREEN]
     assert t2.marks_on(1) == (1, 2) and t2.marks_on(0) == (3,)
     _ok(8, "fiber trees stable and round-tripping over every nested set, n <= 4")

@@ -23,7 +23,7 @@ from wonderful.loci import (
     intersect_all,
     meets_transversally,
 )
-from wonderful.nested import DTilde, is_nested
+from wonderful.nested import is_nested
 from wonderful.orders import validate_inclusion_order, BlowupSequence
 
 
@@ -125,8 +125,7 @@ def test_flag_oracle_agrees_with_closed_form_exhaustively():
         members = list(first.members)
         for r in range(len(members) + 1):
             for sub in itertools.combinations(members, r):
-                ds = [DTilde(g.n, c.component, c.subset) for c in sub]
-                assert is_nested_flag_oracle(first, sub) == is_nested(g, ds), [str(c) for c in sub]
+                assert is_nested_flag_oracle(first, sub) == is_nested(g, sub), [str(c) for c in sub]
 
 
 def test_flag_oracle_diagonals_match_laminarity():
@@ -138,7 +137,7 @@ def test_flag_oracle_diagonals_match_laminarity():
     members = list(diag.members)
     for r in range(0, 4):
         for sub in itertools.combinations(members, r):
-            expected = laminar([set(elements(c.index_set)) for c in sub])
+            expected = laminar([set(elements(c.subset)) for c in sub])
             assert is_nested_flag_oracle(diag, sub) == expected, [str(c) for c in sub]
 
 

@@ -1,5 +1,6 @@
 import json
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -167,6 +168,64 @@ def test_negative_max_size_exits_2(runner):
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
     assert "--max-size" in result.output and "nested_sets" not in result.output
+
+
+def _json_error(result) -> str:
+    """The one JSON error line of an invocation that exits 2 and prints nothing on stdout."""
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert list(payload) == ["error"]
+    return payload["error"]
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["divisors", "--n", "abc"], "--n"),
+        (["divisors", "--n", "2", "--format", "bogus"], "--format"),
+        (["nested", "--max-size", "-1", "--n", "2", "--components", "1"], "--max-size"),
+        (["divisors", "--bogus"], "--bogus"),
+        (["order", "--n", "3"], "--scheme"),
+    ],
+    ids=["not-an-int", "bad-choice", "out-of-range", "unknown-option", "missing-option"],
+)
+def test_usage_errors_print_json(runner, argv, names):
+    assert names in _json_error(runner.invoke(main, argv))
+
+
+def test_help_still_exits_0(runner):
+    for argv in (["--help"], ["divisors", "--help"]):
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 0
+        assert result.stdout.startswith("Usage:")
+
+
+def test_usage_errors_raise_without_standalone_mode():
+    with pytest.raises(click.UsageError):
+        main.main(args=["divisors", "--n", "abc"], prog_name="wonderful", standalone_mode=False)
+    assert main.main(args=["divisors", "--n", "1", "--format", "json"], prog_name="wonderful",
+                     standalone_mode=False) is None
+
+
+@pytest.mark.parametrize(
+    "label, components",
+    [
+        ("Delta:{{1,2},{3,4}}", 1),
+        ("D:c0:{1}", 1),
+        ("Delta:{1}", 1),
+        ("Delta:{1,5}", 1),
+        ("D:c3:{1}", 2),
+    ],
+    ids=["polydiagonal", "component-0", "one-point-diagonal", "out-of-population", "missing-component"],
+)
+def test_fiber_rejects_non_divisor_labels(runner, label, components):
+    argv = ["fiber", "--n", "4", "--components", str(components), "--nested", "[%s]" % label]
+    message = _json_error(runner.invoke(main, argv))
+    if label.startswith("Delta:{{"):
+        assert label in message
 
 
 def test_certify_passes(runner):

@@ -5,12 +5,10 @@ import pytest
 
 from wonderful import nested
 from wonderful.geometry import Component, GeometryConfig, Space, point_components
-from wonderful.labels import elements, subsets
-from wonderful.loci import check_separation
+from wonderful.labels import Partition, elements, subsets
+from wonderful.loci import Diagonal, DLocus, check_separation, parse_center
 from wonderful.nested import (
     BudgetError,
-    DTilde,
-    DeltaTilde,
     NestedSet,
     count_divisors,
     divisor_sort_key,
@@ -22,20 +20,19 @@ from wonderful.nested import (
     maximal_nested_sets,
     mixed_pair_certificate,
     pair_compatible,
-    parse_divisor,
 )
 from oracles import laminar, maximal_by_rescan, pair_compatible_by_relation
 
 
 def test_is_nested_pair_rules():
     g = point_components(2, n=3)
-    assert is_nested(g, [DTilde(3, 1, 0b111), DeltaTilde(3, 0b011)])  # I inside S
-    assert not is_nested(g, [DTilde(3, 1, 0b001), DeltaTilde(3, 0b011)])  # S meets I, I escapes
-    assert is_nested(g, [DTilde(3, 1, 0b001), DTilde(3, 2, 0b010)])  # distinct components, disjoint
-    assert not is_nested(g, [DTilde(3, 1, 0b001), DTilde(3, 2, 0b011)])
-    assert is_nested(g, [DTilde(3, 1, 0b001), DTilde(3, 1, 0b011)])  # same component, chain
-    assert not is_nested(g, [DTilde(3, 1, 0b001), DTilde(3, 1, 0b010)])
-    assert is_nested(g, [DeltaTilde(3, 0b011), DeltaTilde(3, 0b111)])
+    assert is_nested(g, [DLocus(3, 1, 0b111), Diagonal.simple(3, 0b011)])  # I inside S
+    assert not is_nested(g, [DLocus(3, 1, 0b001), Diagonal.simple(3, 0b011)])  # S meets I, I escapes
+    assert is_nested(g, [DLocus(3, 1, 0b001), DLocus(3, 2, 0b010)])  # distinct components, disjoint
+    assert not is_nested(g, [DLocus(3, 1, 0b001), DLocus(3, 2, 0b011)])
+    assert is_nested(g, [DLocus(3, 1, 0b001), DLocus(3, 1, 0b011)])  # same component, chain
+    assert not is_nested(g, [DLocus(3, 1, 0b001), DLocus(3, 1, 0b010)])
+    assert is_nested(g, [Diagonal.simple(3, 0b011), Diagonal.simple(3, 0b111)])
     assert is_nested(g, [])
 
 
@@ -52,11 +49,13 @@ def test_pair_rule_matches_relation_rule():
 def test_divisor_validation():
     g = point_components(1, n=3, space=Space.XD_UPPER)
     with pytest.raises(ValueError):
-        is_nested(g, [DeltaTilde(3, 0b011)])  # no diagonal divisors in this space
+        is_nested(g, [Diagonal.simple(3, 0b011)])  # no diagonal divisors in this space
     with pytest.raises(ValueError):
-        is_nested(g, [DTilde(3, 2, 0b001)])  # missing component
+        is_nested(g, [DLocus(3, 2, 0b001)])  # missing component
     with pytest.raises(ValueError):
-        DeltaTilde(3, 0b001)  # diagonal divisors need two indices
+        Diagonal.simple(3, 0b001)  # diagonal divisors need two indices
+    with pytest.raises(ValueError):  # a polydiagonal covers no boundary divisor
+        is_nested(point_components(1, n=4), [Diagonal(Partition.from_blocks(4, [0b0011, 0b1100]))])
 
 
 def test_count_divisors_formulas():
@@ -72,6 +71,15 @@ def test_count_divisors_formulas():
     ]:
         assert count_divisors(g) == len(divisors_for(g))
         assert count_divisors(g) == len(enumerate_nested_sets(g, max_size=1)) - 1
+    # divisors_for lists the divisors in canonical order without sorting them
+    for n in range(1, 7):
+        spaces = [GeometryConfig(n, 2, (), Space.FM)]
+        for k in range(4):
+            spaces += [point_components(k, n=n), point_components(k, n=n, space=Space.XD_UPPER)]
+        for g in spaces:
+            divisors = divisors_for(g)
+            assert len(divisors) == count_divisors(g)
+            assert list(divisors) == sorted(set(divisors), key=divisor_sort_key), g
 
 
 def test_five_point_moduli_complex():
@@ -174,7 +182,7 @@ def test_walks_test_each_pair_once_and_never_revalidate(monkeypatch):
     enumerate_nested_sets(g, max_size=1)
     assert checks == []
     # the public constructor still checks
-    make_nested_set(g, [DTilde(3, 1, 0b011)])
+    make_nested_set(g, [DLocus(3, 1, 0b011)])
     assert len(checks) == 1
 
 
@@ -259,26 +267,26 @@ def test_one_point_component_is_fm_with_one_more_point(n):
 def test_nested_set_constructor_enforces_predicate():
     g = point_components(1, n=3)
     with pytest.raises(ValueError):
-        make_nested_set(g, [DTilde(3, 1, 0b001), DeltaTilde(3, 0b011)])
-    ns = make_nested_set(g, [DeltaTilde(3, 0b011), DTilde(3, 1, 0b111)])
+        make_nested_set(g, [DLocus(3, 1, 0b001), Diagonal.simple(3, 0b011)])
+    ns = make_nested_set(g, [Diagonal.simple(3, 0b011), DLocus(3, 1, 0b111)])
     assert ns.labels() == ("D:c1:{1,2,3}", "Delta:{1,2}")
 
 
 def test_public_nested_set_constructor_checks_its_input():
     g = point_components(1, n=3)
     with pytest.raises(ValueError):
-        NestedSet(g, (DTilde(3, 1, 0b001), DeltaTilde(3, 0b011)))  # sorted, not nested
+        NestedSet(g, (DLocus(3, 1, 0b001), Diagonal.simple(3, 0b011)))  # sorted, not nested
     with pytest.raises(ValueError):
-        NestedSet(g, (DeltaTilde(3, 0b011), DTilde(3, 1, 0b111)))  # nested, not sorted
+        NestedSet(g, (Diagonal.simple(3, 0b011), DLocus(3, 1, 0b111)))  # nested, not sorted
     with pytest.raises(ValueError):
-        NestedSet(g, (DTilde(3, 1, 0b111), DTilde(3, 1, 0b111)))  # repeated
-    assert NestedSet(g, (DTilde(3, 1, 0b111), DeltaTilde(3, 0b011))).labels() == ("D:c1:{1,2,3}", "Delta:{1,2}")
+        NestedSet(g, (DLocus(3, 1, 0b111), DLocus(3, 1, 0b111)))  # repeated
+    assert NestedSet(g, (DLocus(3, 1, 0b111), Diagonal.simple(3, 0b011))).labels() == ("D:c1:{1,2,3}", "Delta:{1,2}")
 
 
 def test_divisor_labels_round_trip():
     g = point_components(2, n=3)
     for d in divisors_for(g):
-        assert parse_divisor(str(d), 3) == d
+        assert parse_center(str(d), 3) == d
 
 
 def test_mixed_pair_certificates_found_and_checked():
@@ -293,7 +301,7 @@ def test_mixed_pair_certificates_found_and_checked():
             for s in subsets(4, min_size=1):
                 for i in subsets(4, min_size=2):
                     if s & i and i & ~s:
-                        cert = mixed_pair_certificate(g, DTilde(4, c, s), DeltaTilde(4, i))
+                        cert = mixed_pair_certificate(g, DLocus(4, c, s), Diagonal.simple(4, i))
                         assert check_separation(g, cert)
                         assert cert.center.subset == s | i
                         assert cert.center.component == c
@@ -302,4 +310,4 @@ def test_mixed_pair_certificates_found_and_checked():
 def test_mixed_pair_certificate_rejects_nested_input():
     g = point_components(1, n=3)
     with pytest.raises(ValueError):
-        mixed_pair_certificate(g, DTilde(3, 1, 0b111), DeltaTilde(3, 0b011))
+        mixed_pair_certificate(g, DLocus(3, 1, 0b111), Diagonal.simple(3, 0b011))

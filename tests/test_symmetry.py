@@ -5,12 +5,11 @@ import random
 import pytest
 
 from wonderful.geometry import GeometryConfig, Space, point_components
+from wonderful.labels import Partition
 from wonderful.loci import Diagonal, DLocus
 from wonderful import symmetry
 from wonderful.nested import (
     BudgetError,
-    DTilde,
-    DeltaTilde,
     divisors_for,
     enumerate_nested_sets,
     is_nested,
@@ -35,11 +34,13 @@ def every_space(n_max):
 
 def test_act_examples():
     p = Permutation.from_cycles("(1 2)", 3)
-    assert act(p, DTilde(3, 1, 0b101)) == DTilde(3, 1, 0b110)
-    assert act(Permutation.identity(3), DTilde(3, 1, 0b101)) == DTilde(3, 1, 0b101)
+    assert act(p, DLocus(3, 1, 0b101)) == DLocus(3, 1, 0b110)
+    assert act(Permutation.identity(3), DLocus(3, 1, 0b101)) == DLocus(3, 1, 0b101)
     rho = Permutation.from_cycles("(1 2 3)", 3)
-    assert act(rho, DeltaTilde(3, 0b011)) == DeltaTilde(3, 0b110)
     assert act(rho, Diagonal.simple(3, 0b011)) == Diagonal.simple(3, 0b110)
+    sigma = Permutation.from_cycles("(2 3)", 4)
+    poly = Diagonal(Partition.from_blocks(4, [0b0011, 0b1100]))
+    assert act(sigma, poly) == Diagonal(Partition.from_blocks(4, [0b0101, 0b1010]))
     assert act(p, DLocus(3, 2, 0b001)) == DLocus(3, 2, 0b010)
 
 
@@ -66,7 +67,7 @@ def test_group_action_laws_exhaustive_n3():
 
 def test_size_mismatch_rejected():
     with pytest.raises(ValueError):
-        act(Permutation.identity(3), DTilde(4, 1, 0b0001))
+        act(Permutation.identity(3), DLocus(4, 1, 0b0001))
 
 
 def test_nestedness_equivariance_exhaustive():
@@ -88,7 +89,7 @@ def test_nestedness_equivariance_exhaustive():
 
 def test_tree_action_permutes_markings():
     g = point_components(1, n=3)
-    ns = make_nested_set(g, [DTilde(3, 1, 0b011)])
+    ns = make_nested_set(g, [DLocus(3, 1, 0b011)])
     t = fiber_tree(g, ns)
     p = Permutation.from_cycles("(1 3)", 3)
     t2 = act(p, t)

@@ -2,7 +2,7 @@ import pytest
 
 from wonderful.geometry import Component, GeometryConfig, Space, point_components
 from wonderful.loci import DLocus, Diagonal
-from wonderful.nested import DTilde, DeltaTilde, enumerate_nested_sets, make_nested_set
+from wonderful.nested import enumerate_nested_sets, make_nested_set
 from wonderful.trees import (
     DegenerationTree,
     Vertex,
@@ -17,7 +17,7 @@ from wonderful.trees import (
 
 def test_generic_fiber_over_d_stratum():
     g = point_components(1, n=3)
-    t = fiber_tree(g, make_nested_set(g, [DTilde(3, 1, 0b011)]))
+    t = fiber_tree(g, make_nested_set(g, [DLocus(3, 1, 0b011)]))
     assert [v.kind for v in t.vertices] == [VertexKind.ROOT, VertexKind.DLEVEL]
     assert t.marks_on(0) == (3,)
     assert t.marks_on(1) == (1, 2)
@@ -25,14 +25,14 @@ def test_generic_fiber_over_d_stratum():
 
 def test_generic_fiber_with_screen():
     g = GeometryConfig(3, 2, (), Space.FM)
-    t = fiber_tree(g, make_nested_set(g, [DeltaTilde(3, 0b011)]))
+    t = fiber_tree(g, make_nested_set(g, [Diagonal.simple(3, 0b011)]))
     assert [v.kind for v in t.vertices] == [VertexKind.ROOT, VertexKind.SCREEN]
     assert t.marks_on(0) == (3,) and t.marks_on(1) == (1, 2)
 
 
 def test_screen_hangs_off_expansion_level():
     g = point_components(1, n=3)
-    t = fiber_tree(g, make_nested_set(g, [DTilde(3, 1, 0b111), DeltaTilde(3, 0b011)]))
+    t = fiber_tree(g, make_nested_set(g, [DLocus(3, 1, 0b111), Diagonal.simple(3, 0b011)]))
     root, level, screen = t.vertices
     assert level.kind is VertexKind.DLEVEL and screen.kind is VertexKind.SCREEN
     assert t.parents[screen.vid] == level.vid
@@ -43,7 +43,7 @@ def test_screen_hangs_off_expansion_level():
 
 def test_chain_depths_and_marking_placement():
     g = point_components(1, n=4, space=Space.XD_UPPER)
-    ns = make_nested_set(g, [DTilde(4, 1, 0b0001), DTilde(4, 1, 0b0111)])
+    ns = make_nested_set(g, [DLocus(4, 1, 0b0001), DLocus(4, 1, 0b0111)])
     t = fiber_tree(g, ns)
     levels = {(v.component, v.depth): v.vid for v in t.vertices if v.kind is VertexKind.DLEVEL}
     assert set(levels) == {(1, 1), (1, 2)}
@@ -55,7 +55,7 @@ def test_chain_depths_and_marking_placement():
 
 def test_nested_screens():
     g = GeometryConfig(4, 2, (), Space.FM)
-    ns = make_nested_set(g, [DeltaTilde(4, 0b0111), DeltaTilde(4, 0b0011)])
+    ns = make_nested_set(g, [Diagonal.simple(4, 0b0111), Diagonal.simple(4, 0b0011)])
     t = fiber_tree(g, ns)
     outer = next(v.vid for v in t.vertices if v.kind is VertexKind.SCREEN and t.parents[v.vid] == 0)
     inner = next(v.vid for v in t.vertices if v.kind is VertexKind.SCREEN and v.vid != outer)
@@ -115,7 +115,7 @@ def test_structural_validation():
             (0, 0),
         )
     with pytest.raises(ValueError):
-        fiber_tree(g, make_nested_set(point_components(1, n=3), [DTilde(3, 1, 0b011)]))
+        fiber_tree(g, make_nested_set(point_components(1, n=3), [DLocus(3, 1, 0b011)]))
 
 
 def test_round_trip_exhaustive():
@@ -137,7 +137,7 @@ def test_round_trip_exhaustive():
 
 def test_dot_output_stable():
     g = point_components(1, n=3)
-    t = fiber_tree(g, make_nested_set(g, [DTilde(3, 1, 0b011)]))
+    t = fiber_tree(g, make_nested_set(g, [DLocus(3, 1, 0b011)]))
     assert to_dot(t) == (
         "digraph fiber {\n"
         '  v0 [label="Root marks={3}"];\n'
