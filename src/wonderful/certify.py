@@ -17,13 +17,16 @@ from dataclasses import dataclass
 from .building import building_set_for, is_nested_flag_oracle
 from .geometry import Component, GeometryConfig, Space, point_components
 from .labels import subset_relation, SubsetRelation
+from .loci import _pair_position_by_loci, pair_position
 from .nested import (
+    _compatibility_rows,
     count_divisors,
     divisors_for,
     enumerate_nested_sets,
     f_vector,
     is_nested,
     maximal_nested_sets,
+    pair_compatible,
 )
 from .orders import generate_order, swap_rewrite, two_block_order, validate_building_set_order, validate_inclusion_order
 
@@ -142,6 +145,29 @@ def _check_orders() -> CheckResult:
     return CheckResult("order-machinery", True, "generated orders validate; two-block rewrites to interleaved")
 
 
+def _check_fast_pair_rules() -> CheckResult:
+    """Closed-form pair positions against the locus route, and subset-table
+    compatibility rows against pairwise rows, on every pair."""
+    pairs = 0
+    for space in Space:
+        for k in range(1 if space is Space.FM else 4):
+            comps = tuple(Component("c%d" % (i + 1), i % 2) for i in range(k))
+            for n in range(1, 5):
+                g = GeometryConfig(n, 2, comps, space)
+                ds = divisors_for(g)
+                rows = _compatibility_rows(n, ds)
+                for i, a in enumerate(ds):
+                    row = 0
+                    for j, b in enumerate(ds):
+                        if pair_position(g, a, b) is not _pair_position_by_loci(g, a, b):
+                            return CheckResult("fast-pair-rules", False, "position of %s, %s (%r)" % (a, b, g))
+                        row |= (i != j and pair_compatible(a, b)) << j
+                    if rows[i] != row:
+                        return CheckResult("fast-pair-rules", False, "compatibility row of %s (%r)" % (a, g))
+                pairs += len(ds) ** 2
+    return CheckResult("fast-pair-rules", True, "closed forms == locus route and pairwise rows on %d pairs" % pairs)
+
+
 def run_all() -> list[CheckResult]:
     return [
         _check_divisor_counts(),
@@ -149,6 +175,7 @@ def run_all() -> list[CheckResult]:
         _check_oracle_agreement(),
         _check_fm_forest(),
         _check_orders(),
+        _check_fast_pair_rules(),
     ]
 
 

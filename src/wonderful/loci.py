@@ -35,6 +35,24 @@ holds on inner, i.e. ``outer.code & ~inner.code == 0``: containment is one
 mask test, and equality and hashing go through the code alone.
 Intersections are memoised per geometry on the pair of codes; the memo hangs
 off the ``GeometryConfig`` because merging depends on component dimensions.
+
+Every pair of simple centers (D-loci and simple diagonals) is simultaneously
+linearizable, so ``pair_position`` reads their position off the index sets
+and the components, with r = dim X - dim D_c:
+
+* D_{c,S}, D_{c',T} with c != c': disjoint iff S and T meet, else
+  transversal;
+* D_{c,S}, D_{c,T}: containment iff one set contains the other, transversal
+  iff they are disjoint, else a clean overlap (codim r|S cup T| against
+  r(|S| + |T|));
+* Delta_I, Delta_J: containment iff one set contains the other, transversal
+  iff |I cap J| <= 1, else a clean overlap;
+* D_{c,S}, Delta_I: containment iff dim D_c = 0 and I lies in S (the points
+  of I then all equal the point D_c), transversal iff |S cap I| <= 1, else a
+  clean overlap.
+
+The locus route (intersect, then compare codimensions) stays as the oracle
+of these rules and still classifies every pair involving a polydiagonal.
 """
 
 from __future__ import annotations
@@ -327,13 +345,41 @@ class PairPosition(Enum):
 
 
 def pair_position(g: GeometryConfig, a: Center, b: Center) -> PairPosition:
-    """Classify a pair of centers by exact codimension arithmetic.
+    """Classify a pair of centers: disjoint, transversal (codim(a cap b)
+    equals codim(a) + codim(b)), containment, or else a clean overlap.
 
-    disjoint: empty intersection.  transversal: codim(a cap b) equals
-    codim(a) + codim(b).  Containment is reported separately, and anything
-    else intersecting non-additively is a clean overlap: within these two
-    families every pair is simultaneously linearizable, so every intersection
-    is clean.
+    Two simple centers are classified in closed form from their components
+    and index sets (see the module docstring); a polydiagonal takes the
+    locus route, ``_pair_position_by_loci``, which is also the oracle the
+    closed form is checked against on every pair of simple centers.
+    """
+    validate_center(g, a)
+    validate_center(g, b)
+    s, t = a.subset, b.subset
+    if not (s and t):  # a polydiagonal
+        return _pair_position_by_loci(g, a, b)
+    ca, cb = a.component, b.component
+    inter = s & t
+    if ca and cb and ca != cb:
+        return PairPosition.DISJOINT if inter else PairPosition.TRANSVERSAL
+    if ca == cb:
+        if inter == s or inter == t:
+            return PairPosition.CLEAN_CONTAINMENT
+        transversal = not inter if ca else inter.bit_count() <= 1
+    else:  # D_{c,S} against Delta_I
+        c, i_set = (ca, t) if ca else (cb, s)
+        if inter == i_set and g.component_dim(c) == 0:
+            return PairPosition.CLEAN_CONTAINMENT
+        transversal = inter.bit_count() <= 1
+    return PairPosition.TRANSVERSAL if transversal else PairPosition.CLEAN_OVERLAP
+
+
+def _pair_position_by_loci(g: GeometryConfig, a: Center, b: Center) -> PairPosition:
+    """``pair_position`` by exact codimension arithmetic on canonical loci.
+
+    Containment is reported separately, and anything else intersecting
+    non-additively is a clean overlap: within these two families every pair
+    is simultaneously linearizable, so every intersection is clean.
     """
     la = center_to_locus(g, a)
     lb = center_to_locus(g, b)

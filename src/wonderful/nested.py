@@ -28,15 +28,31 @@ other, or when a diagonal's set lies inside a D-divisor's.  So every
 divisor is compatible with itself.
 
 Pairwise-ness makes the complex the clique complex of one compatibility
-graph (an int bitmask per divisor), walked by the pivot-free Bron-Kerbosch
-recursion.  A face the walk reports is a clique by construction: every
-chosen index is drawn, in increasing order, from the candidates compatible
-with all earlier ones, over the canonically sorted ``divisors_for(g)``.  So
-walked faces are built without re-sorting and without re-running
-``is_nested``; the public ``NestedSet`` constructor, which takes outside
-input, still checks both.  Counting functions count nested sets; whether
-distinct nested sets can cut out one and the same stratum is left open
-here, deliberately.
+graph, an int bitmask row per divisor, walked by the pivot-free Bron-Kerbosch
+recursion.  The rows are not built pair by pair.  Each family of divisors
+(component c, or the diagonals as family 0) gets two subset-lattice tables,
+sub[S] and sup[S]: the bitmask of its divisors with index set inside S and
+containing S, filled by a zeta transform.  Writing ~S for the complement,
+the rules above turn into unions of table entries:
+
+* row of D_{c,S}: sub_c[S] | sup_c[S] | sub_c'[~S] for every c' != c |
+  sub_Delta[S] | sub_Delta[~S];
+* row of Delta_I: sub_Delta[I] | sup_Delta[I] | sub_Delta[~I] |
+  sub_c[~I] | sup_c[I] for every c.
+
+Every divisor is compatible with itself, so each union holds its own bit;
+the row clears it, because the walk's maximality test reads an empty
+``common`` as "nothing outside the face extends it".  ``pair_compatible``
+stays the one pairwise rule: ``is_nested`` uses it, and it is the oracle
+the rows are checked against.
+
+A face the walk reports is a clique by construction: every chosen index is
+drawn, in increasing order, from the candidates compatible with all earlier
+ones, over the canonically sorted ``divisors_for(g)``.  So walked faces are
+built without re-sorting and without re-running ``is_nested``; the public
+``NestedSet`` constructor, which takes outside input, still checks both.
+Counting functions count nested sets; whether distinct nested sets can cut
+out one and the same stratum is left open here, deliberately.
 """
 
 from __future__ import annotations
@@ -167,18 +183,63 @@ def _budgeted_divisors(g: GeometryConfig, max_size: int | None, divisor_bound: i
     return divisors
 
 
-def _walk(divisors, max_size, visit) -> None:
+def _subset_tables(n: int, divisors) -> dict[int, tuple[list[int], list[int]]]:
+    """For each family of divisors (a component c, or 0 for the diagonals)
+    the tables (sub, sup), bitmasks over positions in ``divisors``: sub[S]
+    holds the family's divisors whose index set lies inside S, sup[S] those
+    whose index set contains S.  A zeta transform over the subset lattice
+    fills each table with n * 2^n ORs."""
+    size = 1 << n
+    exact: dict[int, list[int]] = {}
+    for j, d in enumerate(divisors):
+        exact.setdefault(d.component, [0] * size)[d.subset] |= 1 << j
+    tables = {}
+    for c, sub in exact.items():
+        sup = sub[:]
+        for i in range(n):
+            bit = 1 << i
+            for s in range(size):
+                if s & bit:
+                    sub[s] |= sub[s ^ bit]
+                    sup[s ^ bit] |= sup[s]
+        tables[c] = sub, sup
+    return tables
+
+
+def _compatibility_rows(n: int, divisors) -> list[int]:
+    """Row j is the bitmask of the divisors compatible with divisor j, its
+    own bit cleared; rows equal ``pair_compatible`` on every pair, each read
+    as a union of a few subset-table entries (see the module docstring)."""
+    tables = _subset_tables(n, divisors)
+    empty = [0] * (1 << n)
+    sub_delta, sup_delta = tables.pop(0, (empty, empty))
+    full = (1 << n) - 1
+    rows = []
+    for j, d in enumerate(divisors):
+        s = d.subset
+        rest = full ^ s
+        row = sub_delta[s] | sub_delta[rest]
+        if d.component:
+            sub, sup = tables[d.component]
+            row |= sub[s] | sup[s]
+            for c, (other, _) in tables.items():
+                if c != d.component:
+                    row |= other[rest]
+        else:
+            row |= sup_delta[s]
+            for sub, sup in tables.values():
+                row |= sub[rest] | sup[s]
+        rows.append(row & ~(1 << j))
+    return rows
+
+
+def _walk(n: int, divisors, max_size, visit) -> None:
     """Call ``visit(chosen, common)`` on every nonempty nested set of at most
-    ``max_size`` divisors, each before its extensions: ``chosen`` holds its
-    divisors in the order of ``divisors``, and bit j of ``common`` is set
-    when divisor j is outside ``chosen`` and compatible with all of it (0
-    means maximal)."""
-    adj = [0] * len(divisors)
-    for i, a in enumerate(divisors):
-        for j in range(i + 1, len(divisors)):
-            if pair_compatible(a, divisors[j]):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    ``max_size`` divisors of n points, each before its extensions:
+    ``chosen`` holds its divisors in the order of ``divisors``, and bit j of
+    ``common`` is set when divisor j is outside ``chosen`` and compatible
+    with all of it (0 means maximal)."""
+    adj = _compatibility_rows(n, divisors)
 
     def extend(chosen, cand, common):
         while cand:
@@ -218,7 +279,7 @@ def enumerate_nested_sets(
     def visit(chosen, common):
         out.append(face(g, chosen))
 
-    _walk(divisors, max_size, visit)
+    _walk(g.n, divisors, max_size, visit)
     return tuple(out)
 
 
@@ -231,7 +292,7 @@ def f_vector(g: GeometryConfig, divisor_bound: int | None = None) -> tuple[int, 
     def visit(chosen, common):
         counts[len(chosen)] += 1
 
-    _walk(divisors, None, visit)
+    _walk(g.n, divisors, None, visit)
     return tuple(c for c in counts if c)  # downward closed: the nonzero counts are a prefix
 
 
@@ -246,7 +307,7 @@ def maximal_nested_sets(g: GeometryConfig, divisor_bound: int | None = None) -> 
         if not common:
             out.append(face(g, chosen))
 
-    _walk(divisors, None, visit)
+    _walk(g.n, divisors, None, visit)
     return tuple(out)
 
 

@@ -5,13 +5,12 @@ realizes X as a finite affine grid F^d with each component a translated
 coordinate subspace, so membership questions become finite enumerations and
 dimensions are exact logarithms of point counts (every locus in this model
 is a product of q^dim points).  The laminar oracle and the Bell recurrence
-are textbook one-liners, the closed-form pair table transcribes the
-expected positions family by family, the facet rescan tests maximality
-one divisor at a time over the full enumeration, the block walk decides
-containment from the blocks and pins instead of the locus codes, and the
-orbit brute force applies all n! relabelings to each representative.  The
-relation rule is the pairwise nestedness criterion as first written, one
-subset relation per pair.
+are textbook one-liners, the facet rescan tests maximality one divisor at a
+time over the full enumeration, the block walk decides containment from the
+blocks and pins instead of the locus codes, and the orbit brute force
+applies all n! relabelings to each representative.  The relation rule is
+the pairwise nestedness criterion as first written, one subset relation per
+pair.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import math
 
 from wonderful.geometry import GeometryConfig
 from wonderful.labels import SubsetRelation, elements, subset_relation
-from wonderful.loci import Center, Diagonal, DLocus, Locus, PairPosition
+from wonderful.loci import Center, Diagonal, DLocus, Locus
 from wonderful.nested import (
     NestedSet,
     divisor_sort_key,
@@ -188,38 +187,3 @@ def bell_numbers(up_to: int) -> list[int]:
     for n in range(up_to):
         bell.append(sum(math.comb(n, k) * bell[k] for k in range(n + 1)))
     return bell
-
-
-def closed_form_pair_position(g: GeometryConfig, a: Center, b: Center) -> PairPosition:
-    """The expected classification, family by family:
-
-    * two simple diagonals: transversal iff they share at most one index;
-    * two D-loci, same component: transversal iff the index sets are
-      disjoint, containment iff one contains the other;
-    * two D-loci, different components: disjoint iff the index sets meet;
-    * D-locus against a simple diagonal: transversal iff they share at most
-      one index, with containment when a point component forces I inside S.
-    """
-    if a == b:
-        return PairPosition.CLEAN_CONTAINMENT
-    if isinstance(a, DLocus) and isinstance(b, DLocus):
-        inter = a.subset & b.subset
-        if a.component != b.component:
-            return PairPosition.DISJOINT if inter else PairPosition.TRANSVERSAL
-        if inter == a.subset or inter == b.subset:
-            return PairPosition.CLEAN_CONTAINMENT
-        return PairPosition.TRANSVERSAL if inter == 0 else PairPosition.CLEAN_OVERLAP
-    if isinstance(a, Diagonal) and isinstance(b, Diagonal):
-        i_set, j_set = a.subset, b.subset
-        inter = i_set & j_set
-        if inter in (i_set, j_set):
-            return PairPosition.CLEAN_CONTAINMENT
-        return PairPosition.TRANSVERSAL if inter.bit_count() <= 1 else PairPosition.CLEAN_OVERLAP
-    if isinstance(a, Diagonal):
-        a, b = b, a
-    s_set, i_set = a.subset, b.subset
-    if g.component_dim(a.component) == 0 and i_set & ~s_set == 0:
-        return PairPosition.CLEAN_CONTAINMENT
-    if (s_set & i_set).bit_count() <= 1:
-        return PairPosition.TRANSVERSAL
-    return PairPosition.CLEAN_OVERLAP

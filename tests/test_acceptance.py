@@ -209,8 +209,6 @@ def test_criterion_06_order_machinery():
 
 
 def test_criterion_07_transversality_closed_forms():
-    from oracles import closed_form_pair_position
-
     for d, d_c in [(1, 0), (2, 0), (2, 1), (3, 1)]:
         for n in (2, 3, 4):
             g = GeometryConfig(n, d, (Component("c1", d_c),), Space.XD_BRACKET)
@@ -228,8 +226,7 @@ def test_criterion_07_transversality_closed_forms():
                     brute = PairPosition.TRANSVERSAL
                 else:
                     brute = PairPosition.CLEAN_OVERLAP
-                assert pair_position(g, a, b) is brute
-                assert closed_form_pair_position(g, a, b) is brute, (str(a), str(b), d, d_c)
+                assert pair_position(g, a, b) is brute, (str(a), str(b), d, d_c)
     _ok(7, "pair classification closed forms == codimension arithmetic")
 
 

@@ -1,4 +1,8 @@
+import hashlib
+import io
 import json
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import click
 import pytest
@@ -232,7 +236,7 @@ def test_certify_passes(runner):
     result = runner.invoke(main, ["certify"])
     assert result.exit_code == 0
     lines = result.output.splitlines()
-    assert len(lines) == 5 and all(line.startswith("ok") for line in lines)
+    assert len(lines) == 6 and all(line.startswith("ok") for line in lines)
 
 
 def test_outputs_byte_identical_across_runs_and_workers(runner, m0n5_config):
@@ -246,3 +250,23 @@ def test_outputs_byte_identical_across_runs_and_workers(runner, m0n5_config):
     for argv in commands:
         outputs = {runner.invoke(main, argv).output for _ in range(3)}
         assert len(outputs) == 1
+
+
+# The heaviest commands of the benchmark's session stream; their stdout
+# pins the rewrite certificates and the face order byte for byte.
+SESSION_DIGESTS = Path(__file__).resolve().parent.parent / "benchmark" / "session_digests.json"
+HEAVY_SESSION_ARGVS = [
+    "rewrite --source two_block --target interleaved --n 6 --components 2",
+    "rewrite --source two_block --target interleaved --n 7 --components 1",
+    "nested --max-size 2 --format json --n 7 --components 3",
+    "nested --max-size 2 --format json --n 6 --components 2",
+]
+
+
+@pytest.mark.parametrize("argv", HEAVY_SESSION_ARGVS)
+def test_heavy_session_output_matches_recorded_digest(argv):
+    recorded = json.loads(SESSION_DIGESTS.read_text())[argv]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main.main(args=argv.split(" "), prog_name="wonderful", standalone_mode=False) is None
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest()[:16] == recorded

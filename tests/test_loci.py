@@ -2,14 +2,16 @@ import itertools
 
 import pytest
 
+from wonderful import loci
 from wonderful.building import _intersection_closure, building_set_for
 from wonderful.geometry import Component, GeometryConfig, Space, point_components
-from wonderful.labels import Partition, mask_of, subsets
+from wonderful.labels import Partition, mask_of, partitions_of, subsets
 from wonderful.loci import (
     Diagonal,
     DLocus,
     Locus,
     PairPosition,
+    _pair_position_by_loci,
     center_to_locus,
     codimension,
     contains,
@@ -20,7 +22,8 @@ from wonderful.loci import (
     pair_position,
     parse_center,
 )
-from oracles import GridModel, closed_form_pair_position, contains_by_blocks
+from wonderful.nested import divisors_for
+from oracles import GridModel, contains_by_blocks
 
 
 def bracket(n, comps, dim_x=2):
@@ -241,12 +244,52 @@ def test_pair_position_closed_forms_small():
     assert pair_position(g, DLocus(3, 1, 0b001), Diagonal.simple(3, 0b110)) is PairPosition.TRANSVERSAL
 
 
-def test_pair_position_matches_closed_form_table():
-    for (d, d_c) in [(1, 0), (2, 0), (2, 1), (3, 1)]:
-        g = bracket(3, [d_c], dim_x=d)
-        centers = all_centers(g)
-        for a, b in itertools.combinations_with_replacement(centers, 2):
-            assert pair_position(g, a, b) is closed_form_pair_position(g, a, b), (a, b, d, d_c)
+def _mixed_geometries():
+    """Every space, k = 0..3 components of dims 0 and 1 mixed, dim X = 2
+    and 3, n <= 5 (n <= 4 at k = 3)."""
+    for space in Space:
+        for k in range(1 if space is Space.FM else 4):
+            for dim_x in (2, 3):
+                comps = tuple(Component("c%d" % (i + 1), (i + dim_x) % 2) for i in range(k))
+                for n in range(1, 5 if k == 3 else 6):
+                    yield GeometryConfig(n, dim_x, comps, space)
+
+
+def test_pair_position_matches_locus_route():
+    for g in _mixed_geometries():
+        centers = divisors_for(g)
+        for a in centers:
+            for b in centers:
+                assert pair_position(g, a, b) is _pair_position_by_loci(g, a, b), (g, str(a), str(b))
+
+
+def test_polydiagonal_pairs_take_the_locus_route(monkeypatch):
+    routed = []
+
+    def counting(g, a, b):
+        routed.append((a, b))
+        return original(g, a, b)
+
+    original = loci._pair_position_by_loci
+    monkeypatch.setattr(loci, "_pair_position_by_loci", counting)
+    g = bracket(5, [0, 1], dim_x=2)
+    polys = [Diagonal(p) for p in partitions_of(5) if len(p.support()) >= 2]
+    simple = all_centers(g)
+    assert len(polys) == 25
+    for a in simple:
+        for b in simple:
+            pair_position(g, a, b)
+    assert routed == []
+    for a in polys:
+        for b in simple + polys:
+            for x, y in ((a, b), (b, a)):
+                routed.clear()
+                assert pair_position(g, x, y) is original(g, x, y)
+                assert routed == [(x, y)]
+    with pytest.raises(ValueError):  # the centers are still validated
+        pair_position(g, polys[0], DLocus(5, 3, 0b1))
+    with pytest.raises(ValueError):
+        pair_position(g, DLocus(4, 1, 0b1), Diagonal.simple(5, 0b11))
 
 
 def test_pair_position_never_not_clean():

@@ -159,7 +159,21 @@ def test_negative_max_size_is_refused():
     assert enumerate_nested_sets(g, max_size=0) == (NestedSet(g, ()),)
 
 
-def test_walks_test_each_pair_once_and_never_revalidate(monkeypatch):
+def test_compatibility_rows_match_pairwise_rows():
+    for n in range(1, 7):
+        spaces = [GeometryConfig(n, 2, (), Space.FM)]
+        for k in range(4):
+            spaces += [point_components(k, n=n), point_components(k, n=n, space=Space.XD_UPPER)]
+        for g in spaces:
+            ds = divisors_for(g)
+            want = [
+                sum(1 << j for j, b in enumerate(ds) if j != i and pair_compatible(a, b))
+                for i, a in enumerate(ds)
+            ]
+            assert nested._compatibility_rows(n, ds) == want, g
+
+
+def test_walks_make_no_pair_calls_and_never_revalidate(monkeypatch):
     pairs, checks = [], []
     original_pair, original_nested = nested.pair_compatible, nested.is_nested
 
@@ -174,16 +188,13 @@ def test_walks_test_each_pair_once_and_never_revalidate(monkeypatch):
     monkeypatch.setattr(nested, "pair_compatible", counting_pair)
     monkeypatch.setattr(nested, "is_nested", counting_nested)
     g = point_components(2, n=3)
-    d = count_divisors(g)
     for walk in (f_vector, enumerate_nested_sets, maximal_nested_sets):
-        pairs.clear()
         walk(g)
-        assert len(pairs) == d * (d - 1) // 2, walk
     enumerate_nested_sets(g, max_size=1)
-    assert checks == []
+    assert pairs == [] and checks == []
     # the public constructor still checks
     make_nested_set(g, [DLocus(3, 1, 0b011)])
-    assert len(checks) == 1
+    assert len(checks) == 1 and pairs == []
 
 
 def test_shallow_and_refused_queries_test_no_pairs(monkeypatch):
