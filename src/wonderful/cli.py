@@ -22,10 +22,9 @@ from .nested import (
     BudgetError,
     count_divisors,
     divisors_for,
-    enumerate_nested_sets,
     f_vector,
+    face_rows,
     make_nested_set,
-    maximal_nested_sets,
 )
 from .orders import SCHEMES, BlowupSequence, generate_order, swap_rewrite, two_block_order, validate_inclusion_order
 from .symmetry import orbits
@@ -139,21 +138,30 @@ def divisors(fmt, **cfg):
 @click.option("--format", "fmt", type=click.Choice(["table", "json", "csv"]), default="table")
 def nested(max_size, want_fvector, fmt, **cfg):
     """Enumerate nested sets (the boundary stratification poset)."""
+    if fmt == "csv" and not want_fvector:
+        _fail(2, "--format csv prints face counts only; add --fvector")
     g = build_config(**cfg)
-    try:
-        if want_fvector:
+    if want_fvector:
+        try:
             fv = f_vector(g)
-            _render_fvector(fv, fmt)
-            return
-        sets = enumerate_nested_sets(g, max_size=max_size)
+        except BudgetError as exc:
+            _fail(3, str(exc))
+        _render_fvector(fv, fmt)
+    else:
+        _echo_faces(g, fmt, "nested_sets", max_size=max_size)
+
+
+def _echo_faces(g, fmt, key, **walk):
+    """Print the faces of ``face_rows`` in one write: JSON quotes each label
+    once, tables print them bare, one face per line."""
+    try:
+        rows = face_rows(g, json.dumps if fmt == "json" else str, **walk)
     except BudgetError as exc:
         _fail(3, str(exc))
     if fmt == "json":
-        _echo_json({"count": len(sets), "nested_sets": [list(ns.labels()) for ns in sets]})
+        click.echo('{"count":%d,"%s":[%s]}' % (len(rows), key, ",".join(["[%s]" % r for r in rows])))
     else:
-        for ns in sets:
-            click.echo("{" + ",".join(ns.labels()) + "}")
-        click.echo("total %d" % len(sets))
+        click.echo("".join(["{%s}\n" % r for r in rows]) + "total %d" % len(rows))
 
 
 def _render_fvector(fv, fmt):
@@ -184,17 +192,7 @@ def fvector(fmt, **cfg):
 @click.option("--format", "fmt", type=click.Choice(["table", "json"]), default="table")
 def facets(fmt, **cfg):
     """Maximal nested sets (deepest strata)."""
-    g = build_config(**cfg)
-    try:
-        sets = maximal_nested_sets(g)
-    except BudgetError as exc:
-        _fail(3, str(exc))
-    if fmt == "json":
-        _echo_json({"count": len(sets), "facets": [list(ns.labels()) for ns in sets]})
-    else:
-        for ns in sets:
-            click.echo("{" + ",".join(ns.labels()) + "}")
-        click.echo("total %d" % len(sets))
+    _echo_faces(build_config(**cfg), fmt, "facets", maximal=True)
 
 
 @main.command()

@@ -53,6 +53,9 @@ and the components, with r = dim X - dim D_c:
 
 The locus route (intersect, then compare codimensions) stays as the oracle
 of these rules and still classifies every pair involving a polydiagonal.
+``pair_position`` validates both centers and hands them to ``_position``,
+which holds the rules and trusts centers already validated against the
+geometry.
 """
 
 from __future__ import annotations
@@ -355,6 +358,12 @@ def pair_position(g: GeometryConfig, a: Center, b: Center) -> PairPosition:
     """
     validate_center(g, a)
     validate_center(g, b)
+    return _position(g, a, b)
+
+
+def _position(g: GeometryConfig, a: Center, b: Center) -> PairPosition:
+    """``pair_position`` without its checks: it trusts centers already
+    validated against ``g``, such as those of a ``BlowupSequence``."""
     s, t = a.subset, b.subset
     if not (s and t):  # a polydiagonal
         return _pair_position_by_loci(g, a, b)

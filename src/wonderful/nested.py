@@ -51,6 +51,14 @@ drawn, in increasing order, from the candidates compatible with all earlier
 ones, over the canonically sorted ``divisors_for(g)``.  So walked faces are
 built without re-sorting and without re-running ``is_nested``; the public
 ``NestedSet`` constructor, which takes outside input, still checks both.
+
+The walk has three consumers.  ``f_vector`` only counts faces by size.
+``enumerate_nested_sets`` and ``maximal_nested_sets`` wrap each face in a
+``NestedSet``.  ``face_rows`` walks over the divisors' labels, each quoted
+once, and returns every face as its joined label string, which is all the
+command line prints; it builds no ``NestedSet``.  The three listing
+functions share one helper, ``_faces``, so the budget, ``max_size`` and
+the empty face are handled once.
 Counting functions count nested sets; whether distinct nested sets can cut
 out one and the same stratum is left open here, deliberately.
 """
@@ -233,26 +241,62 @@ def _compatibility_rows(n: int, divisors) -> list[int]:
     return rows
 
 
-def _walk(n: int, divisors, max_size, visit) -> None:
+def _walk(n: int, divisors, max_size, visit, names=None) -> None:
     """Call ``visit(chosen, common)`` on every nonempty nested set of at most
     ``max_size`` divisors of n points, each before its extensions:
-    ``chosen`` holds its divisors in the order of ``divisors``, and bit j of
-    ``common`` is set when divisor j is outside ``chosen`` and compatible
-    with all of it (0 means maximal)."""
+    ``chosen`` holds the ``names`` of its divisors (by default the divisors
+    themselves) in the order of ``divisors``, and bit j of ``common`` is set
+    when divisor j is outside ``chosen`` and compatible with all of it (0
+    means maximal)."""
     adj = _compatibility_rows(n, divisors)
+    names = divisors if names is None else names
 
     def extend(chosen, cand, common):
         while cand:
             low = cand & -cand
             cand ^= low
             i = low.bit_length() - 1
-            face = chosen + (divisors[i],)
+            face = chosen + (names[i],)
             visit(face, common & adj[i])
             if max_size is None or len(face) < max_size:
                 extend(face, cand & adj[i], common & adj[i])
 
     everything = (1 << len(divisors)) - 1
     extend((), everything, everything)
+
+
+def _faces(g: GeometryConfig, max_size, maximal, divisor_bound, emit, arg, quote=None) -> tuple:
+    """Every nested set of at most ``max_size`` divisors (only the maximal
+    ones when ``maximal`` is set), the empty one included where it counts, in
+    walk order.  Each face is the tuple of its divisors, or of their labels
+    through ``quote`` when one is given (each label is quoted once, before
+    the walk), and goes out as ``emit(arg, face)``: ``NestedSet._walked``
+    with the geometry, or ``str.join`` with a comma.  Both are called
+    directly; a ``functools.partial`` per face cost 3-4% on small
+    enumerations."""
+    if max_size is not None and max_size < 0:
+        raise ValueError("max_size must be >= 0, got %d" % max_size)
+    divisors = _budgeted_divisors(g, max_size, divisor_bound)
+    names = divisors if quote is None else [quote(d.label) for d in divisors]
+    if maximal:
+        out = [] if divisors else [emit(arg, ())]
+        append = out.append
+
+        def visit(chosen, common):
+            if not common:
+                append(emit(arg, chosen))
+    else:
+        out = [emit(arg, ())]
+        if max_size is not None and max_size <= 1:
+            return tuple(out + [emit(arg, (x,)) for x in names if max_size == 1])
+        append = out.append
+
+        def visit(chosen, common):
+            append(emit(arg, chosen))
+
+    if max_size != 0:
+        _walk(g.n, divisors, max_size, visit, names)
+    return tuple(out)
 
 
 def enumerate_nested_sets(
@@ -268,19 +312,21 @@ def enumerate_nested_sets(
     max_size <= 2; a caller that knows better may raise ``divisor_bound``
     explicitly (the command line interface never does).
     """
-    if max_size is not None and max_size < 0:
-        raise ValueError("max_size must be >= 0, got %d" % max_size)
-    divisors = _budgeted_divisors(g, max_size, divisor_bound)
-    face = NestedSet._walked
-    out = [face(g, ())]
-    if max_size is not None and max_size <= 1:
-        return tuple(out + [face(g, (d,)) for d in divisors if max_size == 1])
+    return _faces(g, max_size, False, divisor_bound, NestedSet._walked, g)
 
-    def visit(chosen, common):
-        out.append(face(g, chosen))
 
-    _walk(g.n, divisors, max_size, visit)
-    return tuple(out)
+def maximal_nested_sets(g: GeometryConfig, divisor_bound: int | None = None) -> tuple[NestedSet, ...]:
+    """Nested sets maximal under inclusion.  Pairwise-ness makes maximality a
+    local test: no divisor outside the set is compatible with all of it."""
+    return _faces(g, None, True, divisor_bound, NestedSet._walked, g)
+
+
+def face_rows(g: GeometryConfig, quote, max_size: int | None = None, maximal: bool = False) -> tuple[str, ...]:
+    """The faces of ``enumerate_nested_sets`` (of ``maximal_nested_sets``
+    when ``maximal`` is set), in the same order and under the same budget,
+    each as the labels of its divisors passed through ``quote`` and joined by
+    commas; no ``NestedSet`` is built."""
+    return _faces(g, max_size, maximal, None, str.join, ",", quote)
 
 
 def f_vector(g: GeometryConfig, divisor_bound: int | None = None) -> tuple[int, ...]:
@@ -294,21 +340,6 @@ def f_vector(g: GeometryConfig, divisor_bound: int | None = None) -> tuple[int, 
 
     _walk(g.n, divisors, None, visit)
     return tuple(c for c in counts if c)  # downward closed: the nonzero counts are a prefix
-
-
-def maximal_nested_sets(g: GeometryConfig, divisor_bound: int | None = None) -> tuple[NestedSet, ...]:
-    """Nested sets maximal under inclusion.  Pairwise-ness makes maximality a
-    local test: no divisor outside the set is compatible with all of it."""
-    divisors = _budgeted_divisors(g, None, divisor_bound)
-    face = NestedSet._walked
-    out = [face(g, ())] if not divisors else []
-
-    def visit(chosen, common):
-        if not common:
-            out.append(face(g, chosen))
-
-    _walk(g.n, divisors, None, visit)
-    return tuple(out)
 
 
 def mixed_pair_certificate(g: GeometryConfig, d: DLocus, delta: Diagonal) -> SeparationCertificate:
@@ -338,6 +369,7 @@ __all__ = [
     "divisors_for",
     "enumerate_nested_sets",
     "f_vector",
+    "face_rows",
     "is_nested",
     "make_nested_set",
     "maximal_nested_sets",

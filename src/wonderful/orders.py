@@ -24,6 +24,15 @@ prefix already blown up: a prior center D_{c, S cap I} straightens the
 excess directions between D_{c,S} and Delta_I, making their transforms
 transversal, and a prior center equal to the whole intersection of an
 overlapping same-family pair separates the transforms outright.
+
+``swap_rewrite`` works on indices into the source sequence, whose centers
+``BlowupSequence`` has validated once: the work order is a list of center
+indices with the position of each index beside it, and the labels are
+formatted once.  A prior center is looked up by its (component, index set)
+key, which gives its index; it counts as blown up when that index sits
+before the swap position.  Polydiagonals have index set 0, so the lookup
+never finds one, and no staged rule asks for one.  ``swap_certificate``
+takes the same rules with any prefix of centers, and validates its input.
 """
 
 from __future__ import annotations
@@ -38,9 +47,9 @@ from .loci import (
     Diagonal,
     DLocus,
     PairPosition,
+    _position,
     center_to_locus,
     contains_locus,
-    pair_position,
     validate_center,
 )
 
@@ -189,23 +198,9 @@ class RewriteResult:
     blocking: tuple[str, str] | None = None
 
 
-class _Prefix:
-    """The first ``length`` centers of a sequence, given the position of each
-    center in it: membership is one dict lookup."""
-
-    __slots__ = ("where", "length")
-
-    def __init__(self, where: dict, length: int):
-        self.where = where
-        self.length = length
-
-    def __contains__(self, center) -> bool:
-        return self.where.get(center, self.length) < self.length
-
-
 def swap_certificate(g: GeometryConfig, prefix, a: Center, b: Center) -> str | None:
     """Why the adjacent centers a, b may trade places after ``prefix``, the
-    centers already blown up (any collection that answers ``in``).
+    centers already blown up (any iterable of centers).
 
     Ambient disjointness or transversality always suffices.  Otherwise the
     pair may still commute at this stage of the construction:
@@ -218,35 +213,37 @@ def swap_certificate(g: GeometryConfig, prefix, a: Center, b: Center) -> str | N
       then disjoint (the intersection sits inside that center, strictly
       inside each member).
     """
-    pos = pair_position(g, a, b)
+    validate_center(g, a)
+    validate_center(g, b)
+    prior = {(c.component, c.subset): c.label for c in prefix if c.subset and c.n == g.n}
+    return _certificate(g, prior.get, a, b)
+
+
+def _certificate(g: GeometryConfig, prior, a: Center, b: Center) -> str | None:
+    """``swap_certificate`` for centers already validated against ``g``.
+    ``prior(key)`` is the label of the simple center keyed (component, index
+    set) when it was blown up before the pair, else None; a polydiagonal
+    has no key, and no staged rule names one."""
+    pos = _position(g, a, b)
     if pos in (PairPosition.DISJOINT, PairPosition.TRANSVERSAL):
         return "ambient-" + pos.value
-    d, delta = None, None
-    if isinstance(a, DLocus) and isinstance(b, Diagonal) and b.is_simple:
-        d, delta = a, b
-    elif isinstance(b, DLocus) and isinstance(a, Diagonal) and a.is_simple:
-        d, delta = b, a
-    if d is not None:
-        meet = d.subset & delta.subset
-        if meet.bit_count() >= 2 and DLocus(g.n, d.component, meet) in prefix:
-            return "transform-transversal after blowing up %s" % DLocus(g.n, d.component, meet)
-        union = d.subset | delta.subset
-        if union != d.subset and DLocus(g.n, d.component, union) in prefix:
-            return "transform-disjoint after blowing up %s" % DLocus(g.n, d.component, union)
+    ca, cb, s, t = a.component, b.component, a.subset, b.subset
+    if not (s and t):
         return None
-    if isinstance(a, DLocus) and isinstance(b, DLocus) and a.component == b.component:
-        union = a.subset | b.subset
-        if union not in (a.subset, b.subset):
-            z = DLocus(g.n, a.component, union)
-            if z in prefix:
-                return "transform-disjoint after blowing up %s" % z
-    if isinstance(a, Diagonal) and isinstance(b, Diagonal) and a.is_simple and b.is_simple:
-        union = a.subset | b.subset
-        if union not in (a.subset, b.subset):
-            z = Diagonal.simple(g.n, union)
-            if z in prefix:
-                return "transform-disjoint after blowing up %s" % z
-    return None
+    union = s | t
+    if ca == cb:  # one family: two D-loci of one component, or two diagonals
+        z = prior((ca, union)) if union not in (s, t) else None
+        return None if z is None else "transform-disjoint after blowing up %s" % z
+    # D_{c,S} against Delta_I: D-loci of two components are disjoint or
+    # transversal, so exactly one of ca, cb is 0
+    c, d_set = (ca, s) if ca else (cb, t)
+    meet = s & t
+    if meet.bit_count() >= 2:
+        z = prior((c, meet))
+        if z is not None:
+            return "transform-transversal after blowing up %s" % z
+    z = prior((c, union)) if union != d_set else None
+    return None if z is None else "transform-disjoint after blowing up %s" % z
 
 
 def swap_rewrite(seq: BlowupSequence, target: BlowupSequence) -> RewriteResult:
@@ -257,20 +254,31 @@ def swap_rewrite(seq: BlowupSequence, target: BlowupSequence) -> RewriteResult:
     and a blocked mandatory swap names the offending pair.
     """
     g = seq.geometry
-    if sorted(map(str, seq.centers)) != sorted(map(str, target.centers)):
+    centers = seq.centers
+    labels = [c.label for c in centers]
+    if sorted(labels) != sorted(c.label for c in target.centers):
         raise ValueError("sequences do not hold the same centers")
-    work = list(seq.centers)
-    where = {c: i for i, c in enumerate(work)}
+    index = {c: i for i, c in enumerate(centers)}
+    keyed = {(c.component, c.subset): i for i, c in enumerate(centers) if c.subset}
+    work = list(range(len(centers)))  # center indices in their current order
+    where = work[:]  # where[i]: the current position of center i
+    limit = 0  # the swap's position: the centers before it are blown up
+
+    def prior(key):
+        i = keyed.get(key)
+        return labels[i] if i is not None and where[i] < limit else None
+
     steps: list[SwapStep] = []
     for p, want in enumerate(target.centers):
-        for j in range(where[want], p, -1):
+        for j in range(where[index[want]], p, -1):
             left, right = work[j - 1], work[j]
-            cert = swap_certificate(g, _Prefix(where, j - 1), left, right)
+            limit = j - 1
+            cert = _certificate(g, prior, centers[left], centers[right])
             if cert is None:
-                return RewriteResult(False, tuple(steps), (str(left), str(right)))
-            steps.append(SwapStep(j - 1, str(left), str(right), cert))
-            work[j - 1], work[j] = right, left
-            where[right], where[left] = j - 1, j
+                return RewriteResult(False, tuple(steps), (labels[left], labels[right]))
+            steps.append(SwapStep(limit, labels[left], labels[right], cert))
+            work[limit], work[j] = right, left
+            where[right], where[left] = limit, j
     return RewriteResult(True, tuple(steps))
 
 

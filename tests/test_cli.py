@@ -9,8 +9,8 @@ import pytest
 from click.testing import CliRunner
 
 from wonderful.cli import main
-from wonderful.geometry import point_components
-from wonderful.nested import count_divisors, enumerate_nested_sets
+from wonderful.geometry import Space, point_components
+from wonderful.nested import BudgetError, count_divisors, enumerate_nested_sets, maximal_nested_sets
 
 
 @pytest.fixture
@@ -252,21 +252,81 @@ def test_outputs_byte_identical_across_runs_and_workers(runner, m0n5_config):
         assert len(outputs) == 1
 
 
-# The heaviest commands of the benchmark's session stream; their stdout
-# pins the rewrite certificates and the face order byte for byte.
+# Every argv the benchmark's session stream can hold, with the sha256 of its
+# recorded stdout: this pins the rewrite certificates, the face order and the
+# fiber renderings byte for byte.
 SESSION_DIGESTS = Path(__file__).resolve().parent.parent / "benchmark" / "session_digests.json"
-HEAVY_SESSION_ARGVS = [
-    "rewrite --source two_block --target interleaved --n 6 --components 2",
-    "rewrite --source two_block --target interleaved --n 7 --components 1",
-    "nested --max-size 2 --format json --n 7 --components 3",
-    "nested --max-size 2 --format json --n 6 --components 2",
-]
 
 
-@pytest.mark.parametrize("argv", HEAVY_SESSION_ARGVS)
-def test_heavy_session_output_matches_recorded_digest(argv):
-    recorded = json.loads(SESSION_DIGESTS.read_text())[argv]
-    out = io.StringIO()
-    with redirect_stdout(out):
-        assert main.main(args=argv.split(" "), prog_name="wonderful", standalone_mode=False) is None
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest()[:16] == recorded
+def test_session_output_matches_every_recorded_digest():
+    recorded = json.loads(SESSION_DIGESTS.read_text())
+    mismatched = []
+    for argv, digest in recorded.items():
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main.main(args=argv.split(" "), prog_name="wonderful", standalone_mode=False) is None
+        if hashlib.sha256(out.getvalue().encode()).hexdigest()[:16] != digest:
+            mismatched.append(argv)
+    assert mismatched == []
+
+
+def _old_rendering(sets, key, fmt) -> str:
+    """The face rendering that built and printed one ``NestedSet`` at a time."""
+    if fmt == "json":
+        return json.dumps({"count": len(sets), key: [list(ns.labels()) for ns in sets]},
+                          separators=(",", ":")) + "\n"
+    return "".join("{" + ",".join(ns.labels()) + "}\n" for ns in sets) + "total %d\n" % len(sets)
+
+
+def _geometries(max_n):
+    for space in Space:
+        for k in range(4):
+            for n in range(1, max_n + 1):
+                if space is Space.FM and k:
+                    continue  # FM admits no components
+                yield ["--n", str(n), "--components", str(k), "--space", space.value], \
+                    point_components(k, n=n, space=space)
+
+
+def test_face_rows_render_like_nested_sets(runner):
+    for argv, g in _geometries(5):
+        for max_size in (0, 1, 2, 3, None):
+            try:
+                sets = enumerate_nested_sets(g, max_size=max_size)
+            except BudgetError:
+                continue
+            size = [] if max_size is None else ["--max-size", str(max_size)]
+            for fmt in ("json", "table"):
+                result = runner.invoke(main, ["nested", *argv, *size, "--format", fmt])
+                assert result.exit_code == 0
+                assert result.stdout == _old_rendering(sets, "nested_sets", fmt), (argv, max_size, fmt)
+        try:
+            sets = maximal_nested_sets(g)
+        except BudgetError:
+            continue
+        for fmt in ("json", "table"):
+            result = runner.invoke(main, ["facets", *argv, "--format", fmt])
+            assert result.exit_code == 0
+            assert result.stdout == _old_rendering(sets, "facets", fmt), (argv, fmt)
+
+
+def test_face_budget_refusals_keep_their_message(runner):
+    g = point_components(3, n=5)
+    assert count_divisors(g) == 119
+    with pytest.raises(BudgetError) as refused:
+        maximal_nested_sets(g)
+    for argv in (["facets", "--n", "5", "--components", "3"],
+                 ["facets", "--n", "5", "--components", "3", "--format", "json"],
+                 ["nested", "--n", "5", "--components", "3", "--max-size", "3"]):
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert json.loads(result.stderr) == {"error": str(refused.value)}
+
+
+def test_nested_csv_needs_fvector(runner):
+    message = _json_error(runner.invoke(main, ["nested", "--n", "2", "--components", "1", "--format", "csv"]))
+    assert "--fvector" in message
+    result = runner.invoke(main, ["nested", "--n", "2", "--components", "1", "--format", "csv", "--fvector"])
+    assert result.exit_code == 0
+    assert result.output == "f0,f1,f2\n1,4,3\n"

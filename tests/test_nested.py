@@ -15,6 +15,7 @@ from wonderful.nested import (
     divisors_for,
     enumerate_nested_sets,
     f_vector,
+    face_rows,
     is_nested,
     make_nested_set,
     maximal_nested_sets,
@@ -195,6 +196,20 @@ def test_walks_make_no_pair_calls_and_never_revalidate(monkeypatch):
     # the public constructor still checks
     make_nested_set(g, [DLocus(3, 1, 0b011)])
     assert len(checks) == 1 and pairs == []
+
+
+def test_face_rows_are_the_walked_faces_as_labels():
+    # maximal rows under a size bound are the facets of at most that size
+    for g in [point_components(2, n=3), point_components(1, n=4, space=Space.XD_UPPER),
+              GeometryConfig(4, 2, (), Space.FM), GeometryConfig(1, 2, (), Space.FM),
+              point_components(1, n=1, space=Space.XD_UPPER)]:
+        for max_size in (0, 1, 2, 3, None):
+            for maximal in (False, True):
+                faces = enumerate_nested_sets(g, max_size=max_size)
+                if maximal:
+                    faces = [ns for ns in maximal_nested_sets(g) if max_size is None or len(ns) <= max_size]
+                want = tuple(",".join("<%s>" % label for label in ns.labels()) for ns in faces)
+                assert face_rows(g, "<{}>".format, max_size=max_size, maximal=maximal) == want
 
 
 def test_shallow_and_refused_queries_test_no_pairs(monkeypatch):

@@ -1,7 +1,8 @@
 import pytest
 
+from wonderful import loci, orders
 from wonderful.geometry import Component, GeometryConfig, Space, point_components
-from wonderful.loci import Diagonal, DLocus
+from wonderful.loci import Diagonal, DLocus, parse_center
 from wonderful.orders import (
     BlowupSequence,
     generate_order,
@@ -153,6 +154,25 @@ def test_two_block_rewrites_to_interleaved():
             assert sorted(map(str, work)) == sorted(src.labels())
 
 
+def _replay(src, res):
+    """Replay a rewrite from ``src``: each swap's certificate, and the blocked
+    pair's refusal, must be what ``swap_certificate`` says on a plain list of
+    the centers already blown up."""
+    g = src.geometry
+    work = list(src.centers)
+    for step in res.swaps:
+        j = step.position
+        assert (str(work[j]), str(work[j + 1])) == (step.left, step.right)
+        assert swap_certificate(g, work[:j], work[j], work[j + 1]) == step.certificate
+        work[j], work[j + 1] = work[j + 1], work[j]
+    if not res.ok:
+        labels = [str(c) for c in work]
+        j = labels.index(res.blocking[0])
+        assert labels[j + 1] == res.blocking[1]
+        assert swap_certificate(g, work[:j], work[j], work[j + 1]) is None
+    return work
+
+
 def test_rewrite_position_map():
     # pairwise disjoint centers: reversing them takes every swap, and the
     # later pulls start from positions that earlier swaps have shifted
@@ -165,17 +185,58 @@ def test_rewrite_position_map():
     pair = (DLocus(2, 1, 0b11), Diagonal.simple(2, 0b11))
     assert not swap_rewrite(BlowupSequence(g, pair), BlowupSequence(g, pair[::-1])).ok
     # a plain list of the centers already blown up gives the certificate
-    # that swap_rewrite found through its position map, at every swap
-    for n, k in [(3, 1), (4, 2), (5, 1)]:
-        g = point_components(k, n=n)
-        src = two_block_order(g)
-        res = swap_rewrite(src, generate_order(g, "interleaved"))
-        assert res.ok
-        work = list(src.centers)
-        for step in res.swaps:
-            j = step.position
-            assert swap_certificate(g, work[:j], work[j], work[j + 1]) == step.certificate
-            work[j], work[j + 1] = work[j + 1], work[j]
+    # that swap_rewrite found through its index-keyed order, at every swap
+    mixed = GeometryConfig(4, 3, (Component("a", 1), Component("b", 0)), Space.XD_BRACKET)
+    geometries = [point_components(k, n=n) for k in (1, 2) for n in (2, 3, 4, 5)] + [mixed]
+    for g in geometries:
+        source, interleaved = two_block_order(g), generate_order(g, "interleaved")
+        res = swap_rewrite(source, interleaved)
+        assert res.ok and tuple(_replay(source, res)) == interleaved.centers
+        _replay(interleaved, swap_rewrite(interleaved, generate_order(g, "inclusion")))
+
+
+def _fm4(labels):
+    return BlowupSequence(GeometryConfig(4, 2, (), Space.FM), tuple(parse_center(t, 4) for t in labels))
+
+
+def test_rewrite_with_polydiagonals():
+    # a polydiagonal takes the locus route and is never a prior center
+    labels = ["Delta:{{1,2},{3,4}}", "Delta:{3,4}", "Delta:{1,2,3,4}", "Delta:{1,2}"]
+    res = swap_rewrite(_fm4(labels), _fm4(labels[::-1]))
+    assert (res.ok, res.swaps, res.blocking) == (False, (), ("Delta:{1,2,3,4}", "Delta:{1,2}"))
+    _replay(_fm4(labels), res)
+    labels = ["Delta:{1,2,3,4}", "Delta:{1,2,3}", "Delta:{{1,2},{3,4}}", "Delta:{2,3,4}", "Delta:{1,4}"]
+    target = ["Delta:{1,2,3,4}", "Delta:{1,4}", "Delta:{2,3,4}", "Delta:{{1,2},{3,4}}", "Delta:{1,2,3}"]
+    res = swap_rewrite(_fm4(labels), _fm4(target))
+    assert not res.ok and res.blocking == ("Delta:{{1,2},{3,4}}", "Delta:{2,3,4}")
+    assert [(s.position, s.left, s.right, s.certificate) for s in res.swaps] == [
+        (3, "Delta:{2,3,4}", "Delta:{1,4}", "ambient-transversal"),
+        (2, "Delta:{{1,2},{3,4}}", "Delta:{1,4}", "ambient-transversal"),
+        (1, "Delta:{1,2,3}", "Delta:{1,4}", "ambient-transversal"),
+    ]
+    _replay(_fm4(labels), res)
+
+
+def test_rewrite_validates_no_center_per_swap(monkeypatch):
+    assert not hasattr(orders, "_Prefix")
+    calls = []
+
+    def counting(g, c):
+        calls.append(c)
+        return c
+
+    runs = []
+    for n in (3, 5):
+        g = point_components(2, n=n)
+        source, target = two_block_order(g), generate_order(g, "interleaved")
+        monkeypatch.setattr(orders, "validate_center", counting)
+        monkeypatch.setattr(loci, "validate_center", counting)
+        calls.clear()
+        res = swap_rewrite(source, target)
+        monkeypatch.undo()
+        runs.append((len(res.swaps), len(calls)))
+    (few, first), (many, second) = runs
+    assert few < many and first == second
 
 
 def test_swap_certificate_tiers():
