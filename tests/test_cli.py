@@ -256,6 +256,22 @@ def test_outputs_byte_identical_across_runs_and_workers(runner, m0n5_config):
 # recorded stdout: this pins the rewrite certificates, the face order and the
 # fiber renderings byte for byte.
 SESSION_DIGESTS = Path(__file__).resolve().parent.parent / "benchmark" / "session_digests.json"
+# The heaviest of them, each checked on its own.
+HEAVY_SESSION_ARGVS = [
+    "rewrite --source two_block --target interleaved --n 6 --components 2",
+    "rewrite --source two_block --target interleaved --n 7 --components 1",
+    "nested --max-size 2 --format json --n 7 --components 3",
+    "nested --max-size 2 --format json --n 6 --components 2",
+]
+
+
+@pytest.mark.parametrize("argv", HEAVY_SESSION_ARGVS)
+def test_heavy_session_output_matches_recorded_digest(argv):
+    recorded = json.loads(SESSION_DIGESTS.read_text())[argv]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main.main(args=argv.split(" "), prog_name="wonderful", standalone_mode=False) is None
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest()[:16] == recorded
 
 
 def test_session_output_matches_every_recorded_digest():
