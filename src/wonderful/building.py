@@ -18,6 +18,17 @@ C among the G-factors of some W_i.  The flag definition is implemented here
 as a bounded search and kept strictly separate from the closed-form pairwise
 criterion; the two are cross-validated in the test suite, never reconciled
 silently.
+
+Condition (2) and the flag search read an intersection closure: the
+distinct nonempty intersections of sub-collections.  It is built by the prefix
+recurrence closure(k) = closure(k-1) + {V_k} + {w cap V_k : w in
+closure(k-1)}, which is exact because intersection is associative,
+commutative and idempotent.  The same recurrence checks a blowup order, in
+which every prefix must be a building set, in one pass: the G-factors of w
+in prefix k are the minimal ones among the first k members containing w,
+so member k changes them only for the w that lie inside V_k, and those are
+exactly the elements w cap V_k that its step yields.  Only they are checked
+again; ``is_building_set`` stays the check of one whole collection.
 """
 
 from __future__ import annotations
@@ -40,6 +51,7 @@ from .loci import (
     meets_transversally,
     validate_center,
 )
+from .nested import BudgetError
 
 
 class Stage(Enum):
@@ -78,7 +90,8 @@ class _MemberTable:
 
     ``loci[k]`` is the locus of member k and ``index`` maps each member to k;
     ``below[k]`` is the bitmask of the members strictly contained in member
-    k; ``factors`` maps a locus code to the bitmask of its G-factors.
+    k; ``above`` maps a locus code to the bitmask of the members containing
+    that locus, and ``factors`` to the bitmask of its G-factors.
     """
 
     def __init__(self, g: GeometryConfig, members):
@@ -93,6 +106,7 @@ class _MemberTable:
             )
             for k, mk in enumerate(self.loci)
         )
+        self.above: dict[int, int] = {}
         self.factors: dict[int, int] = {}
 
     def indices(self, sub) -> list[int]:
@@ -105,22 +119,38 @@ class _MemberTable:
             out.append(k)
         return out
 
-    def factor_mask(self, lo: Locus) -> int:
-        """The G-factors of a nonempty locus: the members containing it with
-        no other member containing it strictly inside them."""
-        out = self.factors.get(lo.code)
-        if out is None:
+    def factor_mask(self, lo: Locus, within: int = -1) -> int:
+        """The G-factors of a nonempty locus among the members in the bitmask
+        ``within`` (all of them by default, and then remembered): the
+        members containing it with no other such member strictly inside
+        them."""
+        whole = within == -1
+        if whole and lo.code in self.factors:
+            return self.factors[lo.code]
+        containing = self.above.get(lo.code)
+        if containing is None:
             g = self.geometry
-            containing = 0
-            for k, ml in enumerate(self.loci):
-                if contains_locus(g, ml, lo):
-                    containing |= 1 << k
-            out = 0
-            for k, below in enumerate(self.below):
-                if containing >> k & 1 and not below & containing:
-                    out |= 1 << k
+            containing = self.above[lo.code] = sum(
+                1 << k for k, ml in enumerate(self.loci) if contains_locus(g, ml, lo)
+            )
+        containing &= within
+        out = 0
+        rest = containing
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if not self.below[low.bit_length() - 1] & containing:
+                out |= low
+        if whole:
             self.factors[lo.code] = out
         return out
+
+    def cuts_out(self, w: Locus, factors: int) -> bool:
+        """Condition (2) at ``w``: the members in the bitmask ``factors``
+        meet transversally and intersect in exactly ``w``."""
+        g = self.geometry
+        factor_loci = [lo for k, lo in enumerate(self.loci) if factors >> k & 1]
+        return intersect_all(g, factor_loci) == w and meets_transversally(g, factor_loci)
 
 
 def building_set_for(g: GeometryConfig) -> tuple[BuildingSet, BuildingSet]:
@@ -221,30 +251,48 @@ def g_factors(bs: BuildingSet, sub) -> tuple[Center, ...]:
     return factors_of_locus(bs, lo)
 
 
-def _intersection_closure(g: GeometryConfig, loci) -> list[Locus]:
-    """The distinct nonempty intersections of sub-collections of ``loci``, in
-    discovery order: the loci themselves, then breadth-first, each new
-    intersection met with every given locus."""
-    loci = list(loci)
-    closure: list[Locus] = []
-    seen: set[int] = set()  # codes
-    frontier: list[Locus] = []
+def _closure_steps(g: GeometryConfig, loci, bound: int | None = None, spent: int = 0):
+    """For each locus in turn, yield the elements of the intersection
+    closure of the loci so far that lie inside it, as a dict from code to
+    locus: the locus itself (when nonempty) and its nonempty intersections
+    with the closure of the earlier loci.  An earlier element w lies inside
+    the new locus exactly when w meets it in w, so it is among them.
+
+    Each locus costs one ``intersect`` per element of the closure so far;
+    when ``spent`` plus those calls would pass ``bound``, the walk raises a
+    BudgetError instead."""
+    closure: dict[int, Locus] = {}
     for lo in loci:
-        if not lo.is_empty and lo.code not in seen:
-            seen.add(lo.code)
-            closure.append(lo)
-            frontier.append(lo)
-    while frontier:
-        nxt = []
-        for lo in frontier:
-            for b in loci:
-                li = intersect(g, lo, b)
-                if not li.is_empty and li.code not in seen:
-                    seen.add(li.code)
-                    closure.append(li)
-                    nxt.append(li)
-        frontier = nxt
-    return closure
+        inside: dict[int, Locus] = {}
+        if not lo.is_empty:
+            spent += len(closure)
+            if bound is not None and spent > bound:
+                raise _over_budget(bound)
+            inside[lo.code] = lo
+            for w in closure.values():
+                li = intersect(g, w, lo)
+                if not li.is_empty:
+                    inside[li.code] = li
+            closure.update(inside)
+        yield inside
+
+
+def _over_budget(bound: int) -> BudgetError:
+    return BudgetError(
+        "refusing a building-set check of more than %d steps"
+        " (containment tests between members, then intersections)" % bound
+    )
+
+
+def _intersection_closure(g: GeometryConfig, loci) -> list[Locus]:
+    """The distinct nonempty intersections of sub-collections of ``loci``, by
+    the prefix recurrence: closure(k) is closure(k-1), locus k, and locus k
+    met with each element of closure(k-1).  Intersection is associative,
+    commutative and idempotent, so nothing is missed."""
+    closure: dict[int, Locus] = {}
+    for inside in _closure_steps(g, loci):
+        closure.update(inside)
+    return list(closure.values())
 
 
 def is_nested_flag_oracle(bs: BuildingSet, sub) -> bool:
@@ -269,20 +317,16 @@ def is_nested_flag_oracle(bs: BuildingSet, sub) -> bool:
     for lo in candidates:
         factors = table.factor_mask(lo)
         cover.append(sum(1 << i for i, k in enumerate(sub) if factors >> k & 1))
-    if len(candidates) == 0:
-        return False
     reachable = 0
     for m in cover:
         reachable |= m
     if reachable != want:
         return False
 
-    # flags climb from smaller loci to bigger ones
-    above = [
-        [j for j in range(len(candidates))
-         if j != i and contains_locus(g, candidates[j], candidates[i])]
-        for i in range(len(candidates))
-    ]
+    # flags climb from smaller loci to bigger ones; every candidate is
+    # nonempty, so containment is the mask test on the codes
+    codes = [lo.code for lo in candidates]
+    above = [[j for j, cj in enumerate(codes) if j != i and not cj & ~ci] for i, ci in enumerate(codes)]
     visited: set[tuple[int, int]] = set()
 
     def climb(i: int, covered: int) -> bool:
@@ -301,19 +345,37 @@ def is_building_set(g: GeometryConfig, members) -> bool:
     """Check the two building-set conditions for the collection itself.
 
     Condition (2) quantifies over sub-collections with nonempty intersection;
-    the distinct intersections are generated by closing the member loci under
-    pairwise intersection, which is the same family.
+    their distinct intersections are the intersection closure of the member
+    loci.  Condition (1) holds throughout these families: every pair of
+    centers is simultaneously linearizable, so it intersects cleanly.
+    """
+    table = _MemberTable(g, list(members))
+    return all(table.cuts_out(w, table.factor_mask(w)) for w in _intersection_closure(g, table.loci))
+
+
+def is_building_order(g: GeometryConfig, members, bound: int | None = None) -> bool:
+    """Is every prefix of ``members`` a building set?  One pass over the
+    order, which builds the intersection closure by the prefix recurrence.
+
+    The G-factors of w in prefix k are the minimal ones among the first k
+    members containing w, so they differ from those in prefix k-1 only when
+    member k contains w.  Those w, the new elements included, are what
+    ``_closure_steps`` yields for member k, and only they are checked again.
+
+    The work is the containment tests between members, then one
+    intersection per closure element and member; past ``bound`` such steps
+    the pass raises a BudgetError.
     """
     members = list(members)
+    spent = len(members) ** 2
+    if bound is not None and spent > bound:
+        raise _over_budget(bound)
     table = _MemberTable(g, members)
-    loci = table.loci
-    for w in _intersection_closure(g, loci):
-        factors = table.factor_mask(w)
-        factor_loci = [lo for k, lo in enumerate(loci) if factors >> k & 1]
-        if intersect_all(g, factor_loci) != w:
-            return False
-        if not meets_transversally(g, factor_loci):
-            return False
+    for k, inside in enumerate(_closure_steps(g, table.loci, bound, spent)):
+        prefix = (2 << k) - 1
+        for w in inside.values():
+            if not table.cuts_out(w, table.factor_mask(w, prefix)):
+                return False
     return True
 
 
@@ -331,6 +393,7 @@ __all__ = [
     "factors_of_locus",
     "g_factors",
     "inclusion_key",
+    "is_building_order",
     "is_building_set",
     "is_building_set_prefix",
     "is_nested_flag_oracle",

@@ -12,9 +12,10 @@ reconciled.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 
-from .building import building_set_for, is_nested_flag_oracle
+from .building import building_set_for, is_building_set, is_nested_flag_oracle
 from .geometry import Component, GeometryConfig, Space, point_components
 from .labels import subset_relation, SubsetRelation
 from .loci import _pair_position_by_loci, pair_position
@@ -28,7 +29,14 @@ from .nested import (
     maximal_nested_sets,
     pair_compatible,
 )
-from .orders import generate_order, swap_rewrite, two_block_order, validate_building_set_order, validate_inclusion_order
+from .orders import (
+    BlowupSequence,
+    generate_order,
+    swap_rewrite,
+    two_block_order,
+    validate_building_set_order,
+    validate_inclusion_order,
+)
 
 
 @dataclass(frozen=True)
@@ -125,14 +133,37 @@ def _check_fm_forest() -> CheckResult:
     return CheckResult("fm-forest-oracle", True, "nestedness == laminarity with no components")
 
 
+def _every_prefix_by_definition(seq: BlowupSequence) -> bool:
+    """The building-set order condition as stated: one ``is_building_set``
+    per prefix, against the one-pass ``validate_building_set_order``."""
+    return all(is_building_set(seq.geometry, seq.centers[:k]) for k in range(1, len(seq.centers) + 1))
+
+
 def _check_orders() -> CheckResult:
+    rng = random.Random(0)
+    shuffled = rejected = 0
     for k in (1, 2):
         for n in (2, 3):
             g = point_components(k, n=n)
             if not validate_inclusion_order(generate_order(g, "inclusion")).ok:
                 return CheckResult("order-machinery", False, "inclusion order invalid (k=%d n=%d)" % (k, n))
-            if not validate_building_set_order(generate_order(g, "reshuffled")):
+            reshuffled = generate_order(g, "reshuffled")
+            if not validate_building_set_order(reshuffled) or not _every_prefix_by_definition(reshuffled):
                 return CheckResult("order-machinery", False, "reshuffled order invalid (k=%d n=%d)" % (k, n))
+            # seeded shuffles of both stages: the one pass against every prefix
+            for stage in building_set_for(g):
+                for _ in range(4):
+                    members = list(stage.members)
+                    rng.shuffle(members)
+                    seq = BlowupSequence(g, tuple(members[:8]))
+                    fast = validate_building_set_order(seq)
+                    if fast != _every_prefix_by_definition(seq):
+                        return CheckResult(
+                            "order-machinery", False,
+                            "one-pass order check says %s on %s (k=%d n=%d)" % (fast, seq.labels(), k, n),
+                        )
+                    shuffled += 1
+                    rejected += not fast
             res = swap_rewrite(two_block_order(g), generate_order(g, "interleaved"))
             if not res.ok:
                 return CheckResult(
@@ -142,7 +173,11 @@ def _check_orders() -> CheckResult:
     g_mixed = GeometryConfig(3, 2, (Component("q", 1),), Space.XD_BRACKET)
     if not validate_inclusion_order(generate_order(g_mixed, "inclusion")).ok:
         return CheckResult("order-machinery", False, "inclusion order invalid for a positive-dimensional component")
-    return CheckResult("order-machinery", True, "generated orders validate; two-block rewrites to interleaved")
+    return CheckResult(
+        "order-machinery", True,
+        "generated orders validate; two-block rewrites to interleaved; one-pass == per-prefix"
+        " building-set check on %d shuffled orders (%d not building orders)" % (shuffled, rejected),
+    )
 
 
 def _check_fast_pair_rules() -> CheckResult:

@@ -78,7 +78,8 @@ from .labels import (
 
 # Distinct intersections one geometry remembers before its memo starts over:
 # about 2 MB at ~500 bytes an entry (n=7).  The flag oracle on the stage-one
-# set of k=2, n=4 fills about 2000 entries.
+# set of k=2, n=4 fills about 1100 entries (450 random and nested
+# sub-collections of up to 8 members).
 INTERSECT_MEMO_LIMIT = 1 << 12
 
 

@@ -82,7 +82,7 @@ ENUMERATION_DIVISOR_BOUND = 40
 
 
 class BudgetError(RuntimeError):
-    """Exhaustive enumeration refused; the offending bound is named."""
+    """Exhaustive enumeration or checking refused; the offending bound is named."""
 
 
 def divisor_sort_key(d: Center) -> tuple:
@@ -181,6 +181,8 @@ def make_nested_set(g: GeometryConfig, divisors) -> NestedSet:
 
 
 def _budgeted_divisors(g: GeometryConfig, max_size: int | None, divisor_bound: int | None):
+    if max_size is not None and max_size < 0:
+        raise ValueError("max_size must be >= 0, got %d" % max_size)
     divisors = divisors_for(g)
     bound = ENUMERATION_DIVISOR_BOUND if divisor_bound is None else divisor_bound
     if len(divisors) > bound and (max_size is None or max_size > 2):
@@ -274,8 +276,6 @@ def _faces(g: GeometryConfig, max_size, maximal, divisor_bound, emit, arg, quote
     with the geometry, or ``str.join`` with a comma.  Both are called
     directly; a ``functools.partial`` per face cost 3-4% on small
     enumerations."""
-    if max_size is not None and max_size < 0:
-        raise ValueError("max_size must be >= 0, got %d" % max_size)
     divisors = _budgeted_divisors(g, max_size, divisor_bound)
     names = divisors if quote is None else [quote(d.label) for d in divisors]
     if maximal:
@@ -329,16 +329,20 @@ def face_rows(g: GeometryConfig, quote, max_size: int | None = None, maximal: bo
     return _faces(g, max_size, maximal, None, str.join, ",", quote)
 
 
-def f_vector(g: GeometryConfig, divisor_bound: int | None = None) -> tuple[int, ...]:
+def f_vector(
+    g: GeometryConfig, divisor_bound: int | None = None, max_size: int | None = None
+) -> tuple[int, ...]:
     """Face counts of the nested-set complex by cardinality, starting with the
-    empty set."""
-    divisors = _budgeted_divisors(g, None, divisor_bound)
+    empty set; only faces of at most ``max_size`` divisors are counted, under
+    the budget of ``enumerate_nested_sets``."""
+    divisors = _budgeted_divisors(g, max_size, divisor_bound)
     counts = [1] + [0] * len(divisors)
 
     def visit(chosen, common):
         counts[len(chosen)] += 1
 
-    _walk(g.n, divisors, None, visit)
+    if max_size != 0:
+        _walk(g.n, divisors, max_size, visit)
     return tuple(c for c in counts if c)  # downward closed: the nonzero counts are a prefix
 
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .building import inclusion_key, is_building_set
+from .building import inclusion_key, is_building_order
 from .geometry import GeometryConfig, Space
 from .labels import subset_key, subsets
 from .loci import (
@@ -52,6 +52,7 @@ from .loci import (
     contains_locus,
     validate_center,
 )
+from .nested import BudgetError
 
 SCHEMES = ("inclusion", "reshuffled", "interleaved")
 
@@ -166,21 +167,23 @@ def validate_inclusion_order(seq: BlowupSequence) -> InclusionReport:
     return InclusionReport(True)
 
 
-def validate_building_set_order(seq: BlowupSequence) -> bool:
-    """Every prefix must satisfy the two building-set conditions.
+def validate_building_set_order(seq: BlowupSequence, bound: int | None = None) -> bool:
+    """Is every prefix of the sequence a building set?
 
-    Only single-stage sequences are meaningful here (the D-family in the
-    ambient product, or the diagonal transforms of stage two); interleaved
-    mixed orders are justified by swap_rewrite instead.
+    One pass over the order (``building.is_building_order``): a new center
+    re-checks only the intersections that lie inside it.  Past ``bound``
+    steps (containment tests between the centers, then intersections) the
+    pass raises ``nested.BudgetError``.  Only single-stage
+    sequences are meaningful here (the D-family in the ambient product, or
+    the diagonal transforms of stage two); a sequence holding both D-loci
+    and diagonals is a ValueError, and interleaved mixed orders are
+    justified by ``swap_rewrite`` instead.
     """
     if {type(c) for c in seq.centers} == {DLocus, Diagonal}:
         raise ValueError(
             "mixed-stage sequence; validate per stage or justify via swap_rewrite"
         )
-    return all(
-        is_building_set(seq.geometry, seq.centers[:k])
-        for k in range(1, len(seq.centers) + 1)
-    )
+    return is_building_order(seq.geometry, seq.centers, bound)
 
 
 @dataclass(frozen=True)
@@ -246,12 +249,13 @@ def _certificate(g: GeometryConfig, prior, a: Center, b: Center) -> str | None:
     return None if z is None else "transform-disjoint after blowing up %s" % z
 
 
-def swap_rewrite(seq: BlowupSequence, target: BlowupSequence) -> RewriteResult:
+def swap_rewrite(seq: BlowupSequence, target: BlowupSequence, bound: int | None = None) -> RewriteResult:
     """Transform ``seq`` into ``target`` by adjacent certified swaps.
 
     Greedy bubble toward the target: the commutation relation is a partial
     commutation, so when the target is reachable the greedy order reaches it,
-    and a blocked mandatory swap names the offending pair.
+    and a blocked mandatory swap names the offending pair.  A rewrite that
+    needs more than ``bound`` swaps raises ``nested.BudgetError``.
     """
     g = seq.geometry
     centers = seq.centers
@@ -273,6 +277,8 @@ def swap_rewrite(seq: BlowupSequence, target: BlowupSequence) -> RewriteResult:
         for j in range(where[index[want]], p, -1):
             left, right = work[j - 1], work[j]
             limit = j - 1
+            if bound is not None and len(steps) == bound:
+                raise BudgetError("refusing a rewrite of more than %d swaps" % bound)
             cert = _certificate(g, prior, centers[left], centers[right])
             if cert is None:
                 return RewriteResult(False, tuple(steps), (labels[left], labels[right]))

@@ -10,7 +10,8 @@ time over the full enumeration, the block walk decides containment from the
 blocks and pins instead of the locus codes, and the orbit brute force
 applies all n! relabelings to each representative.  The relation rule is
 the pairwise nestedness criterion as first written, one subset relation per
-pair.
+pair.  The building-order rule checks each prefix of an order as a whole
+collection, one ``is_building_set`` per prefix.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 
+from wonderful.building import is_building_set
 from wonderful.geometry import GeometryConfig
 from wonderful.labels import SubsetRelation, elements, subset_relation
 from wonderful.loci import Center, Diagonal, DLocus, Locus
@@ -179,6 +181,13 @@ def orbits_by_brute_force(g: GeometryConfig, kind: str, size: int | None = None)
             seen[index[k]] = True
         out.append(Orbit(x, len(orbit_keys), len(perms) // len(orbit_keys)))
     return tuple(out)
+
+
+def building_order_by_prefixes(g: GeometryConfig, members) -> bool:
+    """Every prefix of ``members`` is a building set, each prefix checked
+    from scratch: O(N) whole-set checks."""
+    members = list(members)
+    return all(is_building_set(g, members[:k]) for k in range(1, len(members) + 1))
 
 
 def bell_numbers(up_to: int) -> list[int]:

@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 
 from wonderful.building import (
     BuildingSet,
+    _intersection_closure,
     Stage,
     building_set_for,
     factors_of_locus,
@@ -14,7 +16,8 @@ from wonderful.building import (
     section_labels,
     universal_family_centers,
 )
-from wonderful.geometry import GeometryConfig, Space, extended_config, point_components
+from wonderful.geometry import Component, GeometryConfig, Space, extended_config, point_components
+from wonderful.labels import Partition
 from wonderful.loci import (
     Diagonal,
     DLocus,
@@ -139,6 +142,31 @@ def test_flag_oracle_diagonals_match_laminarity():
         for sub in itertools.combinations(members, r):
             expected = laminar([set(elements(c.subset)) for c in sub])
             assert is_nested_flag_oracle(diag, sub) == expected, [str(c) for c in sub]
+
+
+def test_intersection_closure_matches_every_subcollection():
+    rng = random.Random(8)
+    geometries = [
+        point_components(2, n=3),
+        point_components(3, n=4),
+        GeometryConfig(4, 2, (Component("q", 1), Component("p", 0))),
+    ]
+    for g in geometries:
+        first, second = building_set_for(g)
+        centers = list(first.members + second.members)
+        if g.n == 4:
+            centers.append(Diagonal(Partition.from_blocks(4, [[1, 2], [3, 4]])))
+        for size in range(1, 9):
+            for _ in range(6):
+                loci = [center_to_locus(g, c) for c in rng.sample(centers, size)]
+                closure = _intersection_closure(g, loci)
+                by_subsets = set()
+                for picks in range(1, 1 << size):
+                    lo = intersect_all(g, [loci[i] for i in range(size) if picks >> i & 1])
+                    if not lo.is_empty:
+                        by_subsets.add(lo.code)
+                assert len(closure) == len(by_subsets)
+                assert {lo.code for lo in closure} == by_subsets
 
 
 def test_building_set_prefix_basics():

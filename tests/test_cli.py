@@ -8,9 +8,11 @@ import click
 import pytest
 from click.testing import CliRunner
 
+from wonderful import cli
 from wonderful.cli import main
 from wonderful.geometry import Space, point_components
 from wonderful.nested import BudgetError, count_divisors, enumerate_nested_sets, maximal_nested_sets
+from wonderful.orders import RewriteResult
 
 
 @pytest.fixture
@@ -174,9 +176,10 @@ def test_negative_max_size_exits_2(runner):
     assert "--max-size" in result.output and "nested_sets" not in result.output
 
 
-def _json_error(result) -> str:
-    """The one JSON error line of an invocation that exits 2 and prints nothing on stdout."""
-    assert result.exit_code == 2
+def _json_error(result, code=2) -> str:
+    """The one JSON error line of an invocation that exits with ``code``
+    (2 by default) and prints nothing on stdout."""
+    assert result.exit_code == code
     assert result.stdout == ""
     lines = result.stderr.splitlines()
     assert len(lines) == 1
@@ -346,3 +349,37 @@ def test_nested_csv_needs_fvector(runner):
     result = runner.invoke(main, ["nested", "--n", "2", "--components", "1", "--format", "csv", "--fvector"])
     assert result.exit_code == 0
     assert result.output == "f0,f1,f2\n1,4,3\n"
+
+
+@pytest.mark.parametrize("scheme, components", [("reshuffled", 1), ("interleaved", 2)])
+def test_order_check_validates_every_scheme(runner, monkeypatch, scheme, components):
+    argv = ["order", "--scheme", scheme, "--n", "3", "--components", str(components)]
+    plain = runner.invoke(main, argv)
+    checked = runner.invoke(main, argv + ["--check"])
+    assert checked.exit_code == 0 and checked.output == plain.output
+    monkeypatch.setattr(cli, "validate_building_set_order", lambda seq, bound: False)
+    monkeypatch.setattr(cli, "swap_rewrite", lambda seq, target, bound: RewriteResult(False, (), ("D:c1:{1}", "Delta:{1,2}")))
+    message = _json_error(runner.invoke(main, argv + ["--check"]), 1)
+    assert message.startswith("generated %s order failed validation" % scheme)
+    if scheme == "interleaved":
+        assert "D:c1:{1} and Delta:{1,2}" in message
+    assert runner.invoke(main, argv).output == plain.output
+
+
+@pytest.mark.parametrize("scheme, unit", [("reshuffled", "steps"), ("interleaved", "swaps")])
+def test_order_check_budget_exits_3(runner, monkeypatch, scheme, unit):
+    # k=1 n=3: 7 reshuffled centers (49 containment tests); 4 swaps
+    monkeypatch.setattr(cli, "ORDER_CHECK_BOUND", 3)
+    argv = ["order", "--scheme", scheme, "--check", "--n", "3", "--components", "1"]
+    assert "more than 3 %s" % unit in _json_error(runner.invoke(main, argv), 3)
+
+
+@pytest.mark.parametrize(
+    "n, max_size, expected",
+    [(2, 1, "1,4"), (2, 0, "1"), (2, 5, "1,4,3"), (6, 1, "1,120"), (6, 2, "1,120,2037")],
+)
+def test_nested_fvector_honours_max_size(runner, n, max_size, expected):
+    argv = ["nested", "--fvector", "--max-size", str(max_size), "--n", str(n), "--components", "1"]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 0
+    assert result.output == expected + "\n"

@@ -245,6 +245,24 @@ def test_facets_and_f_vector_match_enumeration(g):
     assert f_vector(g) == tuple(sizes[k] for k in range(max(sizes) + 1))
 
 
+@pytest.mark.parametrize("g", SMALL_COMPLEXES, ids=["k2n3", "k1n4-upper", "k3n3", "fm4"])
+def test_f_vector_up_to_a_size_is_a_prefix(g):
+    whole = f_vector(g)
+    for size in range(len(whole) + 1):
+        assert f_vector(g, max_size=size) == whole[:size + 1]
+    with pytest.raises(ValueError):
+        f_vector(g, max_size=-1)
+
+
+def test_f_vector_up_to_two_skips_the_budget():
+    g = point_components(1, n=6)  # 120 divisors, over ENUMERATION_DIVISOR_BOUND
+    with pytest.raises(nested.BudgetError):
+        f_vector(g)
+    with pytest.raises(nested.BudgetError):
+        f_vector(g, max_size=3)
+    assert f_vector(g, max_size=2) == (1, 120, len(enumerate_nested_sets(g, max_size=2)) - 121)
+
+
 def test_every_divisor_is_compatible_with_itself():
     for g in SMALL_COMPLEXES:
         for d in divisors_for(g):

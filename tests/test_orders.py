@@ -1,8 +1,12 @@
-import pytest
+import random
 
-from wonderful import loci, orders
+import pytest
+from oracles import building_order_by_prefixes
+
+from wonderful import building, loci, orders
 from wonderful.geometry import Component, GeometryConfig, Space, point_components
 from wonderful.loci import Diagonal, DLocus, parse_center
+from wonderful.nested import BudgetError
 from wonderful.orders import (
     BlowupSequence,
     generate_order,
@@ -106,6 +110,74 @@ def test_building_set_order_rejects_mixed_stage():
     seq = generate_order(g, "interleaved")
     with pytest.raises(ValueError):
         validate_building_set_order(seq)
+
+
+def shuffled_stage_prefixes(seed, per_stage):
+    """Seeded orders to check: short prefixes of shuffled building-set
+    stages, over every space with k <= 3 point components and n <= 4, and a
+    geometry with a curve and a point component in a surface."""
+    rng = random.Random(seed)
+    geometries = [
+        point_components(k, n=n, space=space)
+        for space in Space
+        for k in range(1 if space is Space.FM else 4)
+        for n in range(1, 5)
+    ]
+    geometries += [GeometryConfig(n, 2, (Component("q", 1), Component("p", 0))) for n in (2, 3)]
+    for g in geometries:
+        for stage in building.building_set_for(g):
+            members = list(stage.members)
+            if len(members) < 2:
+                continue
+            for _ in range(per_stage):
+                rng.shuffle(members)
+                yield BlowupSequence(g, tuple(members[:rng.randint(2, min(7, len(members)))]))
+
+
+def test_building_set_order_matches_per_prefix_oracle():
+    outcomes = []
+    for seq in shuffled_stage_prefixes(15, 9):
+        got = validate_building_set_order(seq)
+        assert got == building_order_by_prefixes(seq.geometry, seq.centers), (seq.geometry, seq.labels())
+        outcomes.append(got)
+    assert len(outcomes) >= 300
+    assert 0 < outcomes.count(False) < len(outcomes)
+
+
+def test_building_set_order_builds_one_table(monkeypatch):
+    tables = []
+
+    class Counted(building._MemberTable):
+        def __init__(self, *args):
+            tables.append(self)
+            super().__init__(*args)
+
+    def refuse(*args):
+        raise AssertionError("is_building_set called")
+
+    monkeypatch.setattr(building, "_MemberTable", Counted)
+    monkeypatch.setattr(building, "is_building_set", refuse)
+    for k, n in ((1, 2), (2, 3), (1, 5)):
+        g = point_components(k, n=n, space=Space.XD_UPPER)
+        tables.clear()
+        assert validate_building_set_order(generate_order(g, "reshuffled"))
+        assert len(tables) == 1
+
+
+def test_order_checks_refuse_past_their_bound():
+    g = point_components(2, n=4, space=Space.XD_UPPER)
+    seq = generate_order(g, "reshuffled")
+    assert validate_building_set_order(seq, bound=len(seq.centers) ** 2 + 3036)
+    with pytest.raises(BudgetError, match="more than 1000 steps"):
+        validate_building_set_order(seq, bound=1000)
+    with pytest.raises(BudgetError, match="more than 899 steps"):
+        validate_building_set_order(seq, bound=899)  # 30 centers: 900 containment tests
+    g = point_components(1, n=3)
+    source, target = two_block_order(g), generate_order(g, "interleaved")
+    swaps = len(swap_rewrite(source, target).swaps)
+    assert swap_rewrite(source, target, bound=swaps).ok
+    with pytest.raises(BudgetError, match="more than %d swaps" % (swaps - 1)):
+        swap_rewrite(source, target, bound=swaps - 1)
 
 
 def test_swap_rewrite_identity():
