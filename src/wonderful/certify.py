@@ -21,6 +21,7 @@ from .labels import subset_relation, SubsetRelation
 from .loci import _pair_position_by_loci, pair_position
 from .nested import (
     _compatibility_rows,
+    _f_vector_by_walk,
     count_divisors,
     divisors_for,
     enumerate_nested_sets,
@@ -81,7 +82,17 @@ def _check_moduli_counts() -> CheckResult:
     facets = maximal_nested_sets(g5)
     if fv != (1, 10, 15) or len(facets) != 15 or any(len(f) != 2 for f in facets):
         return CheckResult("moduli-complex", False, "five-point moduli complex mismatch: f=%r" % (fv,))
-    return CheckResult("moduli-divisor-counts", True, "3, 10, 25, 56 and f=(1,10,15) with 15 facets")
+    # the fiber-tree recursion against the walk: M_{0,5..8}, FM(3..6), k=2 n<=5
+    for g in ([point_components(3, n=m) for m in range(2, 6)]
+              + [GeometryConfig(n, 1, (), Space.FM) for n in range(3, 7)]
+              + [point_components(2, n=n) for n in range(1, 6)]):
+        fast, slow = f_vector(g), _f_vector_by_walk(g)
+        if fast != slow:
+            return CheckResult("moduli-complex", False, "f-vector %r, walk %r (%r)" % (fast, slow, g))
+    return CheckResult(
+        "moduli-divisor-counts", True,
+        "3, 10, 25, 56 and f=(1,10,15) with 15 facets; f-vector recursion == walk on 13 configurations",
+    )
 
 
 def _check_oracle_agreement() -> CheckResult:

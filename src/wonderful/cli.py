@@ -15,7 +15,6 @@ import sys
 
 import click
 
-from . import certify as certify_mod
 from .geometry import Component, ConfigError, GeometryConfig, Space, load_config
 from .loci import parse_center
 from .nested import (
@@ -39,11 +38,12 @@ from .symmetry import orbits
 from .trees import fiber_tree, is_stable, to_dot, tree_to_nested
 
 ORDER_SOURCES = SCHEMES + ("two_block",)
-# Steps ``order --check`` may spend on a reshuffled or interleaved order.
-# Reshuffled: containment tests between the centers, then intersections;
-# k=2 n=6 takes 45 404 steps and under a second, k=3 n=6 takes 217 719 and
-# several seconds.  Interleaved: swaps from the two-block order; k=1 n=8
-# takes 20 052.
+# Steps ``order --check`` may spend on a generated order.  Inclusion: one
+# containment test per pair of centers; k=3 n=6 takes 30 135, k=2 n=9
+# 1 160 526.  Reshuffled: containment tests between the centers, then
+# intersections; k=2 n=6 takes 45 404 steps and under a second, k=3 n=6
+# takes 217 719 and several seconds.  Interleaved: swaps from the two-block
+# order; k=1 n=8 takes 20 052.
 ORDER_CHECK_BOUND = 1 << 16
 
 
@@ -156,11 +156,7 @@ def nested(max_size, want_fvector, fmt, **cfg):
         _fail(2, "--format csv prints face counts only; add --fvector")
     g = build_config(**cfg)
     if want_fvector:
-        try:
-            fv = f_vector(g, max_size=max_size)
-        except BudgetError as exc:
-            _fail(3, str(exc))
-        _render_fvector(fv, fmt)
+        _render_fvector(f_vector(g, max_size=max_size), fmt)
     else:
         _echo_faces(g, fmt, "nested_sets", max_size=max_size)
 
@@ -193,12 +189,7 @@ def _render_fvector(fv, fmt):
 @click.option("--format", "fmt", type=click.Choice(["table", "json", "csv"]), default="table")
 def fvector(fmt, **cfg):
     """Face counts of the nested-set complex."""
-    g = build_config(**cfg)
-    try:
-        fv = f_vector(g)
-    except BudgetError as exc:
-        _fail(3, str(exc))
-    _render_fvector(fv, fmt)
+    _render_fvector(f_vector(build_config(**cfg)), fmt)
 
 
 @main.command()
@@ -234,12 +225,11 @@ def _check_order(g, scheme, seq):
     """Validate a generated order the way its scheme is justified: inclusion
     by the containment rule, reshuffled by its building-set prefixes, and
     interleaved by certified swaps from the two-block order."""
-    if scheme == "inclusion":
-        if not validate_inclusion_order(seq).ok:
-            _fail(1, "generated inclusion order failed validation")
-        return
     try:
-        if scheme == "reshuffled":
+        if scheme == "inclusion":
+            if not validate_inclusion_order(seq, ORDER_CHECK_BOUND).ok:
+                _fail(1, "generated inclusion order failed validation")
+        elif scheme == "reshuffled":
             if not validate_building_set_order(seq, ORDER_CHECK_BOUND):
                 _fail(1, "generated reshuffled order failed validation: a prefix is not a building set")
         else:
@@ -376,7 +366,9 @@ def orbits_cmd(kind, size, fmt, **cfg):
 @click.option("--format", "fmt", type=click.Choice(["table", "json"]), default="table")
 def certify_cmd(fmt):
     """Run the cross-validation suite and report each check."""
-    results = certify_mod.run_all()
+    from .certify import run_all  # imported here: no other command needs the cross-checks
+
+    results = run_all()
     if fmt == "json":
         _echo_json([{"name": r.name, "ok": r.ok, "detail": r.detail} for r in results])
     else:

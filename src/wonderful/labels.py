@@ -17,6 +17,10 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 
+# Masks are Python ints and could hold any n; the limit stays because every
+# listing (divisors, faces, orders, subset tables) has at least 2^n entries,
+# already far past any budget at n = 64, while ``nested.f_vector`` counts
+# by recursion and needs no bound at all.
 MAX_POINTS = 64
 
 

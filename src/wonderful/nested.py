@@ -52,13 +52,39 @@ ones, over the canonically sorted ``divisors_for(g)``.  So walked faces are
 built without re-sorting and without re-running ``is_nested``; the public
 ``NestedSet`` constructor, which takes outside input, still checks both.
 
-The walk has three consumers.  ``f_vector`` only counts faces by size.
-``enumerate_nested_sets`` and ``maximal_nested_sets`` wrap each face in a
-``NestedSet``.  ``face_rows`` walks over the divisors' labels, each quoted
-once, and returns every face as its joined label string, which is all the
-command line prints; it builds no ``NestedSet``.  The three listing
-functions share one helper, ``_faces``, so the budget, ``max_size`` and
-the empty face are handled once.
+``f_vector`` counts faces without walking.  A nested set is a fiber tree
+(see ``trees``): a root holding the points and screens that lie in no D_c,
+one chain of expansion levels D_{c,S_1} > D_{c,S_2} > ... per component,
+each level holding the objects of S_i outside S_{i+1} (at least one), and
+one screen per diagonal Delta_I, over its maximal sub-diagonals and the
+other points of I (at least two objects).  So, as labelled species with x
+marking a point and y a divisor,
+
+    A = x + y (e^A - 1 - A)     a point or a screen (A = x without diagonals)
+    B = e^A                     a set of those
+    L = y (B - 1)               one expansion level
+    F = B (1 - L)^-k            the root and the k chains of levels
+
+and n! [x^n] F is the f-vector as a polynomial in y.  Each series is kept as
+its labelled counts A_m, B_m, L_m, G_m on m points, and products are
+binomial convolutions: B' = A' B gives A_m and B_m, and (1 - L) G' = k L' G
+gives G = (1 - L)^-k in one pass whose step count does not grow with k.  A
+count is a polynomial in y with nonnegative integer coefficients, held as
+one integer, its value at y = 2^w; evaluation is a ring map, so the
+recursion runs on plain integers.  Run at y = 1 it gives the number of
+faces, which bounds every coefficient, so with 2^w above that number the
+base-2^w digits of the value at y = 2^w are the face counts.  The count
+needs only (n, k, space), because ``pair_compatible`` reads the components
+and index sets of the divisors and nothing else (FM is k = 0; the
+colliding-points space has no diagonals).  ``_f_vector_by_walk`` counts the
+walked faces by size; it is the oracle of the recursion.
+
+The walk has three public consumers.  ``enumerate_nested_sets`` and
+``maximal_nested_sets`` wrap each face in a ``NestedSet``.  ``face_rows``
+walks over the divisors' labels, each quoted once, and returns every face
+as its joined label string, which is all the command line prints; it
+builds no ``NestedSet``.  The three share one helper, ``_faces``, so the
+budget, ``max_size`` and the empty face are handled once.
 Counting functions count nested sets; whether distinct nested sets can cut
 out one and the same stratum is left open here, deliberately.
 """
@@ -66,6 +92,7 @@ out one and the same stratum is left open here, deliberately.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .geometry import GeometryConfig, Space
 from .labels import subset_key, subsets
@@ -333,9 +360,53 @@ def f_vector(
     g: GeometryConfig, divisor_bound: int | None = None, max_size: int | None = None
 ) -> tuple[int, ...]:
     """Face counts of the nested-set complex by cardinality, starting with the
-    empty set; only faces of at most ``max_size`` divisors are counted, under
-    the budget of ``enumerate_nested_sets``."""
-    divisors = _budgeted_divisors(g, max_size, divisor_bound)
+    empty set; only faces of at most ``max_size`` divisors are counted, and a
+    negative ``max_size`` is a ValueError.
+
+    The counts come from the fiber-tree recursion of the module docstring,
+    not from a walk, so no size is refused and ``divisor_bound`` is ignored
+    (it is accepted for callers that lift the listing budget).  They depend
+    on (n, number of components, space) only: ``pair_compatible`` reads
+    components and index sets, never dimensions.  The counts are read off
+    as the base-2^w digits of the recursion's value at y = 2^w, where 2^w
+    exceeds its value at y = 1, the number of faces.  ``_f_vector_by_walk``
+    is the oracle."""
+    if max_size is not None and max_size < 0:
+        raise ValueError("max_size must be >= 0, got %d" % max_size)
+    k = 0 if g.space is Space.FM else g.n_components
+    diagonals = g.space is not Space.XD_UPPER
+    w = _fiber_tree_count(g.n, k, diagonals, 1).bit_length()
+    value = _fiber_tree_count(g.n, k, diagonals, 1 << w)
+    mask = (1 << w) - 1
+    counts = []
+    while value and (max_size is None or len(counts) <= max_size):
+        counts.append(value & mask)
+        value >>= w
+    return tuple(counts)
+
+
+def _fiber_tree_count(n: int, k: int, diagonals: bool, y: int) -> int:
+    """n! [x^n] of B (1 - L)^-k at the given y (module docstring).  A[m],
+    B[m], L[m] and G[m] are the labelled counts on m points of a point or
+    screen, a set of those, one level and the k chains of levels; a product
+    of series is a binomial convolution of these counts."""
+    A, B = [0, 1], [1, 1]
+    for m in range(2, n + 1):  # B' = A' B, and A_m = y (B_m - A_m) for m >= 2
+        s = sum([comb(m - 1, j - 1) * A[j] * B[m - j] for j in range(1, m)])
+        A.append(y * s if diagonals else 0)
+        B.append(s + A[m])
+    L = [0] + [y * b for b in B[1:]]
+    G = [1]
+    for m in range(n):  # G' = k L' G + L G', and L_0 = 0
+        G.append(k * L[1] * G[m] + sum(
+            [comb(m, j) * (k * L[j + 1] * G[m - j] + L[j] * G[m + 1 - j]) for j in range(1, m + 1)]))
+    return sum([comb(n, j) * B[j] * G[n - j] for j in range(n + 1)])
+
+
+def _f_vector_by_walk(g: GeometryConfig, max_size: int | None = None) -> tuple[int, ...]:
+    """The f-vector counted face by face on the clique walk, with no budget:
+    the oracle of ``f_vector``."""
+    divisors = _budgeted_divisors(g, max_size, count_divisors(g))
     counts = [1] + [0] * len(divisors)
 
     def visit(chosen, common):

@@ -147,14 +147,22 @@ class InclusionReport:
     violation: tuple[int, int, str] | None = None
 
 
-def validate_inclusion_order(seq: BlowupSequence) -> InclusionReport:
+def validate_inclusion_order(seq: BlowupSequence, bound: int | None = None) -> InclusionReport:
     """A center strictly contained in another must be blown up first.
 
     The containment test runs through the locus calculus, so point
     components contribute the extra constraints D_{c,S} before Delta_I for
-    I inside S.  The first violating pair (i, j) is reported.
+    I inside S.  The first violating pair (i, j) is reported.  The check
+    makes at most N(N-1)/2 containment tests on N centers; when that is more
+    than ``bound`` it raises ``nested.BudgetError`` before testing any.
     """
     g = seq.geometry
+    tests = len(seq.centers) * (len(seq.centers) - 1) // 2
+    if bound is not None and tests > bound:
+        raise BudgetError(
+            "refusing an inclusion check of more than %d containment tests"
+            " (%d centers need %d)" % (bound, len(seq.centers), tests)
+        )
     loci = [center_to_locus(g, c) for c in seq.centers]
     for i in range(len(loci)):
         for j in range(i + 1, len(loci)):

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import time
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -11,7 +12,13 @@ from click.testing import CliRunner
 from wonderful import cli
 from wonderful.cli import main
 from wonderful.geometry import Space, point_components
-from wonderful.nested import BudgetError, count_divisors, enumerate_nested_sets, maximal_nested_sets
+from wonderful.nested import (
+    BudgetError,
+    _f_vector_by_walk,
+    count_divisors,
+    enumerate_nested_sets,
+    maximal_nested_sets,
+)
 from wonderful.orders import RewriteResult
 
 
@@ -366,17 +373,35 @@ def test_order_check_validates_every_scheme(runner, monkeypatch, scheme, compone
     assert runner.invoke(main, argv).output == plain.output
 
 
-@pytest.mark.parametrize("scheme, unit", [("reshuffled", "steps"), ("interleaved", "swaps")])
+@pytest.mark.parametrize(
+    "scheme, unit", [("reshuffled", "steps"), ("interleaved", "swaps"), ("inclusion", "containment tests")]
+)
 def test_order_check_budget_exits_3(runner, monkeypatch, scheme, unit):
-    # k=1 n=3: 7 reshuffled centers (49 containment tests); 4 swaps
+    # k=1 n=3: 7 reshuffled centers (49 containment tests); 4 swaps; 11
+    # inclusion centers (55 containment tests)
     monkeypatch.setattr(cli, "ORDER_CHECK_BOUND", 3)
     argv = ["order", "--scheme", scheme, "--check", "--n", "3", "--components", "1"]
-    assert "more than 3 %s" % unit in _json_error(runner.invoke(main, argv), 3)
+    message = _json_error(runner.invoke(main, argv), 3)
+    assert "more than 3 %s" % unit in message
+    if scheme == "inclusion":
+        assert "11 centers need 55" in message
+
+
+def test_fvector_answers_past_the_listing_budget(runner):
+    result = runner.invoke(main, ["fvector", "--n", "5", "--components", "3", "--format", "json"])
+    assert result.exit_code == 0
+    assert json.loads(result.output) == {"fvector": list(_f_vector_by_walk(point_components(3, n=5)))}
+    start = time.perf_counter()
+    result = runner.invoke(main, ["fvector", "--n", "30", "--components", "3"])
+    assert time.perf_counter() - start < 1
+    assert result.exit_code == 0
+    assert result.output.startswith("1,%d," % count_divisors(point_components(3, n=30)))
 
 
 @pytest.mark.parametrize(
     "n, max_size, expected",
-    [(2, 1, "1,4"), (2, 0, "1"), (2, 5, "1,4,3"), (6, 1, "1,120"), (6, 2, "1,120,2037")],
+    [(2, 1, "1,4"), (2, 0, "1"), (2, 5, "1,4,3"), (6, 1, "1,120"), (6, 2, "1,120,2037"),
+     (6, 3, "1,120,2037,11368")],
 )
 def test_nested_fvector_honours_max_size(runner, n, max_size, expected):
     argv = ["nested", "--fvector", "--max-size", str(max_size), "--n", str(n), "--components", "1"]

@@ -1,5 +1,6 @@
 import itertools
 from collections import Counter
+from math import factorial
 
 import pytest
 
@@ -9,6 +10,7 @@ from wonderful.labels import Partition, elements, subsets
 from wonderful.loci import Diagonal, DLocus, check_separation, parse_center
 from wonderful.nested import (
     BudgetError,
+    _f_vector_by_walk,
     NestedSet,
     count_divisors,
     divisor_sort_key,
@@ -160,12 +162,17 @@ def test_negative_max_size_is_refused():
     assert enumerate_nested_sets(g, max_size=0) == (NestedSet(g, ()),)
 
 
+def _every_space(n):
+    """FM and both spaces with k = 0..3 point components, on n points."""
+    yield GeometryConfig(n, 2, (), Space.FM)
+    for k in range(4):
+        yield point_components(k, n=n)
+        yield point_components(k, n=n, space=Space.XD_UPPER)
+
+
 def test_compatibility_rows_match_pairwise_rows():
     for n in range(1, 7):
-        spaces = [GeometryConfig(n, 2, (), Space.FM)]
-        for k in range(4):
-            spaces += [point_components(k, n=n), point_components(k, n=n, space=Space.XD_UPPER)]
-        for g in spaces:
+        for g in _every_space(n):
             ds = divisors_for(g)
             want = [
                 sum(1 << j for j, b in enumerate(ds) if j != i and pair_compatible(a, b))
@@ -257,10 +264,57 @@ def test_f_vector_up_to_a_size_is_a_prefix(g):
 def test_f_vector_up_to_two_skips_the_budget():
     g = point_components(1, n=6)  # 120 divisors, over ENUMERATION_DIVISOR_BOUND
     with pytest.raises(nested.BudgetError):
-        f_vector(g)
-    with pytest.raises(nested.BudgetError):
-        f_vector(g, max_size=3)
+        enumerate_nested_sets(g)
+    assert f_vector(g) == _f_vector_by_walk(g)
+    assert f_vector(g, max_size=3) == _f_vector_by_walk(g, max_size=3)
     assert f_vector(g, max_size=2) == (1, 120, len(enumerate_nested_sets(g, max_size=2)) - 121)
+
+
+def test_f_vector_recursion_matches_the_walk():
+    # every space, k = 0..3, n <= 6, except M_{0,9} (k=3 n=6): its 660 032
+    # faces would double the time of this test; certify walks M_{0,5..8}
+    mixed = (Component("a", 1), Component("b", 0))
+    configs = [g for n in range(1, 6) for g in _every_space(n)]
+    configs += [g for g in _every_space(6) if g != point_components(3, n=6)]
+    configs += [GeometryConfig(n, 3, mixed, space) for n in (3, 4) for space in (Space.XD_BRACKET, Space.XD_UPPER)]
+    for g in configs:
+        walked = _f_vector_by_walk(g)
+        for size in range(len(walked) + 1):
+            assert f_vector(g, max_size=size) == walked[:size + 1], (g, size)
+            if g.n <= 4:
+                assert _f_vector_by_walk(g, max_size=size) == walked[:size + 1], (g, size)
+        assert f_vector(g) == f_vector(g, divisor_bound=0) == walked, g
+
+
+def _stirling2(n, k):
+    row = [1] + [0] * k  # S(0, j)
+    for m in range(1, n + 1):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
+    return row[k]
+
+
+def _reduced_euler(fv):
+    return -sum((-1) ** s * f for s, f in enumerate(fv))
+
+
+def test_f_vector_identities_up_to_thirty_points():
+    fm = {n: f_vector(GeometryConfig(n, 2, (), Space.FM)) for n in range(2, 32)}
+    bracket = {(k, n): f_vector(point_components(k, n=n)) for k in (1, 2, 3) for n in range(1, 31)}
+    upper = {(k, n): f_vector(point_components(k, n=n, space=Space.XD_UPPER)) for k in (1, 2, 3) for n in range(1, 31)}
+    # k=3 with n points is M_{0,n+3}; test_moduli_space_anchors checks its totals
+    for n in range(1, 31):
+        assert bracket[3, n][-1] == _double_factorial(2 * n + 1)
+        assert bracket[1, n] == fm[n + 1]
+        assert upper[2, n] == tuple(factorial(s + 1) * _stirling2(n + 1, s + 1) for s in range(n + 1))
+        for k in (2, 3):
+            assert _reduced_euler(bracket[k, n]) == (-1) ** (n - 1) * factorial(n + k - 2) // factorial(k - 2)
+        for k in (1, 2, 3):
+            assert _reduced_euler(upper[k, n]) == (-1) ** (n - 1) * (k - 1) ** n
+    for n in range(2, 32):
+        assert fm[n][-1] == _double_factorial(2 * n - 3)
+        assert _reduced_euler(fm[n]) == 0
+        if n >= 3:
+            assert sum(fm[n]) == 2 * sum(bracket[3, n - 2])  # M_{0,n+1}
 
 
 def test_every_divisor_is_compatible_with_itself():
