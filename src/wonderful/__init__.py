@@ -4,7 +4,7 @@ the nested-set complex of the boundary, blowup orderings, and the dual
 graphs of universal-family fibers."""
 
 from .geometry import Component, ConfigError, GeometryConfig, Space, extended_config, load_config, point_components
-from .labels import Partition, SubsetRelation, elements, mask_of, plus_label, subset_relation
+from .labels import Partition, SubsetRelation, elements, mask_of, subset_relation
 from .loci import (
     Center,
     Diagonal,
@@ -24,7 +24,6 @@ from .building import (
     Stage,
     building_set_for,
     g_factors,
-    is_building_set_prefix,
     is_nested_flag_oracle,
     section_labels,
     universal_family_centers,

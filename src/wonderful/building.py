@@ -379,13 +379,6 @@ def is_building_order(g: GeometryConfig, members, bound: int | None = None) -> b
     return True
 
 
-def is_building_set_prefix(bs: BuildingSet, k: int) -> bool:
-    """Do the first k members satisfy both building-set conditions?"""
-    if not 1 <= k <= len(bs.members):
-        raise ValueError("prefix length %d out of range" % k)
-    return is_building_set(bs.geometry, bs.members[:k])
-
-
 __all__ = [
     "BuildingSet",
     "Stage",
@@ -395,7 +388,6 @@ __all__ = [
     "inclusion_key",
     "is_building_order",
     "is_building_set",
-    "is_building_set_prefix",
     "is_nested_flag_oracle",
     "section_labels",
     "universal_family_centers",

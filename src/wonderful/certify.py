@@ -1,43 +1,172 @@
-"""Cross-validation suite: the independent routes through the combinatorics
-must agree.
+"""Cross-validation: every fast route against a slow route, in one table.
 
-Each check pits two computations of different provenance against each other:
-closed-form counting against exhaustive enumeration, the pairwise nestedness
-criterion against the flag-search oracle, the specialized moduli counts
-(rational curves with marked points) against the general machinery, and the
-order generators against the order validators.  A mismatch is reported, not
-reconciled.
+A row of ``ROWS`` is ``Row(name, configs, fast, slow)``.  On a configuration
+g, ``fast(g)`` and ``slow(g)`` each return a sequence of ``(item label,
+answer)`` pairs, and ``run_all`` compares the two on every configuration of
+every row.  The contract of a row:
+
+* the routes differ in provenance: a recursion or closed form against an
+  enumeration, the pairwise rule against a flag search or a grid model, a
+  one-pass check against a per-prefix one, a bitset table against pairwise
+  calls.  A slow route may be a closed form, such as 2^(n-1)-n-1, or "valid";
+* one comparison is made on one configuration, so a mismatch names the
+  first differing item and its configuration; it is reported, not reconciled;
+* the sizes are fixed in the table: ``wonderful certify`` and the test suite
+  run the same rows at the same sizes.
+
+The slow routes no other module calls live here: the grid model (X is the
+grid {0..q-1}^d, each component a translated coordinate subspace, so a
+dimension is the exact logarithm of a point count), the block walk for
+containment, the relation rule (the pairwise criterion as first written),
+the facet rescan, the orbit brute force over all n! relabelings and the
+per-prefix building-order rule.  ``loci._pair_position_by_loci`` and
+``nested._f_vector_by_walk`` stay beside the fast routes that call them.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
+import time
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
-from .building import building_set_for, is_building_set, is_nested_flag_oracle
+from .building import _intersection_closure, building_set_for, is_building_set, is_nested_flag_oracle
 from .geometry import Component, GeometryConfig, Space, point_components
-from .labels import subset_relation, SubsetRelation
-from .loci import _pair_position_by_loci, pair_position
-from .nested import (
-    _compatibility_rows,
-    _f_vector_by_walk,
-    count_divisors,
-    divisors_for,
-    enumerate_nested_sets,
-    f_vector,
-    is_nested,
-    maximal_nested_sets,
-    pair_compatible,
-)
-from .orders import (
-    BlowupSequence,
-    generate_order,
-    swap_rewrite,
-    two_block_order,
-    validate_building_set_order,
-    validate_inclusion_order,
-)
+from .labels import SubsetRelation, elements, partitions_of, subset_relation
+from .loci import (Center, Diagonal, DLocus, Locus, _pair_position_by_loci, center_to_locus, contains,
+                   contains_locus, dimension, intersect, intersect_all, pair_position)
+from .nested import (BudgetError, NestedSet, _compatibility_rows, _f_vector_by_walk, count_divisors,
+                     divisor_sort_key, divisors_for, enumerate_nested_sets, f_vector, is_nested,
+                     maximal_nested_sets, pair_compatible)
+from .orders import (BlowupSequence, generate_order, swap_rewrite, two_block_order, validate_building_set_order,
+                     validate_inclusion_order)
+from .symmetry import Orbit, act, all_permutations, orbits
+
+
+class GridModel:
+    """X = {0..q-1}^d; component c pins coordinates dim_c..d-1 to the value c.
+
+    q must exceed the number of components so the translates stay distinct
+    and the components disjoint.  Configurations are n-tuples of points.
+    """
+
+    def __init__(self, g: GeometryConfig, q: int = 3):
+        assert q > g.n_components, "need one spare value per component translate"
+        self.g, self.q = g, q
+        self.configurations = frozenset(itertools.product(itertools.product(range(q), repeat=g.dim_x), repeat=g.n))
+        self._points: dict[Center, frozenset] = {}
+
+    def center_points(self, center: Center) -> frozenset:
+        if center not in self._points:
+            if isinstance(center, DLocus):
+                idx, c = elements(center.subset), center.component
+                pinned = range(self.g.component_dim(c), self.g.dim_x)
+                pts = (x for x in self.configurations if all(x[i - 1][j] == c for i in idx for j in pinned))
+            else:
+                blocks = [elements(b) for b in center.partition.blocks]
+                pts = (x for x in self.configurations if all(x[b[0] - 1] == x[i - 1] for b in blocks for i in b))
+            self._points[center] = frozenset(pts)
+        return self._points[center]
+
+    def locus_points(self, lo: Locus) -> frozenset:
+        """The configurations meeting every block equality and pin of the
+        canonical form, each the point set of one center."""
+        pts = frozenset() if lo.is_empty else self.configurations
+        for mask, pin in zip(lo.blocks, lo.pins):
+            if mask & (mask - 1):
+                pts &= self.center_points(Diagonal.simple(self.g.n, mask))
+            if pin is not None:
+                pts &= self.center_points(DLocus(self.g.n, pin, mask & -mask))
+        return pts
+
+    def dimension_of(self, pts: frozenset) -> int | None:
+        """Loci in this model have exactly q^dim points."""
+        if not pts:
+            return None
+        dim = round(math.log(len(pts), self.q))
+        assert self.q ** dim == len(pts), "point set is not a grid subspace"
+        return dim
+
+
+def contains_by_blocks(outer: Locus, inner: Locus) -> bool:
+    """inner subseteq outer, walking the blocks of both canonical forms:
+    each outer block must lie inside one inner block, pinned alike when the
+    outer block is pinned."""
+    if inner.is_empty or outer.is_empty:
+        return inner.is_empty
+    for mask, pin in zip(outer.blocks, outer.pins):
+        met = [(m2, p2) for m2, p2 in zip(inner.blocks, inner.pins) if m2 & mask]
+        if len(met) > 1 or mask & ~met[0][0] or pin not in (None, met[0][1]):
+            return False  # split across inner blocks, or pinned elsewhere
+    return True
+
+
+def laminar(sets) -> bool:
+    """Forest-of-subsets test: every pair disjoint or nested."""
+    fs = [frozenset(s) for s in sets]
+    return all(not a & b or a <= b or b <= a for a, b in itertools.combinations(fs, 2))
+
+
+def pair_compatible_by_relation(a: Center, b: Center) -> bool:
+    """The pairwise criterion by the subset relation of the two index sets.
+    Equal index sets classify as EQUAL, which the D-D and Delta-Delta
+    branches reject, so a divisor fails against itself here."""
+    if isinstance(a, Diagonal) and isinstance(b, DLocus):
+        a, b = b, a
+    rel = subset_relation(a.subset, b.subset)
+    if isinstance(a, DLocus) and isinstance(b, DLocus):
+        if a.component != b.component:
+            return rel is SubsetRelation.DISJOINT
+        return rel in (SubsetRelation.A_IN_B, SubsetRelation.B_IN_A)
+    if isinstance(a, Diagonal):
+        return rel in (SubsetRelation.DISJOINT, SubsetRelation.A_IN_B, SubsetRelation.B_IN_A)
+    return rel in (SubsetRelation.DISJOINT, SubsetRelation.B_IN_A, SubsetRelation.EQUAL)  # a D-divisor, b diagonal
+
+
+def maximal_by_rescan(g: GeometryConfig) -> tuple[NestedSet, ...]:
+    """Nested sets, in enumeration order, that no single further divisor
+    stays compatible with: O(faces * divisors * size) pair tests."""
+    divisors = divisors_for(g)
+    return tuple(ns for ns in enumerate_nested_sets(g) if not any(
+        d not in ns.divisors and all(pair_compatible(d, e) for e in ns.divisors) for d in divisors))
+
+
+def orbits_by_brute_force(g: GeometryConfig, kind: str, size: int | None = None) -> tuple[Orbit, ...]:
+    """The orbits of the divisors, or of the nested sets of one size: each item
+    not yet seen, in canonical order, is moved by all n! permutations (an item
+    is known by the sorted keys of its divisors)."""
+    if kind == "divisors":
+        items, parts = divisors_for(g), lambda d: (d,)
+    else:
+        items = [ns for ns in enumerate_nested_sets(g, max_size=size) if len(ns) == size]
+        parts = lambda ns: ns.divisors  # noqa: E731
+    perms = list(all_permutations(g.n))
+    seen: set = set()
+    out = []
+    for x in sorted(items, key=lambda x: tuple(map(divisor_sort_key, parts(x)))):
+        if tuple(map(divisor_sort_key, parts(x))) not in seen:
+            orbit_keys = {tuple(sorted(divisor_sort_key(act(p, d)) for d in parts(x))) for p in perms}
+            seen |= orbit_keys
+            out.append(Orbit(x, len(orbit_keys), len(perms) // len(orbit_keys)))
+    return tuple(out)
+
+
+def building_order_by_prefixes(g: GeometryConfig, members) -> bool:
+    """Every prefix of ``members`` is a building set, each prefix checked
+    anew as a whole collection: O(N) whole-set checks."""
+    members = list(members)
+    return all(is_building_set(g, members[:k]) for k in range(1, len(members) + 1))
+
+
+def bell_numbers(up_to: int) -> list[int]:
+    """B(0..up_to) by the binomial recurrence."""
+    bell = [1]
+    for n in range(up_to):
+        bell.append(sum(math.comb(n, k) * bell[k] for k in range(n + 1)))
+    return bell
 
 
 @dataclass(frozen=True)
@@ -47,182 +176,261 @@ class CheckResult:
     detail: str
 
 
-def _check_divisor_counts() -> CheckResult:
-    for space in (Space.XD_UPPER, Space.XD_BRACKET, Space.FM):
-        for k in (0, 1, 2, 3):
-            if space is Space.FM and k:
-                continue
-            for n in (1, 2, 3):
-                g = point_components(k, space=space, n=n)
-                formula = count_divisors(g)
-                enumerated = len(enumerate_nested_sets(g, max_size=1)) - 1
-                if formula != enumerated:
-                    return CheckResult(
-                        "divisor-count-formula", False,
-                        "space=%s k=%d n=%d: formula %d vs enumerated %d"
-                        % (space.value, k, n, formula, enumerated),
-                    )
-    return CheckResult("divisor-count-formula", True, "formulas match enumeration")
+@dataclass(frozen=True)
+class Row:
+    name: str
+    configs: tuple
+    fast: Callable
+    slow: Callable
 
 
-def _check_moduli_counts() -> CheckResult:
-    expected = {1: 3, 2: 10, 3: 25, 4: 56}
-    for m, want in expected.items():
-        g = point_components(3, n=m)
-        got = count_divisors(g)
-        n_pts = m + 3
-        closed = (1 << (n_pts - 1)) - n_pts - 1
-        if got != want or closed != want:
-            return CheckResult(
-                "moduli-divisor-counts", False,
-                "m=%d: got %d, closed form %d, expected %d" % (m, got, closed, want),
-            )
-    g5 = point_components(3, n=2)
-    fv = f_vector(g5)
-    facets = maximal_nested_sets(g5)
-    if fv != (1, 10, 15) or len(facets) != 15 or any(len(f) != 2 for f in facets):
-        return CheckResult("moduli-complex", False, "five-point moduli complex mismatch: f=%r" % (fv,))
-    # the fiber-tree recursion against the walk: M_{0,5..8}, FM(3..6), k=2 n<=5
-    for g in ([point_components(3, n=m) for m in range(2, 6)]
-              + [GeometryConfig(n, 1, (), Space.FM) for n in range(3, 7)]
-              + [point_components(2, n=n) for n in range(1, 6)]):
-        fast, slow = f_vector(g), _f_vector_by_walk(g)
-        if fast != slow:
-            return CheckResult("moduli-complex", False, "f-vector %r, walk %r (%r)" % (fast, slow, g))
-    return CheckResult(
-        "moduli-divisor-counts", True,
-        "3, 10, 25, 56 and f=(1,10,15) with 15 facets; f-vector recursion == walk on 13 configurations",
-    )
-
-
-def _check_oracle_agreement() -> CheckResult:
-    # small configurations: every collection outright
-    for k, n in [(1, 2), (2, 2), (1, 3)]:
-        g = point_components(k, space=Space.XD_UPPER, n=n)
-        first, _ = building_set_for(g)
-        members = first.members
-        for picks in itertools.product((0, 1), repeat=len(members)):
-            sub = [members[i] for i in range(len(members)) if picks[i]]
-            if is_nested(g, sub) != is_nested_flag_oracle(first, sub):
-                return CheckResult(
-                    "nested-oracle-agreement", False,
-                    "k=%d n=%d disagreement on %s" % (k, n, [str(d) for d in sub]),
-                )
-    # larger configuration: both predicates are downward closed, so agreement
-    # on pairs plus oracle truth on every pairwise-nested collection covers
-    # all collections
-    g = point_components(2, space=Space.XD_UPPER, n=3)
-    first, _ = building_set_for(g)
-    members = first.members
-    for pair in itertools.combinations(members, 2):
-        if is_nested(g, pair) != is_nested_flag_oracle(first, pair):
-            return CheckResult("nested-oracle-agreement", False, "pair disagreement %s" % [str(d) for d in pair])
-    for ns in enumerate_nested_sets(g):
-        if not is_nested_flag_oracle(first, ns.divisors):
-            return CheckResult("nested-oracle-agreement", False, "oracle rejects nested %s" % list(ns.labels()))
-    return CheckResult("nested-oracle-agreement", True, "closed form == flag oracle on all small D-collections")
-
-
-def _laminar(masks) -> bool:
-    return all(
-        subset_relation(a, b) is not SubsetRelation.OVERLAPPING
-        for a, b in itertools.combinations(masks, 2)
-    )
-
-
-def _check_fm_forest() -> CheckResult:
-    for n in (2, 3, 4):
-        g = GeometryConfig(n, 1, (), Space.FM)
-        divisors = divisors_for(g)
-        for picks in itertools.product((0, 1), repeat=len(divisors)):
-            ds = [divisors[i] for i in range(len(divisors)) if picks[i]]
-            if is_nested(g, ds) != _laminar([d.subset for d in ds]):
-                return CheckResult(
-                    "fm-forest-oracle", False,
-                    "n=%d disagreement on %s" % (n, [str(d) for d in ds]),
-                )
-    return CheckResult("fm-forest-oracle", True, "nestedness == laminarity with no components")
-
-
-def _every_prefix_by_definition(seq: BlowupSequence) -> bool:
-    """The building-set order condition as stated: one ``is_building_set``
-    per prefix, against the one-pass ``validate_building_set_order``."""
-    return all(is_building_set(seq.geometry, seq.centers[:k]) for k in range(1, len(seq.centers) + 1))
-
-
-def _check_orders() -> CheckResult:
-    rng = random.Random(0)
-    shuffled = rejected = 0
-    for k in (1, 2):
-        for n in (2, 3):
-            g = point_components(k, n=n)
-            if not validate_inclusion_order(generate_order(g, "inclusion")).ok:
-                return CheckResult("order-machinery", False, "inclusion order invalid (k=%d n=%d)" % (k, n))
-            reshuffled = generate_order(g, "reshuffled")
-            if not validate_building_set_order(reshuffled) or not _every_prefix_by_definition(reshuffled):
-                return CheckResult("order-machinery", False, "reshuffled order invalid (k=%d n=%d)" % (k, n))
-            # seeded shuffles of both stages: the one pass against every prefix
-            for stage in building_set_for(g):
-                for _ in range(4):
-                    members = list(stage.members)
-                    rng.shuffle(members)
-                    seq = BlowupSequence(g, tuple(members[:8]))
-                    fast = validate_building_set_order(seq)
-                    if fast != _every_prefix_by_definition(seq):
-                        return CheckResult(
-                            "order-machinery", False,
-                            "one-pass order check says %s on %s (k=%d n=%d)" % (fast, seq.labels(), k, n),
-                        )
-                    shuffled += 1
-                    rejected += not fast
-            res = swap_rewrite(two_block_order(g), generate_order(g, "interleaved"))
-            if not res.ok:
-                return CheckResult(
-                    "order-machinery", False,
-                    "two-block order not rewritable (k=%d n=%d), blocked at %r" % (k, n, res.blocking),
-                )
-    g_mixed = GeometryConfig(3, 2, (Component("q", 1),), Space.XD_BRACKET)
-    if not validate_inclusion_order(generate_order(g_mixed, "inclusion")).ok:
-        return CheckResult("order-machinery", False, "inclusion order invalid for a positive-dimensional component")
-    return CheckResult(
-        "order-machinery", True,
-        "generated orders validate; two-block rewrites to interleaved; one-pass == per-prefix"
-        " building-set check on %d shuffled orders (%d not building orders)" % (shuffled, rejected),
-    )
-
-
-def _check_fast_pair_rules() -> CheckResult:
-    """Closed-form pair positions against the locus route, and subset-table
-    compatibility rows against pairwise rows, on every pair."""
-    pairs = 0
-    for space in Space:
-        for k in range(1 if space is Space.FM else 4):
-            comps = tuple(Component("c%d" % (i + 1), i % 2) for i in range(k))
-            for n in range(1, 5):
-                g = GeometryConfig(n, 2, comps, space)
-                ds = divisors_for(g)
-                rows = _compatibility_rows(n, ds)
-                for i, a in enumerate(ds):
-                    row = 0
-                    for j, b in enumerate(ds):
-                        if pair_position(g, a, b) is not _pair_position_by_loci(g, a, b):
-                            return CheckResult("fast-pair-rules", False, "position of %s, %s (%r)" % (a, b, g))
-                        row |= (i != j and pair_compatible(a, b)) << j
-                    if rows[i] != row:
-                        return CheckResult("fast-pair-rules", False, "compatibility row of %s (%r)" % (a, g))
-                pairs += len(ds) ** 2
-    return CheckResult("fast-pair-rules", True, "closed forms == locus route and pairwise rows on %d pairs" % pairs)
+def _run(row: Row) -> CheckResult:
+    start = time.perf_counter()
+    items = 0
+    for g in row.configs:
+        fast, slow = list(row.fast(g)), list(row.slow(g))
+        for (label, got), (slow_label, want) in itertools.zip_longest(fast, slow, fillvalue=("(none)", None)):
+            if (label, got) != (slow_label, want):
+                item = label if label == slow_label else "%s / %s" % (label, slow_label)
+                where = g.dumps() if isinstance(g, GeometryConfig) else g
+                return CheckResult(row.name, False, "%s on %s: fast %.200r, slow %.200r" % (item, where, got, want))
+        items += len(fast)
+    detail = "%d configs, %d items in %.2f s" % (len(row.configs), items, time.perf_counter() - start)
+    return CheckResult(row.name, True, detail)
 
 
 def run_all() -> list[CheckResult]:
-    return [
-        _check_divisor_counts(),
-        _check_moduli_counts(),
-        _check_oracle_agreement(),
-        _check_fm_forest(),
-        _check_orders(),
-        _check_fast_pair_rules(),
-    ]
+    return [_run(row) for row in ROWS]
 
 
-__all__ = ["CheckResult", "run_all"]
+def _every_space(n_max: int) -> tuple[GeometryConfig, ...]:
+    """FM and both spaces with k = 0..3 point components, n = 1..n_max."""
+    return tuple(g for n in range(1, n_max + 1) for g in [GeometryConfig(n, 2, (), Space.FM)] + [
+        point_components(k, n=n, space=space) for k in range(4) for space in (Space.XD_BRACKET, Space.XD_UPPER)])
+
+
+def _config(n: int, dims, dim_x: int = 2, space: Space = Space.XD_BRACKET) -> GeometryConfig:
+    return GeometryConfig(n, dim_x, tuple(Component("c%d" % (i + 1), d) for i, d in enumerate(dims)), space)
+
+
+def _text(centers) -> str:
+    return "[%s]" % ",".join(map(str, centers))
+
+
+def _collections(items) -> list[tuple]:
+    return [sub for r in range(len(items) + 1) for sub in itertools.combinations(items, r)]
+
+
+def _moduli_closed_forms(g: GeometryConfig) -> list:
+    """2^(N-1) - N - 1 divisors and (2N-5)!! facets of M_{0,N}, N = n + 3."""
+    marked = g.n + 3
+    return [("divisors", 2 ** (marked - 1) - marked - 1), ("facets", math.prod(range(2 * marked - 5, 0, -2)))]
+
+
+def _f_vectors(g: GeometryConfig, whole, unbounded, upto, cut) -> list:
+    """The whole f-vector, with a divisor bound and without, then the one up
+    to each size s; for n <= 4 once more for the walk cut off at s."""
+    sizes = range(len(whole) + 1)
+    items = [("whole", whole), ("no budget", unbounded)] + [("max_size=%d" % s, upto(s)) for s in sizes]
+    return items + [("walk cut at %d" % s, cut(s)) for s in sizes if g.n <= 4]
+
+
+def _f_vector_fast(g: GeometryConfig) -> list:
+    upto = lambda s: f_vector(g, max_size=s)  # noqa: E731
+    return _f_vectors(g, f_vector(g), f_vector(g, divisor_bound=0), upto, upto)
+
+
+def _f_vector_slow(g: GeometryConfig) -> list:
+    walked = _f_vector_by_walk(g)
+    return _f_vectors(g, walked, walked, lambda s: walked[:s + 1], lambda s: _f_vector_by_walk(g, max_size=s))
+
+
+def _pairs(g: GeometryConfig, route, distinct: bool = True) -> list:
+    """``route`` on every ordered pair of divisors, distinct ones if asked."""
+    ds = divisors_for(g)
+    pairs = itertools.permutations(ds, 2) if distinct else itertools.product(ds, ds)
+    return [("%s, %s" % p, route(*p)) for p in pairs]
+
+
+def _pairwise_rows(g: GeometryConfig) -> list:
+    ds = divisors_for(g)
+    return [(str(a), sum(1 << j for j, b in enumerate(ds) if i != j and pair_compatible(a, b)))
+            for i, a in enumerate(ds)]
+
+
+def _first_stage(g: GeometryConfig, nested) -> list:
+    """Every collection of first-stage members, up to 12 members; past that
+    the pairs and the nested sets.  Both predicates are downward closed, so
+    agreement on pairs and yes on every nested set decide every collection."""
+    first, _ = building_set_for(g)
+    subs = _collections(first.members) if len(first.members) <= 12 else (
+        list(itertools.combinations(first.members, 2)) + [ns.divisors for ns in enumerate_nested_sets(g)])
+    return [(_text(sub), nested(first, sub)) for sub in subs]
+
+
+def _fm_collections(g: GeometryConfig, nested, flag) -> list:
+    _, diagonals = building_set_for(g)
+    return [(_text(sub), (nested(g, sub), flag(diagonals, sub))) for sub in _collections(diagonals.members)]
+
+
+def _is_face(g: GeometryConfig) -> list:
+    faces = {frozenset(ns.divisors) for ns in enumerate_nested_sets(g)}
+    return [(_text(sub), frozenset(sub) in faces) for sub in _collections(divisors_for(g))]
+
+
+def _laminar(_, sub) -> bool:
+    return laminar(elements(d.subset) for d in sub)
+
+
+def _orders_to_check(g: GeometryConfig) -> list[BlowupSequence]:
+    """Seeded prefixes of 2..8 members of shuffled building-set stages, and
+    the reshuffled order outside FM on up to three points."""
+    rng = random.Random(g.dumps())
+    out = [generate_order(g, "reshuffled")] if g.space is not Space.FM and g.n <= 3 else []
+    for members in (list(stage.members) for stage in building_set_for(g) if len(stage.members) >= 2):
+        for _ in range(9):
+            rng.shuffle(members)
+            out.append(BlowupSequence(g, tuple(members[:rng.randint(2, min(8, len(members)))])))
+    return out
+
+
+def _generated_orders(g: GeometryConfig) -> dict:
+    """Each generated order of g that must validate, with its check: inclusion
+    always; on up to four points and two components also the reshuffled
+    order outside FM and, in XD_bracket, the two-block order rewritten into
+    the interleaved one."""
+    small = g.n <= 4 and g.n_components <= 2
+    checks = {"inclusion": lambda: validate_inclusion_order(generate_order(g, "inclusion")).ok}
+    if small and g.space is not Space.FM:
+        checks["reshuffled"] = lambda: validate_building_set_order(generate_order(g, "reshuffled"))
+    if small and g.space is Space.XD_BRACKET:
+        checks["two_block -> interleaved"] = lambda: swap_rewrite(
+            two_block_order(g), generate_order(g, "interleaved")).ok
+    return checks
+
+
+def _orbit_items(g: GeometryConfig, route) -> list:
+    out = []
+    for kind, size in (("divisors", None), ("nested", 1), ("nested", 2), ("nested", 3)):
+        label = kind if size is None else "nested sets of size %d" % size
+        try:
+            out += [("%s #%d" % (label, i), o) for i, o in enumerate(route(g, kind, size))]
+        except BudgetError:
+            out.append((label, "over budget"))
+    return out
+
+
+def _containments(g: GeometryConfig, route) -> list:
+    """Every ordered pair from the intersection closure of the divisors (of
+    the first-stage members past three points) and the empty locus."""
+    centers = divisors_for(g) if g.n <= 3 else building_set_for(g)[0].members
+    loci = _intersection_closure(g, [center_to_locus(g, c) for c in centers]) + [Locus.empty(g.n)]
+    names = [str(lo) for lo in loci]
+    return [(names[j] + " in " + names[i], route(outer, inner))
+            for i, outer in enumerate(loci) for j, inner in enumerate(loci)]
+
+
+def _grid_items(g: GeometryConfig, dim, meet, inside, locus_inside) -> list:
+    """Per center the dimension; per pair the intersection and containment;
+    per pair of pairwise intersections the containment; per triple the
+    intersection.  The routes are the caller's."""
+    centers = divisors_for(g)
+    pairs = list(itertools.combinations_with_replacement(centers, 2))
+    loci = {}
+    for a, b in pairs:
+        loci.setdefault(intersect(g, center_to_locus(g, a), center_to_locus(g, b)), "%s & %s" % (a, b))
+    return ([("dim %s" % c, dim(c)) for c in centers] + [("%s & %s" % p, meet(*p)) for p in pairs]
+            + [("%s in %s" % (b, a), inside(a, b)) for a, b in itertools.product(centers, repeat=2)]
+            + [("%s in %s" % (loci[i], loci[o]), locus_inside(o, i)) for o, i in itertools.product(loci, repeat=2)]
+            + [("%s & %s & %s" % trio, meet(*trio)) for trio in itertools.combinations(centers, 3)])
+
+
+def _grid_fast(g: GeometryConfig) -> list:
+    model = GridModel(g)
+
+    def meet(*centers):
+        loci = [center_to_locus(g, c) for c in centers]
+        lo = intersect(g, *loci) if len(loci) == 2 else intersect_all(g, loci)
+        return model.locus_points(lo), dimension(g, lo)
+
+    return _grid_items(g, lambda c: dimension(g, center_to_locus(g, c)), meet,
+                       lambda a, b: contains(g, a, b), lambda outer, inner: contains_locus(g, outer, inner))
+
+
+def _grid_slow(g: GeometryConfig) -> list:
+    model = GridModel(g)
+    points = model.center_points
+
+    def meet(*centers):
+        pts = frozenset.intersection(*map(points, centers))
+        return pts, model.dimension_of(pts)
+
+    return _grid_items(g, lambda c: model.dimension_of(points(c)), meet, lambda a, b: points(b) <= points(a),
+                       lambda outer, inner: model.locus_points(inner) <= model.locus_points(outer))
+
+
+ROWS = (
+    Row("divisor-counts", _every_space(4),
+        lambda g: [("divisors", count_divisors(g))],
+        lambda g: [("divisors", len(enumerate_nested_sets(g, max_size=1)) - 1)]),
+    Row("moduli-anchors", tuple(point_components(3, n=n) for n in range(1, 6)),  # M_{0,4..8}
+        lambda g: [("divisors", count_divisors(g)), ("facets", len(maximal_nested_sets(g, divisor_bound=200)))],
+        _moduli_closed_forms),
+    Row("f-vector",  # every space, k = 0..3, n <= 6 but M_{0,9} (k=3 n=6), and mixed components
+        tuple(g for g in _every_space(6) if g != point_components(3, n=6))
+        + tuple(_config(n, (1, 0), 3, space) for n in (3, 4) for space in (Space.XD_BRACKET, Space.XD_UPPER)),
+        _f_vector_fast, _f_vector_slow),
+    Row("enumeration", (point_components(2, n=2), point_components(1, n=3), GeometryConfig(3, 2, (), Space.FM)),
+        _is_face,
+        lambda g: [(_text(sub), is_nested(g, sub)) for sub in _collections(divisors_for(g))]),
+    Row("facets", (point_components(2, n=3), point_components(1, n=4, space=Space.XD_UPPER),
+                   point_components(3, n=3), GeometryConfig(4, 2, (), Space.FM)),
+        lambda g: list(enumerate(ns.labels() for ns in maximal_nested_sets(g))),
+        lambda g: list(enumerate(ns.labels() for ns in maximal_by_rescan(g)))),
+    Row("pair-rule", _every_space(5),
+        lambda g: _pairs(g, pair_compatible),
+        lambda g: _pairs(g, pair_compatible_by_relation)),
+    Row("compatibility-rows", _every_space(6),
+        lambda g: list(zip(map(str, divisors_for(g)), _compatibility_rows(g.n, divisors_for(g)))),
+        _pairwise_rows),
+    Row("pair-position",  # every space, k = 0..3 components of dims 0 and 1, dim X = 2, 3, n <= 5 (4 at k = 3)
+        tuple(_config(n, [(i + dim_x) % 2 for i in range(k)], dim_x, space) for space in Space
+              for k in range(1 if space is Space.FM else 4) for dim_x in (2, 3) for n in range(1, 5 if k == 3 else 6)),
+        lambda g: _pairs(g, partial(pair_position, g), distinct=False),
+        lambda g: _pairs(g, partial(_pair_position_by_loci, g), distinct=False)),
+    Row("flag-oracle",
+        tuple(point_components(k, n=n, space=Space.XD_UPPER) for k, n in ((1, 2), (1, 3), (2, 2), (2, 3))),
+        lambda g: _first_stage(g, lambda first, sub: is_nested(g, sub)),
+        lambda g: _first_stage(g, is_nested_flag_oracle)),
+    Row("fm-forest", tuple(GeometryConfig(n, 2, (), Space.FM) for n in (2, 3, 4)),
+        lambda g: _fm_collections(g, is_nested, is_nested_flag_oracle),
+        lambda g: _fm_collections(g, _laminar, _laminar)),
+    Row("building-order",
+        tuple(point_components(k, n=n, space=space) for space in Space
+              for k in range(1 if space is Space.FM else 4) for n in range(1, 5))
+        + (_config(2, (1, 0)), _config(3, (1, 0))),
+        lambda g: [(_text(seq.centers), validate_building_set_order(seq)) for seq in _orders_to_check(g)],
+        lambda g: [(_text(seq.centers), building_order_by_prefixes(g, seq.centers)) for seq in _orders_to_check(g)]),
+    Row("generated-orders",
+        tuple(_config(n, dims, 2 if any(dims) else 1) for n in (2, 3, 4, 5)
+              for dims in ((0,), (0, 0), (0, 0, 0), (1,), (1, 0)))
+        + tuple(point_components(k, n=n, space=Space.XD_UPPER) for k in (1, 2) for n in (2, 3, 4)),
+        lambda g: [(scheme, check()) for scheme, check in _generated_orders(g).items()],
+        lambda g: [(scheme, True) for scheme in _generated_orders(g)]),
+    Row("orbits", _every_space(5),
+        lambda g: _orbit_items(g, orbits),
+        lambda g: _orbit_items(g, orbits_by_brute_force)),
+    Row("contains-locus", (point_components(2, n=4), _config(3, (0, 1))),
+        lambda g: _containments(g, lambda outer, inner: contains_locus(g, outer, inner)),
+        lambda g: _containments(g, contains_by_blocks)),
+    Row("grid-model", tuple(_config(n, dims) for n in (2, 3) for dims in ((), (0,), (1,), (0, 1))),
+        _grid_fast, _grid_slow),
+    Row("partitions", tuple(range(1, 7)),
+        lambda n: [("partitions of %d" % n, sum(1 for _ in partitions_of(n)))],
+        lambda n: [("partitions of %d" % n, bell_numbers(n)[n])]),
+)
+
+
+__all__ = ["CheckResult", "GridModel", "ROWS", "Row", "bell_numbers", "building_order_by_prefixes",
+           "contains_by_blocks", "laminar", "maximal_by_rescan", "orbits_by_brute_force",
+           "pair_compatible_by_relation", "run_all"]

@@ -344,6 +344,8 @@ def fiber(nested_literal, fmt, **cfg):
 @click.option("--format", "fmt", type=click.Choice(["table", "json"]), default="table")
 def orbits_cmd(kind, size, fmt, **cfg):
     """Orbits of the symmetric-group action."""
+    if kind == "divisors" and size is not None:
+        _fail(2, "--size applies to --kind nested only")
     g = build_config(**cfg)
     try:
         out = orbits(g, kind, size)

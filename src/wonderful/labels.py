@@ -109,14 +109,6 @@ def subset_relation(a: int, b: int) -> SubsetRelation:
     return SubsetRelation.OVERLAPPING
 
 
-def plus_label(n: int, mask: int) -> tuple[int, int]:
-    """Extend S over {1..n} to S+ = S with the new point n+1 adjoined, over {1..n+1}."""
-    check_population(n + 1)
-    if mask & ~full_mask(n):
-        raise ValueError("subset %s exceeds population %d" % (format_subset(mask), n))
-    return n + 1, mask | (1 << n)
-
-
 def join_blocks(n: int, blocks) -> list[int]:
     """The blocks of the finest partition of {1..n} in which each given mask
     lies inside one block, sorted by least element.

@@ -50,7 +50,7 @@ from wonderful.orders import (
 )
 from wonderful.symmetry import Permutation, act, all_permutations
 from wonderful.trees import fiber_tree, is_stable, tree_to_nested, VertexKind
-from oracles import laminar
+from wonderful.certify import laminar
 
 
 def _ok(num: int, name: str):

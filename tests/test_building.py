@@ -11,7 +11,6 @@ from wonderful.building import (
     factors_of_locus,
     g_factors,
     is_building_set,
-    is_building_set_prefix,
     is_nested_flag_oracle,
     section_labels,
     universal_family_centers,
@@ -26,7 +25,6 @@ from wonderful.loci import (
     intersect_all,
     meets_transversally,
 )
-from wonderful.nested import is_nested
 from wonderful.orders import validate_inclusion_order, BlowupSequence
 
 
@@ -120,30 +118,6 @@ def test_flag_oracle_examples():
     assert is_nested_flag_oracle(diag, [])
 
 
-def test_flag_oracle_agrees_with_closed_form_exhaustively():
-    # pairwise criterion == flag search, over every D-collection
-    for k, n in [(1, 2), (1, 3), (2, 2)]:
-        g = point_components(k, n=n, space=Space.XD_UPPER)
-        first, _ = building_set_for(g)
-        members = list(first.members)
-        for r in range(len(members) + 1):
-            for sub in itertools.combinations(members, r):
-                assert is_nested_flag_oracle(first, sub) == is_nested(g, sub), [str(c) for c in sub]
-
-
-def test_flag_oracle_diagonals_match_laminarity():
-    from oracles import laminar
-    from wonderful.labels import elements
-
-    g = GeometryConfig(4, 2, (), Space.FM)
-    _, diag = building_set_for(g)
-    members = list(diag.members)
-    for r in range(0, 4):
-        for sub in itertools.combinations(members, r):
-            expected = laminar([set(elements(c.subset)) for c in sub])
-            assert is_nested_flag_oracle(diag, sub) == expected, [str(c) for c in sub]
-
-
 def test_intersection_closure_matches_every_subcollection():
     rng = random.Random(8)
     geometries = [
@@ -171,15 +145,11 @@ def test_intersection_closure_matches_every_subcollection():
 
 def test_building_set_prefix_basics():
     g = point_components(1, n=2, space=Space.XD_UPPER)
-    first, _ = building_set_for(g)
-    seq = BuildingSet(g, (DLocus(2, 1, 0b01), DLocus(2, 1, 0b11), DLocus(2, 1, 0b10)), Stage.AMBIENT)
+    members = (DLocus(2, 1, 0b01), DLocus(2, 1, 0b11), DLocus(2, 1, 0b10))
     for k in (1, 2, 3):
-        assert is_building_set_prefix(seq, k)
+        assert is_building_set(g, members[:k])
     # a pair with disjoint index sets is transversal, so it forms a building set
-    pair = BuildingSet(g, (DLocus(2, 1, 0b01), DLocus(2, 1, 0b10)), Stage.AMBIENT)
-    assert is_building_set_prefix(pair, 2)
-    with pytest.raises(ValueError):
-        is_building_set_prefix(pair, 3)
+    assert is_building_set(g, (DLocus(2, 1, 0b01), DLocus(2, 1, 0b10)))
 
 
 def test_building_set_prefix_rejects_classic_triple():
@@ -187,11 +157,11 @@ def test_building_set_prefix_rejects_classic_triple():
     # fail collection transversality
     g = GeometryConfig(3, 2, (), Space.FM)
     d = lambda m: Diagonal.simple(3, m)
-    triple = BuildingSet(g, (d(0b011), d(0b101), d(0b110)), Stage.TRANSFORM)
-    assert is_building_set_prefix(triple, 2)
-    assert not is_building_set_prefix(triple, 3)
-    with_small = BuildingSet(g, (d(0b111), d(0b011), d(0b101), d(0b110)), Stage.TRANSFORM)
-    assert all(is_building_set_prefix(with_small, k) for k in (1, 2, 3, 4))
+    triple = (d(0b011), d(0b101), d(0b110))
+    assert is_building_set(g, triple[:2])
+    assert not is_building_set(g, triple)
+    with_small = (d(0b111), d(0b011), d(0b101), d(0b110))
+    assert all(is_building_set(g, with_small[:k]) for k in (1, 2, 3, 4))
 
 
 def test_is_building_set_d_family_whole():

@@ -1,6 +1,9 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -9,14 +12,14 @@ import click
 import pytest
 from click.testing import CliRunner
 
-from wonderful import cli
+from wonderful import certify, cli
 from wonderful.cli import main
 from wonderful.geometry import Space, point_components
 from wonderful.nested import (
     BudgetError,
-    _f_vector_by_walk,
     count_divisors,
     enumerate_nested_sets,
+    f_vector,
     maximal_nested_sets,
 )
 from wonderful.orders import RewriteResult
@@ -203,8 +206,9 @@ def _json_error(result, code=2) -> str:
         (["nested", "--max-size", "-1", "--n", "2", "--components", "1"], "--max-size"),
         (["divisors", "--bogus"], "--bogus"),
         (["order", "--n", "3"], "--scheme"),
+        (["orbits", "--kind", "divisors", "--size", "2", "--n", "3"], "--size"),
     ],
-    ids=["not-an-int", "bad-choice", "out-of-range", "unknown-option", "missing-option"],
+    ids=["not-an-int", "bad-choice", "out-of-range", "unknown-option", "missing-option", "size-of-divisors"],
 )
 def test_usage_errors_print_json(runner, argv, names):
     assert names in _json_error(runner.invoke(main, argv))
@@ -243,10 +247,30 @@ def test_fiber_rejects_non_divisor_labels(runner, label, components):
 
 
 def test_certify_passes(runner):
+    result = runner.invoke(main, ["certify", "--format", "json"])
+    assert result.exit_code == 0, result.output
+    rows = json.loads(result.output)
+    assert [row["name"] for row in rows] == [row.name for row in certify.ROWS]
+    failing = ["%s: %s" % (row["name"], row["detail"]) for row in rows if not row["ok"]]
+    assert not failing, "\n".join(failing)
+
+
+def test_certify_reports_the_first_differing_item(runner, monkeypatch):
+    row = certify.Row("broken", (point_components(1, n=2),),
+                      lambda g: [("a", 1), ("b", 2), ("c", 3)], lambda g: [("a", 1), ("b", 0), ("c", 4)])
+    monkeypatch.setattr(certify, "ROWS", (row,))
     result = runner.invoke(main, ["certify"])
-    assert result.exit_code == 0
-    lines = result.output.splitlines()
-    assert len(lines) == 6 and all(line.startswith("ok") for line in lines)
+    assert result.exit_code == 1
+    where = point_components(1, n=2).dumps()
+    assert result.output.splitlines() == ["FAIL broken: b on %s: fast 2, slow 0" % where]
+
+
+def test_cli_import_leaves_certify_unloaded():
+    code = "import sys, wonderful.cli; print('wonderful.certify' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
 
 
 def test_outputs_byte_identical_across_runs_and_workers(runner, m0n5_config):
@@ -390,7 +414,7 @@ def test_order_check_budget_exits_3(runner, monkeypatch, scheme, unit):
 def test_fvector_answers_past_the_listing_budget(runner):
     result = runner.invoke(main, ["fvector", "--n", "5", "--components", "3", "--format", "json"])
     assert result.exit_code == 0
-    assert json.loads(result.output) == {"fvector": list(_f_vector_by_walk(point_components(3, n=5)))}
+    assert json.loads(result.output) == {"fvector": list(f_vector(point_components(3, n=5)))}
     start = time.perf_counter()
     result = runner.invoke(main, ["fvector", "--n", "30", "--components", "3"])
     assert time.perf_counter() - start < 1

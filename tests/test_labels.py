@@ -13,12 +13,10 @@ from wonderful.labels import (
     parse_partition,
     parse_subset,
     partitions_of,
-    plus_label,
     subset_key,
     subset_relation,
     subsets,
 )
-from oracles import bell_numbers
 
 
 def test_meet_forces_transitive_closure():
@@ -73,19 +71,6 @@ def test_meet_laws_random_n10(a, b, c):
 def test_meet_population_mismatch():
     with pytest.raises(ValueError):
         Partition.discrete(3).meet(Partition.discrete(4))
-
-
-def test_partition_counts_match_bell_recurrence():
-    bell = bell_numbers(5)
-    for n in (1, 2, 3, 4, 5):
-        assert len(list(partitions_of(n))) == bell[n]
-    assert bell[4] == 15 and bell[5] == 52
-
-
-def test_plus_label():
-    assert plus_label(4, mask_of([1, 3])) == (5, mask_of([1, 3, 5]))
-    assert plus_label(2, 0) == (3, mask_of([3]))
-    assert plus_label(3, mask_of([1, 2, 3])) == (4, mask_of([1, 2, 3, 4]))
 
 
 def test_subset_relation_classification():

@@ -11,19 +11,16 @@ from wonderful.loci import (
     DLocus,
     Locus,
     PairPosition,
-    _pair_position_by_loci,
     center_to_locus,
     codimension,
     contains,
     contains_locus,
     dimension,
     intersect,
-    intersect_all,
     pair_position,
     parse_center,
 )
-from wonderful.nested import divisors_for
-from oracles import GridModel, contains_by_blocks
+from wonderful.certify import GridModel
 
 
 def bracket(n, comps, dim_x=2):
@@ -104,27 +101,6 @@ def test_dimension_examples():
     assert dimension(g1, li) == 1  # one point moving inside the component
 
 
-def test_dimension_against_grid_model():
-    for comps in ([], [0], [1], [0, 1]):
-        g = bracket(3, comps, dim_x=2)
-        model = GridModel(g)
-        for c in all_centers(g):
-            lo = center_to_locus(g, c)
-            assert model.dimension_of(model.center_points(c)) == dimension(g, lo)
-
-
-def test_intersection_against_grid_model_exhaustive_pairs():
-    for comps in ([0], [1], [0, 1]):
-        g = bracket(2, comps, dim_x=2)
-        model = GridModel(g)
-        centers = all_centers(g)
-        for a, b in itertools.combinations_with_replacement(centers, 2):
-            li = intersect(g, center_to_locus(g, a), center_to_locus(g, b))
-            pts = model.center_points(a) & model.center_points(b)
-            assert model.locus_points(li) == pts
-            assert model.dimension_of(pts) == dimension(g, li)
-
-
 def test_contains_examples():
     g = bracket(3, [1])
     assert contains(g, DLocus(3, 1, mask_of([1])), DLocus(3, 1, mask_of([1, 2])))
@@ -135,36 +111,7 @@ def test_contains_examples():
     assert not contains(bracket(3, [1]), Diagonal.simple(3, 0b011), DLocus(3, 1, mask_of([1, 2])))
 
 
-def test_contains_against_grid_model():
-    for comps in ([0], [1]):
-        g = bracket(2, comps, dim_x=2)
-        model = GridModel(g)
-        centers = all_centers(g)
-        for a, b in itertools.product(centers, repeat=2):
-            expected = model.center_points(b) <= model.center_points(a)
-            assert contains(g, a, b) == expected
-
-
-def test_contains_intersection_loci_against_grid_model():
-    # pairwise intersections of centers, with point components (merging
-    # pins) and positive-dimensional ones (no merging)
-    for n in (2, 3):
-        for comps in ([0], [1], [0, 1]):
-            g = bracket(n, comps, dim_x=2)
-            model = GridModel(g)
-            centers = all_centers(g)
-            points = {c: model.center_points(c) for c in centers}
-            loci = {}
-            for a, b in itertools.combinations_with_replacement(centers, 2):
-                li = intersect(g, center_to_locus(g, a), center_to_locus(g, b))
-                pts = points[a] & points[b]
-                assert loci.setdefault(li, pts) == pts
-            for outer, inner in itertools.product(loci, repeat=2):
-                assert contains_locus(g, outer, inner) == (loci[inner] <= loci[outer]), (
-                    n, comps, str(outer), str(inner))
-
-
-def test_contains_code_mask_matches_block_walk():
+def test_locus_equality_is_field_equality():
     point_pair = point_components(2, n=4)
     mixed = bracket(3, [0, 1], dim_x=2)
     batteries = [
@@ -177,8 +124,6 @@ def test_contains_code_mask_matches_block_walk():
         closure.append(Locus.empty(g.n))
         assert len(closure) > len(centers)
         for outer, inner in itertools.product(closure, repeat=2):
-            assert contains_locus(g, outer, inner) == contains_by_blocks(outer, inner), (
-                str(outer), str(inner))
             fields_equal = (outer.blocks, outer.pins, outer.is_empty) == (
                 inner.blocks, inner.pins, inner.is_empty)
             assert (outer == inner) == fields_equal
@@ -244,25 +189,6 @@ def test_pair_position_closed_forms_small():
     assert pair_position(g, DLocus(3, 1, 0b001), Diagonal.simple(3, 0b110)) is PairPosition.TRANSVERSAL
 
 
-def _mixed_geometries():
-    """Every space, k = 0..3 components of dims 0 and 1 mixed, dim X = 2
-    and 3, n <= 5 (n <= 4 at k = 3)."""
-    for space in Space:
-        for k in range(1 if space is Space.FM else 4):
-            for dim_x in (2, 3):
-                comps = tuple(Component("c%d" % (i + 1), (i + dim_x) % 2) for i in range(k))
-                for n in range(1, 5 if k == 3 else 6):
-                    yield GeometryConfig(n, dim_x, comps, space)
-
-
-def test_pair_position_matches_locus_route():
-    for g in _mixed_geometries():
-        centers = divisors_for(g)
-        for a in centers:
-            for b in centers:
-                assert pair_position(g, a, b) is _pair_position_by_loci(g, a, b), (g, str(a), str(b))
-
-
 def test_polydiagonal_pairs_take_the_locus_route(monkeypatch):
     routed = []
 
@@ -325,16 +251,6 @@ def test_intersect_commutative_associative_exhaustive_n3():
         assert intersect(g, a, b) == intersect(g, b, a)
     for a, b, c in itertools.combinations(loci, 3):
         assert intersect(g, intersect(g, a, b), c) == intersect(g, a, intersect(g, b, c))
-
-
-def test_intersect_all_matches_grid_model_triples():
-    g = bracket(2, [0], dim_x=2)
-    model = GridModel(g)
-    centers = all_centers(g)
-    for trio in itertools.combinations(centers, 3):
-        li = intersect_all(g, [center_to_locus(g, c) for c in trio])
-        pts = model.center_points(trio[0]) & model.center_points(trio[1]) & model.center_points(trio[2])
-        assert model.locus_points(li) == pts
 
 
 def test_center_labels_round_trip():

@@ -6,11 +6,10 @@ import pytest
 
 from wonderful import nested
 from wonderful.geometry import Component, GeometryConfig, Space, point_components
-from wonderful.labels import Partition, elements, subsets
+from wonderful.labels import Partition, subsets
 from wonderful.loci import Diagonal, DLocus, check_separation, parse_center
 from wonderful.nested import (
     BudgetError,
-    _f_vector_by_walk,
     NestedSet,
     count_divisors,
     divisor_sort_key,
@@ -24,7 +23,6 @@ from wonderful.nested import (
     mixed_pair_certificate,
     pair_compatible,
 )
-from oracles import laminar, maximal_by_rescan, pair_compatible_by_relation
 
 
 def test_is_nested_pair_rules():
@@ -37,16 +35,6 @@ def test_is_nested_pair_rules():
     assert not is_nested(g, [DLocus(3, 1, 0b001), DLocus(3, 1, 0b010)])
     assert is_nested(g, [Diagonal.simple(3, 0b011), Diagonal.simple(3, 0b111)])
     assert is_nested(g, [])
-
-
-def test_pair_rule_matches_relation_rule():
-    for n in range(1, 6):
-        spaces = [GeometryConfig(n, 2, (), Space.FM)]
-        for k in range(4):
-            spaces += [point_components(k, n=n), point_components(k, n=n, space=Space.XD_UPPER)]
-        for g in spaces:
-            for a, b in itertools.permutations(divisors_for(g), 2):
-                assert pair_compatible(a, b) == pair_compatible_by_relation(a, b), (g, a, b)
 
 
 def test_divisor_validation():
@@ -73,7 +61,6 @@ def test_count_divisors_formulas():
         GeometryConfig(4, 2, (), Space.FM),
     ]:
         assert count_divisors(g) == len(divisors_for(g))
-        assert count_divisors(g) == len(enumerate_nested_sets(g, max_size=1)) - 1
     # divisors_for lists the divisors in canonical order without sorting them
     for n in range(1, 7):
         spaces = [GeometryConfig(n, 2, (), Space.FM)]
@@ -118,31 +105,9 @@ def test_enumeration_is_downward_closed():
                     assert is_nested(g, sub)
 
 
-def test_enumeration_matches_brute_force():
-    for g in [point_components(2, n=2), point_components(1, n=3), GeometryConfig(3, 2, (), Space.FM)]:
-        divisors = divisors_for(g)
-        brute = {
-            frozenset(sub)
-            for r in range(len(divisors) + 1)
-            for sub in itertools.combinations(divisors, r)
-            if is_nested(g, sub)
-        }
-        enumerated = {frozenset(ns.divisors) for ns in enumerate_nested_sets(g)}
-        assert enumerated == brute
-
-
 def test_enumeration_deterministic():
     g = point_components(2, n=3)
     assert enumerate_nested_sets(g) == enumerate_nested_sets(g)
-
-
-def test_fm_matches_forest_oracle_exhaustive_n4():
-    g = GeometryConfig(4, 2, (), Space.FM)
-    divisors = divisors_for(g)
-    for r in range(len(divisors) + 1):
-        for sub in itertools.combinations(divisors, r):
-            expected = laminar([set(elements(d.subset)) for d in sub])
-            assert is_nested(g, sub) == expected
 
 
 def test_budget_guard():
@@ -160,25 +125,6 @@ def test_negative_max_size_is_refused():
     with pytest.raises(ValueError):
         enumerate_nested_sets(g, max_size=-1)
     assert enumerate_nested_sets(g, max_size=0) == (NestedSet(g, ()),)
-
-
-def _every_space(n):
-    """FM and both spaces with k = 0..3 point components, on n points."""
-    yield GeometryConfig(n, 2, (), Space.FM)
-    for k in range(4):
-        yield point_components(k, n=n)
-        yield point_components(k, n=n, space=Space.XD_UPPER)
-
-
-def test_compatibility_rows_match_pairwise_rows():
-    for n in range(1, 7):
-        for g in _every_space(n):
-            ds = divisors_for(g)
-            want = [
-                sum(1 << j for j, b in enumerate(ds) if j != i and pair_compatible(a, b))
-                for i, a in enumerate(ds)
-            ]
-            assert nested._compatibility_rows(n, ds) == want, g
 
 
 def test_walks_make_no_pair_calls_and_never_revalidate(monkeypatch):
@@ -247,8 +193,10 @@ SMALL_COMPLEXES = [
 
 @pytest.mark.parametrize("g", SMALL_COMPLEXES, ids=["k2n3", "k1n4-upper", "k3n3", "fm4"])
 def test_facets_and_f_vector_match_enumeration(g):
-    assert maximal_nested_sets(g) == maximal_by_rescan(g)
-    sizes = Counter(len(ns) for ns in enumerate_nested_sets(g))
+    # certify's facets row holds the facets against a rescan of the faces
+    faces = enumerate_nested_sets(g)
+    assert set(maximal_nested_sets(g)) <= set(faces)
+    sizes = Counter(len(ns) for ns in faces)
     assert f_vector(g) == tuple(sizes[k] for k in range(max(sizes) + 1))
 
 
@@ -265,25 +213,7 @@ def test_f_vector_up_to_two_skips_the_budget():
     g = point_components(1, n=6)  # 120 divisors, over ENUMERATION_DIVISOR_BOUND
     with pytest.raises(nested.BudgetError):
         enumerate_nested_sets(g)
-    assert f_vector(g) == _f_vector_by_walk(g)
-    assert f_vector(g, max_size=3) == _f_vector_by_walk(g, max_size=3)
     assert f_vector(g, max_size=2) == (1, 120, len(enumerate_nested_sets(g, max_size=2)) - 121)
-
-
-def test_f_vector_recursion_matches_the_walk():
-    # every space, k = 0..3, n <= 6, except M_{0,9} (k=3 n=6): its 660 032
-    # faces would double the time of this test; certify walks M_{0,5..8}
-    mixed = (Component("a", 1), Component("b", 0))
-    configs = [g for n in range(1, 6) for g in _every_space(n)]
-    configs += [g for g in _every_space(6) if g != point_components(3, n=6)]
-    configs += [GeometryConfig(n, 3, mixed, space) for n in (3, 4) for space in (Space.XD_BRACKET, Space.XD_UPPER)]
-    for g in configs:
-        walked = _f_vector_by_walk(g)
-        for size in range(len(walked) + 1):
-            assert f_vector(g, max_size=size) == walked[:size + 1], (g, size)
-            if g.n <= 4:
-                assert _f_vector_by_walk(g, max_size=size) == walked[:size + 1], (g, size)
-        assert f_vector(g) == f_vector(g, divisor_bound=0) == walked, g
 
 
 def _stirling2(n, k):
@@ -345,7 +275,6 @@ def _double_factorial(k):
 def test_moduli_space_anchors(n, total):
     g = point_components(3, n=n - 3)  # the model of M_{0,n}
     assert sum(f_vector(g, divisor_bound=200)) == total
-    assert len(maximal_nested_sets(g, divisor_bound=200)) == _double_factorial(2 * n - 5)
 
 
 @pytest.mark.parametrize("n, total", [(2, 2), (3, 8), (4, 52), (5, 472), (6, 5504)])

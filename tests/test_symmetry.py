@@ -18,8 +18,6 @@ from wonderful.nested import (
 from wonderful.symmetry import Permutation, act, all_permutations, orbits, stabilizer
 from wonderful.trees import fiber_tree
 
-from oracles import orbits_by_brute_force
-
 ORBIT_KINDS = [("divisors", None), ("nested", 1), ("nested", 2), ("nested", 3)]
 
 
@@ -157,18 +155,6 @@ def test_equivariance_sampled_large_n():
         rng.shuffle(images)
         p = Permutation(tuple(images))
         assert is_nested(g, [act(p, d) for d in sub]) == is_nested(g, sub)
-
-
-def test_orbits_match_brute_force():
-    for g in every_space(5):
-        for kind, size in ORBIT_KINDS:
-            try:
-                want = orbits_by_brute_force(g, kind, size)
-            except BudgetError:
-                with pytest.raises(BudgetError):
-                    orbits(g, kind, size)
-                continue
-            assert orbits(g, kind, size) == want, (g, kind, size)
 
 
 def test_stabilizer_order_counts_the_stabilizer():
