@@ -18,9 +18,11 @@ The slow routes no other module calls live here: the grid model (X is the
 grid {0..q-1}^d, each component a translated coordinate subspace, so a
 dimension is the exact logarithm of a point count), the block walk for
 containment, the relation rule (the pairwise criterion as first written),
-the facet rescan, the orbit brute force over all n! relabelings and the
-per-prefix building-order rule.  ``loci._pair_position_by_loci`` and
-``nested._f_vector_by_walk`` stay beside the fast routes that call them.
+the facet rescan, the orbit brute force over all n! relabelings, the
+per-prefix building-order rule, the rewrite bubble on plain lists with the
+swap-certificate rules as first written, and the pairwise inclusion scan.
+``loci._pair_position_by_loci`` and ``nested._f_vector_by_walk`` stay
+beside the fast routes that call them.
 """
 
 from __future__ import annotations
@@ -36,13 +38,13 @@ from typing import Callable
 from .building import _intersection_closure, building_set_for, is_building_set, is_nested_flag_oracle
 from .geometry import Component, GeometryConfig, Space, point_components
 from .labels import SubsetRelation, elements, partitions_of, subset_relation
-from .loci import (Center, Diagonal, DLocus, Locus, _pair_position_by_loci, center_to_locus, contains,
-                   contains_locus, dimension, intersect, intersect_all, pair_position)
+from .loci import (Center, Diagonal, DLocus, Locus, PairPosition, _pair_position_by_loci, center_to_locus,
+                   contains, contains_locus, dimension, intersect, intersect_all, pair_position, parse_center)
 from .nested import (BudgetError, NestedSet, _compatibility_rows, _f_vector_by_walk, count_divisors,
                      divisor_sort_key, divisors_for, enumerate_nested_sets, f_vector, is_nested,
                      maximal_nested_sets, pair_compatible)
-from .orders import (BlowupSequence, generate_order, swap_rewrite, two_block_order, validate_building_set_order,
-                     validate_inclusion_order)
+from .orders import (BlowupSequence, InclusionReport, generate_order, swap_rewrite,
+                     two_block_order, validate_building_set_order, validate_inclusion_order)
 from .symmetry import Orbit, act, all_permutations, orbits
 
 
@@ -159,6 +161,64 @@ def building_order_by_prefixes(g: GeometryConfig, members) -> bool:
     anew as a whole collection: O(N) whole-set checks."""
     members = list(members)
     return all(is_building_set(g, members[:k]) for k in range(1, len(members) + 1))
+
+
+def certificate_by_rules(g: GeometryConfig, prefix, a: Center, b: Center) -> str | None:
+    """``orders.swap_certificate``'s rules as written, on one swap: the
+    ambient position, else a staged rule whose witness is looked up in a
+    dict of the simple centers of ``prefix``, each guard spelled out."""
+    pos = pair_position(g, a, b)
+    if pos in (PairPosition.DISJOINT, PairPosition.TRANSVERSAL):
+        return "ambient-" + pos.value
+    prior = {(c.component, c.subset): c.label for c in prefix if c.subset}.get
+    ca, cb, s, t = a.component, b.component, a.subset, b.subset
+    if not (s and t):  # no staged rule names a polydiagonal
+        return None
+    union = s | t
+    if ca == cb:  # one family: two D-loci of one component, or two diagonals
+        z = prior((ca, union)) if union not in (s, t) else None
+        return None if z is None else "transform-disjoint after blowing up %s" % z
+    # D_{c,S} against Delta_I: D-loci of two components are disjoint or
+    # transversal, so exactly one of ca, cb is 0
+    c, d_set = (ca, s) if ca else (cb, t)
+    meet = s & t
+    if meet.bit_count() >= 2:
+        z = prior((c, meet))
+        if z is not None:
+            return "transform-transversal after blowing up %s" % z
+    z = prior((c, union)) if union != d_set else None
+    return None if z is None else "transform-disjoint after blowing up %s" % z
+
+
+def rewrite_by_prefixes(source: BlowupSequence, target: BlowupSequence) -> tuple[list, tuple[str, str] | None]:
+    """The greedy bubble of ``swap_rewrite`` on a plain list of centers:
+    each swap is certified by ``certificate_by_rules`` on the list of the
+    centers before it.  Gives the swaps as (position, left, right,
+    certificate) and the blocking pair, or None."""
+    g = source.geometry
+    work = list(source.centers)
+    steps = []
+    for p, want in enumerate(target.centers):
+        for j in range(work.index(want), p, -1):
+            left, right = work[j - 1], work[j]
+            cert = certificate_by_rules(g, work[:j - 1], left, right)
+            if cert is None:
+                return steps, (str(left), str(right))
+            steps.append((j - 1, str(left), str(right), cert))
+            work[j - 1], work[j] = right, left
+    return steps, None
+
+
+def inclusion_by_pairs(seq: BlowupSequence) -> InclusionReport:
+    """``validate_inclusion_order`` by one ``contains_locus`` call per pair
+    of centers, the first pair (i, j) in order that breaks the rule."""
+    g = seq.geometry
+    loci = [center_to_locus(g, c) for c in seq.centers]
+    for i, j in itertools.combinations(range(len(loci)), 2):
+        if contains_locus(g, loci[i], loci[j]) and loci[i] != loci[j]:
+            witness = "%s is strictly contained in %s but comes later" % (seq.centers[j], seq.centers[i])
+            return InclusionReport(False, (i, j, witness))
+    return InclusionReport(True)
 
 
 def bell_numbers(up_to: int) -> list[int]:
@@ -309,6 +369,56 @@ def _generated_orders(g: GeometryConfig) -> dict:
     return checks
 
 
+def _rewrites(g: GeometryConfig) -> list:
+    """The rewrites the ``rewrite-replay`` row runs: the inclusion order into
+    the one with each run of equal-size centers reversed, where overlapping
+    centers swap once their union is blown up; in XD_bracket the inclusion
+    order into the one with all D-loci first, the two-block order into the
+    interleaved one, and the interleaved into the inclusion order, which
+    blocks; in FM on four points two sequences with a polydiagonal."""
+    inclusion = generate_order(g, "inclusion")
+    ties = sorted(inclusion.centers[::-1], key=lambda c: -c.subset.bit_count())
+    out = [("inclusion -> ties reversed", inclusion, BlowupSequence(g, tuple(ties)))]
+    if g.space is Space.XD_BRACKET:
+        inter = generate_order(g, "interleaved")
+        d_first = sorted(inclusion.centers, key=lambda c: not c.component)
+        out += [("inclusion -> D-loci first", inclusion, BlowupSequence(g, tuple(d_first))),
+                ("two_block -> interleaved", two_block_order(g), inter),
+                ("interleaved -> inclusion", inter, inclusion)]
+    elif g.space is Space.FM and g.n == 4:
+        fm4 = lambda labels: BlowupSequence(g, tuple(parse_center(t, g.n) for t in labels))  # noqa: E731
+        first = ["Delta:{{1,2},{3,4}}", "Delta:{3,4}", "Delta:{1,2,3,4}", "Delta:{1,2}"]
+        second = ["Delta:{1,2,3,4}", "Delta:{1,2,3}", "Delta:{{1,2},{3,4}}", "Delta:{2,3,4}", "Delta:{1,4}"]
+        out += [("polydiagonal first", fm4(first), fm4(first[::-1])),
+                ("polydiagonal inside", fm4(second), fm4(second[:1] + second[:0:-1]))]
+    return out
+
+
+def _rewrite_items(g: GeometryConfig, route) -> list:
+    out = []
+    for name, source, target in _rewrites(g):
+        steps, blocking = route(source, target)
+        out += [("%s swap %d" % (name, i), tuple(step)) for i, step in enumerate(steps)]
+        out.append(("%s blocking" % name, blocking))
+    return out
+
+
+def _rewrite_steps(source: BlowupSequence, target: BlowupSequence) -> tuple:
+    res = swap_rewrite(source, target)
+    return res.swaps, res.blocking
+
+
+def _inclusion_items(g: GeometryConfig, route) -> list:
+    """The generated inclusion order, every order one adjacent swap away from
+    it, and the reversal of each."""
+    centers = generate_order(g, "inclusion").centers
+    orders = [("inclusion", centers)] + [
+        ("swap at %d" % i, centers[:i] + (centers[i + 1], centers[i]) + centers[i + 2:])
+        for i in range(len(centers) - 1)]
+    orders += [(name + " reversed", order[::-1]) for name, order in orders]
+    return [(name, route(BlowupSequence(g, order))) for name, order in orders]
+
+
 def _orbit_items(g: GeometryConfig, route) -> list:
     out = []
     for kind, size in (("divisors", None), ("nested", 1), ("nested", 2), ("nested", 3)):
@@ -417,6 +527,18 @@ ROWS = (
         + tuple(point_components(k, n=n, space=Space.XD_UPPER) for k in (1, 2) for n in (2, 3, 4)),
         lambda g: [(scheme, check()) for scheme, check in _generated_orders(g).items()],
         lambda g: [(scheme, True) for scheme in _generated_orders(g)]),
+    Row("rewrite-replay",
+        tuple(point_components(k, n=n, space=space) for space in (Space.XD_BRACKET, Space.XD_UPPER)
+              for k in (1, 2) for n in range(1, 6)) + (_config(4, (1, 0), 3),)
+        + tuple(GeometryConfig(n, 2, (), Space.FM) for n in range(2, 6)),
+        lambda g: _rewrite_items(g, _rewrite_steps),
+        lambda g: _rewrite_items(g, rewrite_by_prefixes)),
+    Row("inclusion-order",  # every space, k = 0..3 components of dims 0 and 1 both ways round, n <= 4
+        tuple(_config(n, [(i + first) % 2 for i in range(k)], 2, space) for space in Space
+              for k in range(1 if space is Space.FM else 4) for first in range(1 if k == 0 else 2)
+              for n in range(1, 5)),
+        lambda g: _inclusion_items(g, validate_inclusion_order),
+        lambda g: _inclusion_items(g, inclusion_by_pairs)),
     Row("orbits", _every_space(5),
         lambda g: _orbit_items(g, orbits),
         lambda g: _orbit_items(g, orbits_by_brute_force)),
@@ -432,5 +554,5 @@ ROWS = (
 
 
 __all__ = ["CheckResult", "GridModel", "ROWS", "Row", "bell_numbers", "building_order_by_prefixes",
-           "contains_by_blocks", "laminar", "maximal_by_rescan", "orbits_by_brute_force",
-           "pair_compatible_by_relation", "run_all"]
+           "certificate_by_rules", "contains_by_blocks", "inclusion_by_pairs", "laminar", "maximal_by_rescan",
+           "orbits_by_brute_force", "pair_compatible_by_relation", "rewrite_by_prefixes", "run_all"]

@@ -38,13 +38,16 @@ from .symmetry import orbits
 from .trees import fiber_tree, is_stable, to_dot, tree_to_nested
 
 ORDER_SOURCES = SCHEMES + ("two_block",)
-# Steps ``order --check`` may spend on a generated order.  Inclusion: one
-# containment test per pair of centers; k=3 n=6 takes 30 135, k=2 n=9
+# Steps ``order --check`` may spend on a generated order, and swaps
+# ``rewrite`` may make; times for one thread of a 2-vCPU Xeon.  Inclusion:
+# one mask test per pair of centers; k=3 n=6 takes 30 135 and ~3 ms, k=2 n=9
 # 1 160 526.  Reshuffled: containment tests between the centers, then
-# intersections; k=2 n=6 takes 45 404 steps and under a second, k=3 n=6
-# takes 217 719 and several seconds.  Interleaved: swaps from the two-block
-# order; k=1 n=8 takes 20 052.
+# intersections; k=2 n=6 takes 45 404 steps and ~0.8 s, k=3 n=6 217 719.
+# Swaps from the two-block order: k=1 n=8 takes 20 052 and ~40 ms.
 ORDER_CHECK_BOUND = 1 << 16
+# Centers ``order`` and ``rewrite`` may generate, judged by the divisor count
+# (it bounds every scheme): k=1 n=14 (32 752) prints in ~0.7 s.
+ORDER_CENTER_BOUND = 1 << 15
 
 
 def _dump(data) -> str:
@@ -209,7 +212,7 @@ def order(scheme, check, fmt, **cfg):
     """Generate a blowup order."""
     g = build_config(**cfg)
     try:
-        seq = generate_order(g, scheme)
+        seq = _generate(g, scheme)
     except ValueError as exc:
         _fail(2, str(exc))
     if check:
@@ -241,11 +244,17 @@ def _check_order(g, scheme, seq):
         _fail(3, str(exc))
 
 
+def _generate(g, scheme) -> BlowupSequence:
+    """The order of a scheme or the two-block order; exit 3 first past
+    ORDER_CENTER_BOUND divisors."""
+    if count_divisors(g) > ORDER_CENTER_BOUND:
+        _fail(3, "refusing an order of more than %d centers (%d predicted)" % (ORDER_CENTER_BOUND, count_divisors(g)))
+    return two_block_order(g) if scheme == "two_block" else generate_order(g, scheme)
+
+
 def _sequence_from(g, text) -> BlowupSequence:
-    if text in SCHEMES:
-        return generate_order(g, text)
-    if text == "two_block":
-        return two_block_order(g)
+    if text in ORDER_SOURCES:
+        return _generate(g, text)
     labels = _parse_label_array(text)
     return BlowupSequence(g, tuple(parse_center(t, g.n) for t in labels))
 
@@ -291,19 +300,17 @@ def rewrite(source, target, **cfg):
     try:
         seq = _sequence_from(g, source)
         tgt = _sequence_from(g, target)
-        result = swap_rewrite(seq, tgt)
+        result = swap_rewrite(seq, tgt, ORDER_CHECK_BOUND)
     except ValueError as exc:
         _fail(2, str(exc))
-    payload = {
-        "ok": result.ok,
-        "swaps": [
-            {"position": s.position, "left": s.left, "right": s.right, "certificate": s.certificate}
-            for s in result.swaps
-        ],
-    }
-    if not result.ok:
-        payload["blocking"] = list(result.blocking)
-    _echo_json(payload)
+    except BudgetError as exc:
+        _fail(3, str(exc))
+    # one write, each distinct label and certificate quoted once, as in _echo_faces
+    q = {t: json.dumps(t) for t in {*seq.labels(), *(s.certificate for s in result.swaps)}}
+    swaps = ",".join([f'{{"position":{p},"left":{q[a]},"right":{q[b]},"certificate":{q[c]}}}'
+                      for p, a, b, c in result.swaps])
+    blocking = "" if result.ok else ',"blocking":[%s,%s]' % tuple(map(q.get, result.blocking))
+    click.echo('{"ok":%s,"swaps":[%s]%s}' % (_dump(result.ok), swaps, blocking))
     if not result.ok:
         sys.exit(1)
 

@@ -25,19 +25,25 @@ excess directions between D_{c,S} and Delta_I, making their transforms
 transversal, and a prior center equal to the whole intersection of an
 overlapping same-family pair separates the transforms outright.
 
-``swap_rewrite`` works on indices into the source sequence, whose centers
-``BlowupSequence`` has validated once: the work order is a list of center
-indices with the position of each index beside it, and the labels are
-formatted once.  A prior center is looked up by its (component, index set)
-key, which gives its index; it counts as blown up when that index sits
-before the swap position.  Polydiagonals have index set 0, so the lookup
-never finds one, and no staged rule asks for one.  ``swap_certificate``
-takes the same rules with any prefix of centers, and validates its input.
+``swap_rewrite`` is one kernel on indices into the source sequence, whose
+centers ``BlowupSequence`` has validated once.  Each center's component,
+index set and label sit in lists, and the work order is a list of center
+indices with the position of each index beside it.  A pair is classified
+by ``loci._position``; the staged rules read the lists.  A prior center is
+looked up by its (component, index set) key, which gives its index; it
+counts as blown up when that index sits before the swap position.
+Polydiagonals have index set 0, so no staged rule finds one.  The
+certificate strings naming a witness are built once per center, so a swap
+allocates only its ``SwapStep`` tuple.  ``swap_certificate`` is the same
+kernel on one swap after any prefix of centers, validated;
+``certify.certificate_by_rules`` states the rules apart, one swap at a
+time, and ``certify``'s ``rewrite-replay`` row holds the kernel to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .building import inclusion_key, is_building_order
 from .geometry import GeometryConfig, Space
@@ -49,7 +55,6 @@ from .loci import (
     PairPosition,
     _position,
     center_to_locus,
-    contains_locus,
     validate_center,
 )
 from .nested import BudgetError
@@ -150,11 +155,13 @@ class InclusionReport:
 def validate_inclusion_order(seq: BlowupSequence, bound: int | None = None) -> InclusionReport:
     """A center strictly contained in another must be blown up first.
 
-    The containment test runs through the locus calculus, so point
-    components contribute the extra constraints D_{c,S} before Delta_I for
-    I inside S.  The first violating pair (i, j) is reported.  The check
-    makes at most N(N-1)/2 containment tests on N centers; when that is more
-    than ``bound`` it raises ``nested.BudgetError`` before testing any.
+    Containment is decided on the locus codes, so point components
+    contribute the extra constraints D_{c,S} before Delta_I for I inside S.
+    A center's locus is never empty, so center j lies strictly inside center
+    i when every constraint of i holds on j and the codes differ.  The first
+    violating pair (i, j) is reported.  The check makes at most N(N-1)/2
+    containment tests on N centers; when that is more than ``bound`` it
+    raises ``nested.BudgetError`` before testing any.
     """
     g = seq.geometry
     tests = len(seq.centers) * (len(seq.centers) - 1) // 2
@@ -163,14 +170,12 @@ def validate_inclusion_order(seq: BlowupSequence, bound: int | None = None) -> I
             "refusing an inclusion check of more than %d containment tests"
             " (%d centers need %d)" % (bound, len(seq.centers), tests)
         )
-    loci = [center_to_locus(g, c) for c in seq.centers]
-    for i in range(len(loci)):
-        for j in range(i + 1, len(loci)):
-            if contains_locus(g, loci[i], loci[j]) and loci[i] != loci[j]:
-                witness = "%s is strictly contained in %s but comes later" % (
-                    seq.centers[j],
-                    seq.centers[i],
-                )
+    codes = [center_to_locus(g, c).code for c in seq.centers]
+    lacks = [~code for code in codes]  # the constraints each locus lacks
+    for i, outer in enumerate(codes):
+        for j in range(i + 1, len(codes)):
+            if not outer & lacks[j] and outer != codes[j]:
+                witness = "%s is strictly contained in %s but comes later" % (seq.centers[j], seq.centers[i])
                 return InclusionReport(False, (i, j, witness))
     return InclusionReport(True)
 
@@ -194,8 +199,7 @@ def validate_building_set_order(seq: BlowupSequence, bound: int | None = None) -
     return is_building_order(seq.geometry, seq.centers, bound)
 
 
-@dataclass(frozen=True)
-class SwapStep:
+class SwapStep(NamedTuple):
     position: int
     left: str
     right: str
@@ -211,7 +215,7 @@ class RewriteResult:
 
 def swap_certificate(g: GeometryConfig, prefix, a: Center, b: Center) -> str | None:
     """Why the adjacent centers a, b may trade places after ``prefix``, the
-    centers already blown up (any iterable of centers).
+    distinct centers already blown up (any iterable of centers), or None.
 
     Ambient disjointness or transversality always suffices.  Otherwise the
     pair may still commute at this stage of the construction:
@@ -223,38 +227,13 @@ def swap_certificate(g: GeometryConfig, prefix, a: Center, b: Center) -> str | N
       or Delta_{I cup J}) was already a blowup center: the transforms are
       then disjoint (the intersection sits inside that center, strictly
       inside each member).
+
+    The rules are the rewrite kernel's, run on one swap of ``prefix + [a, b]``.
     """
-    validate_center(g, a)
-    validate_center(g, b)
-    prior = {(c.component, c.subset): c.label for c in prefix if c.subset and c.n == g.n}
-    return _certificate(g, prior.get, a, b)
-
-
-def _certificate(g: GeometryConfig, prior, a: Center, b: Center) -> str | None:
-    """``swap_certificate`` for centers already validated against ``g``.
-    ``prior(key)`` is the label of the simple center keyed (component, index
-    set) when it was blown up before the pair, else None; a polydiagonal
-    has no key, and no staged rule names one."""
-    pos = _position(g, a, b)
-    if pos in (PairPosition.DISJOINT, PairPosition.TRANSVERSAL):
-        return "ambient-" + pos.value
-    ca, cb, s, t = a.component, b.component, a.subset, b.subset
-    if not (s and t):
-        return None
-    union = s | t
-    if ca == cb:  # one family: two D-loci of one component, or two diagonals
-        z = prior((ca, union)) if union not in (s, t) else None
-        return None if z is None else "transform-disjoint after blowing up %s" % z
-    # D_{c,S} against Delta_I: D-loci of two components are disjoint or
-    # transversal, so exactly one of ca, cb is 0
-    c, d_set = (ca, s) if ca else (cb, t)
-    meet = s & t
-    if meet.bit_count() >= 2:
-        z = prior((c, meet))
-        if z is not None:
-            return "transform-transversal after blowing up %s" % z
-    z = prior((c, union)) if union != d_set else None
-    return None if z is None else "transform-disjoint after blowing up %s" % z
+    seq = BlowupSequence(g, (*prefix, a, b))
+    m = len(seq.centers) - 2
+    res = _rewrite(seq, [*range(m), m + 1, m])
+    return res.swaps[0].certificate if res.ok else None
 
 
 def swap_rewrite(seq: BlowupSequence, target: BlowupSequence, bound: int | None = None) -> RewriteResult:
@@ -265,31 +244,56 @@ def swap_rewrite(seq: BlowupSequence, target: BlowupSequence, bound: int | None 
     and a blocked mandatory swap names the offending pair.  A rewrite that
     needs more than ``bound`` swaps raises ``nested.BudgetError``.
     """
+    labels, wanted = seq.labels(), target.labels()
+    if sorted(labels) != sorted(wanted):
+        raise ValueError("sequences do not hold the same centers")
+    index = {t: i for i, t in enumerate(labels)}  # a label names one center
+    return _rewrite(seq, [index[t] for t in wanted], bound)
+
+
+def _rewrite(seq: BlowupSequence, goal: list[int], bound: int | None = None) -> RewriteResult:
+    """``swap_rewrite`` toward ``goal``, the target as indices into ``seq``."""
     g = seq.geometry
     centers = seq.centers
-    labels = [c.label for c in centers]
-    if sorted(labels) != sorted(c.label for c in target.centers):
-        raise ValueError("sequences do not hold the same centers")
-    index = {c: i for i, c in enumerate(centers)}
-    keyed = {(c.component, c.subset): i for i, c in enumerate(centers) if c.subset}
+    labels = seq.labels()
+    comp = [c.component for c in centers]
+    sub = [c.subset for c in centers]
+    keyed = {key: i for i, key in enumerate(zip(comp, sub)) if key[1]}
+    crossing = ["transform-transversal after blowing up " + t for t in labels]
+    apart = ["transform-disjoint after blowing up " + t for t in labels]
     work = list(range(len(centers)))  # center indices in their current order
-    where = work[:]  # where[i]: the current position of center i
-    limit = 0  # the swap's position: the centers before it are blown up
-
-    def prior(key):
-        i = keyed.get(key)
-        return labels[i] if i is not None and where[i] < limit else None
-
+    # where[i]: the current position of center i; the extra entry is the
+    # position of a missing witness, behind every swap
+    missing = len(centers)
+    where = work + [missing]
+    disjoint, transversal = PairPosition.DISJOINT, PairPosition.TRANSVERSAL
     steps: list[SwapStep] = []
-    for p, want in enumerate(target.centers):
-        for j in range(where[index[want]], p, -1):
+    for p, want in enumerate(goal):
+        for j in range(where[want], p, -1):
             left, right = work[j - 1], work[j]
-            limit = j - 1
-            if bound is not None and len(steps) == bound:
+            limit = j - 1  # the centers before the swap are blown up
+            if len(steps) == bound:
                 raise BudgetError("refusing a rewrite of more than %d swaps" % bound)
-            cert = _certificate(g, prior, centers[left], centers[right])
-            if cert is None:
-                return RewriteResult(False, tuple(steps), (labels[left], labels[right]))
+            pos = _position(g, centers[left], centers[right])
+            if pos is disjoint:
+                cert = "ambient-disjoint"
+            elif pos is transversal:
+                cert = "ambient-transversal"
+            else:  # a staged rule; neither a polydiagonal (index set 0) nor a
+                # member of the pair, which sits at the swap, is ever a witness
+                ca, cb, s, t = comp[left], comp[right], sub[left], sub[right]
+                union = s | t
+                if ca == cb:  # one family: two D-loci of one component, or two diagonals
+                    w = keyed.get((ca, union), missing)
+                    cert = apart[w] if where[w] < limit else None
+                else:  # D_{c,S} against Delta_I with |S cap I| >= 2: one of ca, cb is 0
+                    w = keyed.get((ca or cb, s & t), missing)
+                    cert = crossing[w] if where[w] < limit else None
+                    if cert is None:
+                        w = keyed.get((ca or cb, union), missing)
+                        cert = apart[w] if where[w] < limit else None
+                if cert is None:
+                    return RewriteResult(False, tuple(steps), (labels[left], labels[right]))
             steps.append(SwapStep(limit, labels[left], labels[right], cert))
             work[limit], work[j] = right, left
             where[right], where[left] = limit, j

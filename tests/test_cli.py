@@ -14,7 +14,8 @@ from click.testing import CliRunner
 
 from wonderful import certify, cli
 from wonderful.cli import main
-from wonderful.geometry import Space, point_components
+from wonderful.geometry import GeometryConfig, Space, point_components
+from wonderful.loci import parse_center
 from wonderful.nested import (
     BudgetError,
     count_divisors,
@@ -22,7 +23,7 @@ from wonderful.nested import (
     f_vector,
     maximal_nested_sets,
 )
-from wonderful.orders import RewriteResult
+from wonderful.orders import BlowupSequence, RewriteResult, generate_order, swap_rewrite, two_block_order
 
 
 @pytest.fixture
@@ -140,6 +141,65 @@ def test_rewrite_blocked_reports_pair(runner):
     assert result.exit_code == 1
     payload = json.loads(result.output)
     assert payload["ok"] is False and set(payload["blocking"]) == {"Delta:{1,2}", "Delta:{1,2,3}"}
+
+
+def _rewrite_payload(source, target) -> str:
+    """The ``rewrite`` stdout that the JSON encoder gives for the result."""
+    result = swap_rewrite(source, target)
+    payload = {"ok": result.ok, "swaps": [step._asdict() for step in result.swaps]}
+    if not result.ok:
+        payload["blocking"] = list(result.blocking)
+    return json.dumps(payload, separators=(",", ":")) + "\n"
+
+
+def test_rewrite_json_matches_the_encoder(runner):
+    g = point_components(2, n=3)
+    result = runner.invoke(main, ["rewrite", "--n", "3", "--components", "2",
+                                  "--source", "two_block", "--target", "interleaved"])
+    assert result.exit_code == 0
+    assert result.stdout == _rewrite_payload(two_block_order(g), generate_order(g, "interleaved"))
+    result = runner.invoke(main, ["rewrite", "--n", "3", "--components", "2",
+                                  "--source", "interleaved", "--target", "inclusion"])
+    assert result.exit_code == 1
+    assert result.stdout == _rewrite_payload(generate_order(g, "interleaved"), generate_order(g, "inclusion"))
+    labels = ["Delta:{1,2,3,4}", "Delta:{1,2,3}", "Delta:{{1,2},{3,4}}", "Delta:{2,3,4}", "Delta:{1,4}"]
+    target = labels[:1] + labels[:0:-1]
+    result = runner.invoke(main, ["rewrite", "--n", "4", "--space", "FM",
+                                  "--source", json.dumps(labels), "--target", json.dumps(target)])
+    assert result.exit_code == 1 and len(json.loads(result.stdout)["swaps"]) == 3
+    fm4 = GeometryConfig(4, 1, (), Space.FM)
+    sequence = lambda labels: BlowupSequence(fm4, tuple(parse_center(t, 4) for t in labels))  # noqa: E731
+    assert result.stdout == _rewrite_payload(sequence(labels), sequence(target))
+
+
+def test_order_commands_refuse_too_many_centers(runner):
+    # the divisor count bounds the centers of every order
+    for space in Space:
+        for k in range(1 if space is Space.FM else 3):
+            for n in range(1, 5):
+                g = point_components(k, n=n, space=space)
+                for scheme in ("inclusion", "reshuffled", "interleaved"):
+                    try:
+                        assert len(generate_order(g, scheme).centers) <= count_divisors(g)
+                    except ValueError:
+                        pass
+    for n, command in ((16, ["rewrite", "--source", "two_block", "--target", "interleaved"]),
+                       (24, ["order", "--scheme", "inclusion"])):
+        divisors = count_divisors(point_components(1, n=n))
+        assert divisors > cli.ORDER_CENTER_BOUND
+        start = time.perf_counter()
+        message = _json_error(runner.invoke(main, command + ["--n", str(n), "--components", "1"]), 3)
+        assert time.perf_counter() - start < 1
+        assert message == "refusing an order of more than %d centers (%d predicted)" % (cli.ORDER_CENTER_BOUND, divisors)
+
+
+def test_rewrite_spends_at_most_the_check_bound(runner, monkeypatch):
+    # k=1 n=3: 4 swaps from the two-block order
+    argv = ["rewrite", "--source", "two_block", "--target", "interleaved", "--n", "3", "--components", "1"]
+    monkeypatch.setattr(cli, "ORDER_CHECK_BOUND", 4)
+    assert runner.invoke(main, argv).exit_code == 0
+    monkeypatch.setattr(cli, "ORDER_CHECK_BOUND", 3)
+    assert "more than 3 swaps" in _json_error(runner.invoke(main, argv), 3)
 
 
 def test_orbits_table(runner):

@@ -91,6 +91,19 @@ def test_building_order_row_meets_both_answers():
     assert 0 < answers.count(False) < len(answers)
 
 
+def test_order_rows_meet_both_answers():
+    # certify's rewrite-replay row holds rewrites that block and rewrites
+    # that finish; its inclusion-order row holds orders that pass and
+    # reports of the first violation
+    rows = {r.name: r for r in certify.ROWS}
+    row = rows["rewrite-replay"]
+    blocking = [b for g in row.configs for label, b in row.fast(g) if label.endswith("blocking")]
+    assert 0 < blocking.count(None) < len(blocking)
+    row = rows["inclusion-order"]
+    reports = [report for g in row.configs for _, report in row.fast(g)]
+    assert 0 < sum(report.ok for report in reports) < len(reports)
+
+
 def test_building_set_order_builds_one_table(monkeypatch):
     tables = []
 
@@ -153,43 +166,23 @@ def test_swap_rewrite_multiset_mismatch():
 
 
 def test_two_block_rewrites_to_interleaved():
-    for n in (2, 3, 4):
-        for k in (1, 2):
-            g = point_components(k, n=n)
-            src = two_block_order(g)
-            tgt = generate_order(g, "interleaved")
-            res = swap_rewrite(src, tgt)
-            assert res.ok, res.blocking
-            # replaying the trace reproduces the target and each swap carries
-            # a transversal-or-disjoint certificate
-            work = list(src.centers)
-            for step in res.swaps:
-                assert step.certificate
-                assert "transversal" in step.certificate or "disjoint" in step.certificate
-                j = step.position
-                assert str(work[j]) == step.left and str(work[j + 1]) == step.right
-                work[j], work[j + 1] = work[j + 1], work[j]
-            assert tuple(work) == tgt.centers
-            assert sorted(map(str, work)) == sorted(src.labels())
-
-
-def _replay(src, res):
-    """Replay a rewrite from ``src``: each swap's certificate, and the blocked
-    pair's refusal, must be what ``swap_certificate`` says on a plain list of
-    the centers already blown up."""
-    g = src.geometry
-    work = list(src.centers)
-    for step in res.swaps:
-        j = step.position
-        assert (str(work[j]), str(work[j + 1])) == (step.left, step.right)
-        assert swap_certificate(g, work[:j], work[j], work[j + 1]) == step.certificate
-        work[j], work[j + 1] = work[j + 1], work[j]
-    if not res.ok:
-        labels = [str(c) for c in work]
-        j = labels.index(res.blocking[0])
-        assert labels[j + 1] == res.blocking[1]
-        assert swap_certificate(g, work[:j], work[j], work[j + 1]) is None
-    return work
+    mixed = GeometryConfig(4, 3, (Component("a", 1), Component("b", 0)), Space.XD_BRACKET)
+    for g in [point_components(k, n=n) for n in (2, 3, 4, 5) for k in (1, 2)] + [mixed]:
+        src = two_block_order(g)
+        tgt = generate_order(g, "interleaved")
+        res = swap_rewrite(src, tgt)
+        assert res.ok, res.blocking
+        # replaying the trace reproduces the target and each swap carries
+        # a transversal-or-disjoint certificate
+        work = list(src.centers)
+        for step in res.swaps:
+            assert step.certificate
+            assert "transversal" in step.certificate or "disjoint" in step.certificate
+            j = step.position
+            assert str(work[j]) == step.left and str(work[j + 1]) == step.right
+            work[j], work[j + 1] = work[j + 1], work[j]
+        assert tuple(work) == tgt.centers
+        assert sorted(map(str, work)) == sorted(src.labels())
 
 
 def test_rewrite_position_map():
@@ -203,15 +196,8 @@ def test_rewrite_position_map():
     g = point_components(1, n=2)
     pair = (DLocus(2, 1, 0b11), Diagonal.simple(2, 0b11))
     assert not swap_rewrite(BlowupSequence(g, pair), BlowupSequence(g, pair[::-1])).ok
-    # a plain list of the centers already blown up gives the certificate
-    # that swap_rewrite found through its index-keyed order, at every swap
-    mixed = GeometryConfig(4, 3, (Component("a", 1), Component("b", 0)), Space.XD_BRACKET)
-    geometries = [point_components(k, n=n) for k in (1, 2) for n in (2, 3, 4, 5)] + [mixed]
-    for g in geometries:
-        source, interleaved = two_block_order(g), generate_order(g, "interleaved")
-        res = swap_rewrite(source, interleaved)
-        assert res.ok and tuple(_replay(source, res)) == interleaved.centers
-        _replay(interleaved, swap_rewrite(interleaved, generate_order(g, "inclusion")))
+    # certify's rewrite-replay row checks every swap against the certificate
+    # rules as written, on a plain list of the centers already blown up
 
 
 def _fm4(labels):
@@ -223,7 +209,6 @@ def test_rewrite_with_polydiagonals():
     labels = ["Delta:{{1,2},{3,4}}", "Delta:{3,4}", "Delta:{1,2,3,4}", "Delta:{1,2}"]
     res = swap_rewrite(_fm4(labels), _fm4(labels[::-1]))
     assert (res.ok, res.swaps, res.blocking) == (False, (), ("Delta:{1,2,3,4}", "Delta:{1,2}"))
-    _replay(_fm4(labels), res)
     labels = ["Delta:{1,2,3,4}", "Delta:{1,2,3}", "Delta:{{1,2},{3,4}}", "Delta:{2,3,4}", "Delta:{1,4}"]
     target = ["Delta:{1,2,3,4}", "Delta:{1,4}", "Delta:{2,3,4}", "Delta:{{1,2},{3,4}}", "Delta:{1,2,3}"]
     res = swap_rewrite(_fm4(labels), _fm4(target))
@@ -233,7 +218,6 @@ def test_rewrite_with_polydiagonals():
         (2, "Delta:{{1,2},{3,4}}", "Delta:{1,4}", "ambient-transversal"),
         (1, "Delta:{1,2,3}", "Delta:{1,4}", "ambient-transversal"),
     ]
-    _replay(_fm4(labels), res)
 
 
 def test_rewrite_validates_no_center_per_swap(monkeypatch):
@@ -285,6 +269,13 @@ def test_swap_certificate_union_disjointness_tier():
     assert swap_certificate(g_fm, [], i, j) is None
     cert = swap_certificate(g_fm, [Diagonal.simple(4, 0b1111)], i, j)
     assert cert is not None and "disjoint" in cert
+    # D_{c,S} against Delta_I through more of its points: D_{c,S cap I} is the
+    # pair member itself, so only the union D_{c, S cup I} separates them
+    g = point_components(1, n=3)
+    d12, delta123 = DLocus(3, 1, 0b011), Diagonal.simple(3, 0b111)
+    assert swap_certificate(g, [DLocus(3, 1, 0b001)], d12, delta123) is None
+    assert swap_certificate(g, [DLocus(3, 1, 0b111)], d12, delta123) == (
+        "transform-disjoint after blowing up D:c1:{1,2,3}")
 
 
 def test_inclusion_rejects_any_adjacent_containment_inversion():
