@@ -15,9 +15,11 @@ G-factors of W (the minimal members containing W) meet transversally and cut
 out exactly W.  A sub-collection C of G is nested when some flag
 W_1 <= ... <= W_k of nonempty intersections of members has every element of
 C among the G-factors of some W_i.  The flag definition is implemented here
-as a bounded search and kept strictly separate from the closed-form pairwise
-criterion; the two are cross-validated in the test suite, never reconciled
-silently.
+as one forward pass over the candidate flag entries, smallest locus first,
+which keeps for each candidate the masks of C covered by the flags ending
+there: at most 2^|C| masks per candidate.  It is kept strictly separate from
+the closed-form pairwise criterion; the two are cross-validated in the test
+suite, never reconciled silently.
 
 Condition (2) and the flag search read an intersection closure: the
 distinct nonempty intersections of sub-collections.  It is built by the prefix
@@ -125,14 +127,13 @@ class _MemberTable:
         members containing it with no other such member strictly inside
         them."""
         whole = within == -1
-        if whole and lo.code in self.factors:
-            return self.factors[lo.code]
-        containing = self.above.get(lo.code)
+        code = lo.code
+        if whole and code in self.factors:
+            return self.factors[code]
+        containing = self.above.get(code)
         if containing is None:
-            g = self.geometry
-            containing = self.above[lo.code] = sum(
-                1 << k for k, ml in enumerate(self.loci) if contains_locus(g, ml, lo)
-            )
+            # every member locus is nonempty, so containment is the mask test
+            containing = self.above[code] = sum(1 << k for k, ml in enumerate(self.loci) if not ml.code & ~code)
         containing &= within
         out = 0
         rest = containing
@@ -142,7 +143,7 @@ class _MemberTable:
             if not self.below[low.bit_length() - 1] & containing:
                 out |= low
         if whole:
-            self.factors[lo.code] = out
+            self.factors[code] = out
         return out
 
     def cuts_out(self, w: Locus, factors: int) -> bool:
@@ -304,6 +305,15 @@ def is_nested_flag_oracle(bs: BuildingSet, sub) -> bool:
     keeps the flag ordered and keeps every factor a factor, since a strictly
     smaller member squeezing between the new W_i and a factor would have done
     so for the old W_i already.
+
+    The search is one forward pass.  The cover of a candidate is the mask of
+    the members of ``sub`` among its G-factors.  Candidates are visited by
+    decreasing number of code bits, so every candidate strictly inside
+    another comes first.  Each keeps the set of covered masks of the flags
+    ending at it: its own cover, and its cover OR'd onto every mask kept by
+    a visited candidate inside it.  ``sub`` is nested as soon as a set holds
+    the full mask.  The sets have at most 2^|sub| masks each, and the pass
+    never reads ``pair_compatible``.
     """
     g = bs.geometry
     table = bs._table
@@ -313,32 +323,34 @@ def is_nested_flag_oracle(bs: BuildingSet, sub) -> bool:
     candidates = _intersection_closure(g, [table.loci[k] for k in sub])
 
     want = (1 << len(sub)) - 1
-    cover = []
+    bits = [(k, 1 << i) for i, k in enumerate(sub)]
+    cover = {}
+    reachable = 0
     for lo in candidates:
         factors = table.factor_mask(lo)
-        cover.append(sum(1 << i for i, k in enumerate(sub) if factors >> k & 1))
-    reachable = 0
-    for m in cover:
-        reachable |= m
+        mask = 0
+        for k, bit in bits:
+            if factors >> k & 1:
+                mask |= bit
+        cover[lo.code] = mask
+        reachable |= mask
     if reachable != want:
         return False
 
-    # flags climb from smaller loci to bigger ones; every candidate is
-    # nonempty, so containment is the mask test on the codes
-    codes = [lo.code for lo in candidates]
-    above = [[j for j, cj in enumerate(codes) if j != i and not cj & ~ci] for i, ci in enumerate(codes)]
-    visited: set[tuple[int, int]] = set()
-
-    def climb(i: int, covered: int) -> bool:
-        covered |= cover[i]
-        if covered == want:
+    # flags climb from smaller loci to bigger ones, and a strictly smaller
+    # locus has strictly more constraint bits; every candidate is nonempty,
+    # so W_i <= W_j is the mask test on the codes
+    ending: list[tuple[int, set[int]]] = []
+    for code in sorted(cover, key=int.bit_count, reverse=True):
+        mine = cover[code]
+        covered = {mine}
+        for inner, flags in ending:
+            if not code & ~inner:
+                covered.update([f | mine for f in flags])
+        if want in covered:
             return True
-        if (i, covered) in visited:
-            return False
-        visited.add((i, covered))
-        return any(climb(j, covered) for j in above[i])
-
-    return any(climb(i, 0) for i in range(len(candidates)))
+        ending.append((code, covered))
+    return False
 
 
 def is_building_set(g: GeometryConfig, members) -> bool:

@@ -16,11 +16,12 @@ every row.  The contract of a row:
 
 The slow routes no other module calls live here: the grid model (X is the
 grid {0..q-1}^d, each component a translated coordinate subspace, so a
-dimension is the exact logarithm of a point count), the block walk for
-containment, the relation rule (the pairwise criterion as first written),
-the facet rescan, the orbit brute force over all n! relabelings, the
-per-prefix building-order rule, the rewrite bubble on plain lists with the
-swap-certificate rules as first written, and the pairwise inclusion scan.
+dimension is the exact logarithm of a point count), the union-find
+intersection, the block walk for containment, the relation rule (the
+pairwise criterion as first written), the facet rescan, the orbit brute
+force over all n! relabelings, the per-prefix building-order rule, the
+rewrite bubble on plain lists with the swap-certificate rules as first
+written, and the pairwise inclusion scan.
 ``loci._pair_position_by_loci`` and ``nested._f_vector_by_walk`` stay
 beside the fast routes that call them.
 """
@@ -37,9 +38,10 @@ from typing import Callable
 
 from .building import _intersection_closure, building_set_for, is_building_set, is_nested_flag_oracle
 from .geometry import Component, GeometryConfig, Space, point_components
-from .labels import SubsetRelation, elements, partitions_of, subset_relation
-from .loci import (Center, Diagonal, DLocus, Locus, PairPosition, _pair_position_by_loci, center_to_locus,
-                   contains, contains_locus, dimension, intersect, intersect_all, pair_position, parse_center)
+from .labels import SubsetRelation, elements, join_blocks, partitions_of, subset_relation
+from .loci import (Center, Diagonal, DLocus, Locus, PairPosition, _intersect, _pair_position_by_loci,
+                   center_to_locus, contains, contains_locus, dimension, intersect, intersect_all, make_locus,
+                   pair_position, parse_center)
 from .nested import (BudgetError, NestedSet, _compatibility_rows, _f_vector_by_walk, count_divisors,
                      divisor_sort_key, divisors_for, enumerate_nested_sets, f_vector, is_nested,
                      maximal_nested_sets, pair_compatible)
@@ -91,6 +93,19 @@ class GridModel:
         dim = round(math.log(len(pts), self.q))
         assert self.q ** dim == len(pts), "point set is not a grid subspace"
         return dim
+
+
+def intersect_by_union_find(g: GeometryConfig, a: Locus, b: Locus) -> Locus:
+    """Two nonempty loci met by a union-find: join the blocks of both, gather
+    the pins of each joined group in a set, and let ``make_locus`` reject
+    conflicting pins and merge the groups pinned to one point component."""
+    groups = join_blocks(g.n, a.blocks + b.blocks)
+    group_pins: list[set[int]] = [set() for _ in groups]
+    for lo in (a, b):
+        for mask, pin in zip(lo.blocks, lo.pins):
+            if pin is not None:
+                group_pins[next(k for k, grp in enumerate(groups) if grp & mask)].add(pin)
+    return make_locus(g, zip(groups, group_pins))
 
 
 def contains_by_blocks(outer: Locus, inner: Locus) -> bool:
@@ -273,6 +288,14 @@ def _config(n: int, dims, dim_x: int = 2, space: Space = Space.XD_BRACKET) -> Ge
     return GeometryConfig(n, dim_x, tuple(Component("c%d" % (i + 1), d) for i, d in enumerate(dims)), space)
 
 
+def _mixed_components(dims_x, n_max: int) -> tuple[GeometryConfig, ...]:
+    """Every space with k = 0..3 components of dims 0 and 1 both ways round,
+    for each dim X given and n = 1..n_max."""
+    return tuple(_config(n, [(i + first) % 2 for i in range(k)], dim_x, space) for space in Space
+                 for k in range(1 if space is Space.FM else 4) for first in range(1 if k == 0 else 2)
+                 for dim_x in dims_x for n in range(1, n_max + 1))
+
+
 def _text(centers) -> str:
     return "[%s]" % ",".join(map(str, centers))
 
@@ -440,6 +463,24 @@ def _containments(g: GeometryConfig, route) -> list:
             for i, outer in enumerate(loci) for j, inner in enumerate(loci)]
 
 
+def _kernel_pairs(g: GeometryConfig, route) -> list:
+    """Five seeded divisors (members of either stage), and each element of
+    their intersection closure met with each of the five, in both orders:
+    the kernel folds its second locus into its first, so the order matters.
+    Gives emptiness, code, blocks and pins."""
+    divisors = divisors_for(g)
+    sample = [center_to_locus(g, c) for c in random.Random(g.dumps()).sample(divisors, min(5, len(divisors)))]
+    closure = _intersection_closure(g, sample)
+    name = {lo.code: str(lo) for lo in closure}
+    out = []
+    for w in closure:
+        for m in sample:
+            for a, b in ((w, m), (m, w)):
+                lo = route(g, a, b)
+                out.append((name[a.code] + " & " + name[b.code], (lo.is_empty, lo.code, lo.blocks, lo.pins)))
+    return out
+
+
 def _grid_items(g: GeometryConfig, dim, meet, inside, locus_inside) -> list:
     """Per center the dimension; per pair the intersection and containment;
     per pair of pairwise intersections the containment; per triple the
@@ -533,15 +574,15 @@ ROWS = (
         + tuple(GeometryConfig(n, 2, (), Space.FM) for n in range(2, 6)),
         lambda g: _rewrite_items(g, _rewrite_steps),
         lambda g: _rewrite_items(g, rewrite_by_prefixes)),
-    Row("inclusion-order",  # every space, k = 0..3 components of dims 0 and 1 both ways round, n <= 4
-        tuple(_config(n, [(i + first) % 2 for i in range(k)], 2, space) for space in Space
-              for k in range(1 if space is Space.FM else 4) for first in range(1 if k == 0 else 2)
-              for n in range(1, 5)),
+    Row("inclusion-order", _mixed_components((2,), 4),
         lambda g: _inclusion_items(g, validate_inclusion_order),
         lambda g: _inclusion_items(g, inclusion_by_pairs)),
     Row("orbits", _every_space(5),
         lambda g: _orbit_items(g, orbits),
         lambda g: _orbit_items(g, orbits_by_brute_force)),
+    Row("intersect-kernel", _mixed_components((2, 3), 4),
+        lambda g: _kernel_pairs(g, _intersect),
+        lambda g: _kernel_pairs(g, intersect_by_union_find)),
     Row("contains-locus", (point_components(2, n=4), _config(3, (0, 1))),
         lambda g: _containments(g, lambda outer, inner: contains_locus(g, outer, inner)),
         lambda g: _containments(g, contains_by_blocks)),

@@ -35,6 +35,11 @@ holds on inner, i.e. ``outer.code & ~inner.code == 0``: containment is one
 mask test, and equality and hashing go through the code alone.
 Intersections are memoised per geometry on the pair of codes; the memo hangs
 off the ``GeometryConfig`` because merging depends on component dimensions.
+A miss merges canonical blocks: starting from the blocks and pins of one
+locus, each block of the other that has two points or a pin is OR'd with the
+blocks it meets.  Two pins on one block give the empty locus, a
+point-component pin that arrives this way also takes in the block already
+pinned to that point, and the code is built once at the end.
 
 Every pair of simple centers (D-loci and simple diagonals) is simultaneously
 linearizable, so ``pair_position`` reads their position off the index sets
@@ -70,7 +75,6 @@ from .labels import (
     elements,
     format_subset,
     full_mask,
-    join_blocks,
     mask_of,
     parse_partition,
     parse_subset,
@@ -292,17 +296,67 @@ def intersect(g: GeometryConfig, a: Locus, b: Locus) -> Locus:
 
 
 def _intersect(g: GeometryConfig, a: Locus, b: Locus) -> Locus:
-    groups = join_blocks(g.n, a.blocks + b.blocks)
-    group_pins: list[set[int]] = [set() for _ in groups]
-    for lo in (a, b):
-        for mask, pin in zip(lo.blocks, lo.pins):
-            if pin is not None:
-                group_pins[next(k for k, grp in enumerate(groups) if grp & mask)].add(pin)
-    return make_locus(g, zip(groups, group_pins))
+    """Fold the canonical blocks of b into those of a (see the module
+    docstring).  A merged block takes the slot of the first block it meets,
+    or of the pulled-in block when that comes earlier, so the blocks stay
+    sorted by least element; merged-away slots are cleared and dropped at
+    the end, where the code is built once."""
+    blocks, pins = list(a.blocks), list(a.pins)
+    for bb, pb in zip(b.blocks, b.pins):
+        if pb is None and not bb & (bb - 1):
+            continue  # a free singleton constrains nothing
+        first, merged, pin = -1, bb, None
+        for k, m in enumerate(blocks):
+            if m & bb:
+                p = pins[k]
+                if p is not None:
+                    if pin is None:
+                        pin = p
+                    elif pin != p:
+                        return Locus.empty(g.n)
+                merged |= m
+                if first < 0:
+                    first = k
+                else:
+                    blocks[k], pins[k] = 0, None
+        if pb is not None:
+            if pin is None:
+                pin = pb
+                if g.component_dim(pb) == 0:
+                    for k, p in enumerate(pins):
+                        if p == pb:
+                            merged |= blocks[k]
+                            blocks[k], pins[k] = 0, None
+                            if k < first:
+                                blocks[first], first = 0, k
+                            break
+            elif pin != pb:
+                return Locus.empty(g.n)
+        blocks[first], pins[first] = merged, pin
+    n = g.n
+    code = 0
+    out_blocks, out_pins = [], []
+    for m, p in zip(blocks, pins):
+        if m:
+            out_blocks.append(m)
+            out_pins.append(p)
+            rest = m
+            while rest:
+                low = rest & -rest
+                code |= m << (n * (low.bit_length() - 1))
+                rest ^= low
+            if p is not None:
+                code |= m << (n * (n + p - 1))
+    return Locus(n, tuple(out_blocks), tuple(out_pins), code)
 
 
 def intersect_all(g: GeometryConfig, loci) -> Locus:
-    out = everything_locus(g)
+    """Fold ``intersect`` over the loci from the first one; the empty list
+    gives the whole space."""
+    loci = iter(loci)
+    out = next(loci, None)
+    if out is None:
+        return everything_locus(g)
     for lo in loci:
         out = intersect(g, out, lo)
     return out

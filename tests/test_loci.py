@@ -87,6 +87,39 @@ def test_intersect_pin_spreads_over_block():
     )
 
 
+def test_intersect_kernel_block_meeting_two_pins_is_empty():
+    # Delta_{1,2} meets {1}->c1 and {2}->c2: both pins land on one block
+    for dims in ([1, 1], [0, 0], [0, 1]):
+        g = bracket(3, dims)
+        a = intersect(g, *(center_to_locus(g, parse_center(t, 3)) for t in ("D:c1:{1}", "D:c2:{2}")))
+        assert a.pins == (1, 2, None)
+        b = center_to_locus(g, Diagonal.simple(3, mask_of([1, 2])))
+        assert loci._intersect(g, a, b).is_empty, dims
+
+
+def test_intersect_kernel_point_pin_from_b_pulls_in_a_third_block():
+    # a: {1}->c1, {2} and the free block {3,4}; b pins 4 to the point c1, so
+    # {3,4} joins {1}, and the merged block sorts before {2}
+    g = bracket(4, [0])
+    a = intersect(g, center_to_locus(g, DLocus(4, 1, mask_of([1]))),
+                  center_to_locus(g, Diagonal.simple(4, mask_of([3, 4]))))
+    assert (a.blocks, a.pins) == ((0b0001, 0b0010, 0b1100), (1, None, None))
+    b = center_to_locus(g, DLocus(4, 1, mask_of([4])))
+    li = loci._intersect(g, a, b)
+    assert (li.blocks, li.pins) == ((0b1101, 0b0010), (1, None))
+    assert li == center_to_locus(g, DLocus(4, 1, mask_of([1, 3, 4])))
+
+
+def test_intersect_kernel_curve_pin_keeps_blocks_apart():
+    # on a curve, {1,2} and {3} both pinned to c1 stay two blocks
+    g = bracket(4, [1])
+    a = center_to_locus(g, Diagonal.simple(4, mask_of([1, 2])))
+    b = center_to_locus(g, DLocus(4, 1, mask_of([1, 3])))
+    li = loci._intersect(g, a, b)
+    assert (li.blocks, li.pins) == ((0b0011, 0b0100, 0b1000), (1, 1, None))
+    assert dimension(g, li) == 1 + 1 + 2
+
+
 def test_dimension_examples():
     g = bracket(2, [], dim_x=2)
     assert dimension(g, center_to_locus(g, Diagonal.simple(2, 0b11))) == 2
