@@ -47,7 +47,6 @@ from .loci import (
     DLocus,
     Locus,
     center_to_locus,
-    contains_locus,
     intersect,
     intersect_all,
     meets_transversally,
@@ -100,13 +99,10 @@ class _MemberTable:
         self.geometry = g
         self.loci = tuple(center_to_locus(g, m) for m in members)
         self.index = {m: k for k, m in enumerate(members)}
+        # member loci are nonempty, so strict containment is the mask test on codes
         self.below = tuple(
-            sum(
-                1 << j
-                for j, mj in enumerate(self.loci)
-                if j != k and contains_locus(g, mk, mj) and mk != mj
-            )
-            for k, mk in enumerate(self.loci)
+            sum(1 << j for j, mj in enumerate(self.loci) if not mk.code & ~mj.code and mk.code != mj.code)
+            for mk in self.loci
         )
         self.above: dict[int, int] = {}
         self.factors: dict[int, int] = {}

@@ -48,6 +48,7 @@ from .nested import (BudgetError, NestedSet, _compatibility_rows, _f_vector_by_w
 from .orders import (BlowupSequence, InclusionReport, generate_order, swap_rewrite,
                      two_block_order, validate_building_set_order, validate_inclusion_order)
 from .symmetry import Orbit, act, all_permutations, orbits
+from .trees import DegenerationTree, Vertex, VertexKind, fiber_tree, is_stable
 
 
 class GridModel:
@@ -169,6 +170,77 @@ def orbits_by_brute_force(g: GeometryConfig, kind: str, size: int | None = None)
             seen |= orbit_keys
             out.append(Orbit(x, len(orbit_keys), len(perms) // len(orbit_keys)))
     return tuple(out)
+
+
+def fiber_tree_by_placement(g: GeometryConfig, ns: NestedSet) -> DegenerationTree:
+    """``trees.fiber_tree`` by the placement rules as first written, one
+    scan per kind of vertex and per point.
+
+    The D-divisors of one component form a chain by nestedness; each chain
+    set becomes an expansion level, the smallest set deepest, and a marking
+    sits at the deepest level whose set contains it (the root if none).
+    Diagonal divisors form a forest; each becomes a screen attached to the
+    vertex owning its markings (the level of the smallest containing S, or
+    the root), nested index sets giving nested screens, and each marking
+    moves to its minimal screen.
+    """
+    if ns.geometry != g:
+        raise ValueError("nested set belongs to a different configuration")
+    d_sets: dict[int, list[int]] = {}
+    delta_sets: list[int] = []
+    for d in ns.divisors:
+        if d.component:
+            d_sets.setdefault(d.component, []).append(d.subset)
+        else:
+            delta_sets.append(d.subset)
+
+    vertices = [Vertex(0, VertexKind.ROOT)]
+    parents: list[int | None] = [None]
+    level_of: dict[tuple[int, int], int] = {}  # (component, chain set) -> vid
+    for c in sorted(d_sets):
+        chain = sorted(d_sets[c], key=lambda m: -m.bit_count())  # largest = depth 1
+        prev = 0
+        for depth, mask in enumerate(chain, start=1):
+            vid = len(vertices)
+            vertices.append(Vertex(vid, VertexKind.DLEVEL, component=c, depth=depth))
+            parents.append(prev)
+            level_of[(c, mask)] = vid
+            prev = vid
+
+    def d_anchor(i_mask: int) -> int:
+        best = None
+        for (c, mask), vid in level_of.items():
+            if i_mask & mask == i_mask and (best is None or mask.bit_count() < best[0]):
+                best = (mask.bit_count(), vid)
+        return 0 if best is None else best[1]
+
+    screen_of: dict[int, int] = {}
+    for i_mask in sorted(delta_sets, key=lambda m: (-m.bit_count(), elements(m))):
+        enclosing = [j for j in delta_sets if j != i_mask and i_mask & j == i_mask]
+        if enclosing:
+            parent = screen_of[min(enclosing, key=lambda m: m.bit_count())]
+        else:
+            parent = d_anchor(i_mask)
+        vid = len(vertices)
+        vertices.append(Vertex(vid, VertexKind.SCREEN))
+        parents.append(parent)
+        screen_of[i_mask] = vid
+
+    markings = []
+    for i in range(1, g.n + 1):
+        bit = 1 << (i - 1)
+        screens = [m for m in delta_sets if m & bit]
+        if screens:
+            markings.append(screen_of[min(screens, key=lambda m: m.bit_count())])
+            continue
+        d_hits = [(mask.bit_count(), vid) for (c, mask), vid in level_of.items() if mask & bit]
+        markings.append(min(d_hits)[1] if d_hits else 0)
+
+    tree = DegenerationTree(g, tuple(vertices), tuple(parents), tuple(markings))
+    report = is_stable(tree)
+    if not report.ok:
+        raise AssertionError("placement rules produced an unstable tree at vertex %d" % report.violating_vertex)
+    return tree
 
 
 def building_order_by_prefixes(g: GeometryConfig, members) -> bool:
@@ -453,6 +525,13 @@ def _orbit_items(g: GeometryConfig, route) -> list:
     return out
 
 
+def _fiber_trees(g: GeometryConfig, route) -> list:
+    """Every face of g, the empty one included, and the vertices, parents
+    and markings of its fiber tree by ``route``."""
+    return [(_text(ns.divisors), (t.vertices, t.parents, t.markings))
+            for ns in enumerate_nested_sets(g, divisor_bound=count_divisors(g)) for t in [route(g, ns)]]
+
+
 def _containments(g: GeometryConfig, route) -> list:
     """Every ordered pair from the intersection closure of the divisors (of
     the first-stage members past three points) and the empty locus."""
@@ -580,6 +659,9 @@ ROWS = (
     Row("orbits", _every_space(5),
         lambda g: _orbit_items(g, orbits),
         lambda g: _orbit_items(g, orbits_by_brute_force)),
+    Row("fiber-tree", _every_space(4),
+        lambda g: _fiber_trees(g, fiber_tree),
+        lambda g: _fiber_trees(g, fiber_tree_by_placement)),
     Row("intersect-kernel", _mixed_components((2, 3), 4),
         lambda g: _kernel_pairs(g, _intersect),
         lambda g: _kernel_pairs(g, intersect_by_union_find)),
@@ -595,5 +677,6 @@ ROWS = (
 
 
 __all__ = ["CheckResult", "GridModel", "ROWS", "Row", "bell_numbers", "building_order_by_prefixes",
-           "certificate_by_rules", "contains_by_blocks", "inclusion_by_pairs", "laminar", "maximal_by_rescan",
-           "orbits_by_brute_force", "pair_compatible_by_relation", "rewrite_by_prefixes", "run_all"]
+           "certificate_by_rules", "contains_by_blocks", "fiber_tree_by_placement", "inclusion_by_pairs", "laminar",
+           "maximal_by_rescan", "orbits_by_brute_force", "pair_compatible_by_relation", "rewrite_by_prefixes",
+           "run_all"]

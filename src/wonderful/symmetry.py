@@ -10,24 +10,29 @@ Orbits are found without listing the group.  The index sets of a nested set
 form a laminar family on {1..n}: the D-divisors of one component form a
 chain, D-divisors of different components are disjoint, diagonals are
 pairwise disjoint or nested, and a diagonal Delta_I meets a D-divisor
-D_{c,S} only when I lies inside S.  Ordered by inclusion, the index sets
-make a forest.  A node carries its tags (the sorted components of the
-divisors on that index set, 0 for the diagonal) and its number of free
-points (those in no child).  The AHU code of a node (Aho, Hopcroft and
-Ullman, 1974) is (tags, free points, sorted child codes), and the code of
-the nested set is the sorted tuple of its root codes.  A divisor is the
-one-node forest: its code is its component and |S|.
+D_{c,S} only when I lies inside S.  ``trees.face_forest`` orders them into a
+forest with one node per divisor, under a root that holds every point;
+Delta_I hangs under D_{c,I} when both are present.  A node carries its
+component (0 for a diagonal) and its number of free points (those on no
+child).  The AHU code of a node (Aho, Hopcroft and Ullman, 1974) is
+(component, free points, sorted child codes), and the code of the nested
+set is the sorted tuple of the codes of the root's children.
 
 The code is a complete invariant.  A permutation preserves inclusion, sizes
-and tags, hence the code.  Conversely, equal codes give an isomorphism of
-the two forests that keeps tags and free-point counts, node by node.
-Sending each node's free points onto its partner's, and the points outside
-every root onto each other, defines a permutation that carries every index
-set onto its partner; as tags are kept, it carries every divisor of the one
-nested set onto a divisor of the other.  The items ``orbits`` partitions (all divisors, or all nested
-sets of one size) are closed under relabeling, so an orbit is exactly the
-items that share a code: its size is their number, and the stabilizer order
-is n! over it.
+and components, hence the code.  Conversely, equal codes give an isomorphism
+of the two forests that keeps components and free-point counts, node by
+node.  Sending each node's free points onto its partner's, and the root's
+free points onto each other, defines a permutation that carries every index
+set onto its partner, and with it every divisor of the one nested set onto
+a divisor of the other.  The nested sets of one size are closed under
+relabeling, so an orbit is exactly the nested sets that share a code: its
+size is their number, and the stabilizer order is n! over it.
+
+A divisor is the one-node forest, with code (c, |S|) (c = 0 for Delta_S).
+So the divisor orbits are listed without listing the divisors: per
+component D_{c,[s]} for s = 1..n, then Delta_{[s]} for s = 2..n, where
+[s] = {1..s} is the least index set of its size; each orbit has C(n, s)
+members and a stabilizer of order s!(n - s)!.
 """
 
 from __future__ import annotations
@@ -36,17 +41,11 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 
-from .geometry import GeometryConfig
+from .geometry import GeometryConfig, Space
 from .labels import Partition, elements
 from .loci import Diagonal, DLocus
-from .nested import (
-    NestedSet,
-    divisor_sort_key,
-    divisors_for,
-    enumerate_nested_sets,
-    make_nested_set,
-)
-from .trees import DegenerationTree
+from .nested import NestedSet, divisor_sort_key, enumerate_nested_sets, make_nested_set
+from .trees import DegenerationTree, face_forest
 
 
 @dataclass(frozen=True)
@@ -175,49 +174,43 @@ class Orbit:
     stabilizer_order: int
 
 
-def _forest_code(divisors) -> tuple:
-    """The AHU code of the labelled laminar forest of a nested collection of
-    boundary divisors; see the module docstring."""
-    tags: dict[int, list] = {}
-    for d in divisors:
-        tags.setdefault(d.subset, []).append(d.component)
-    roots: list[tuple[int, tuple]] = []  # (index set, code) of the nodes seen without a parent yet
-    for s in sorted(tags, key=int.bit_count):  # children before parents
-        kids = [(t, code) for t, code in roots if not t & ~s]
-        roots = [(t, code) for t, code in roots if t & ~s]
-        free = s.bit_count() - sum(t.bit_count() for t, _ in kids)
-        roots.append((s, (tuple(sorted(tags[s])), free, tuple(sorted(code for _, code in kids)))))
-    return tuple(sorted(code for _, code in roots))
-
-
-def _orbit_partition(items, n, key, code):
-    """Group the items by their code; each orbit is listed at its least member
-    under ``key``, in the order of those members."""
-    groups: dict[tuple, list] = {}
-    for x in sorted(items, key=key):
-        groups.setdefault(code(x), []).append(x)
-    whole = math.factorial(n)
-    return tuple(Orbit(xs[0], len(xs), whole // len(xs)) for xs in groups.values())
+def _forest_code(n: int, divisors) -> tuple:
+    """The AHU code of a nested set's laminar forest; see the module docstring."""
+    order, parents, points = face_forest(n, divisors)
+    free = [0] * (len(order) + 1)
+    for vid in points:
+        free[vid] += 1
+    kids: list[list[tuple]] = [[] for _ in free]
+    for vid in range(len(order), 0, -1):  # children before parents
+        kids[parents[vid]].append((order[vid - 1].component, free[vid], tuple(sorted(kids[vid]))))
+    return tuple(sorted(kids[0]))
 
 
 def orbits(g: GeometryConfig, kind: str, size: int | None = None) -> tuple[Orbit, ...]:
-    """Orbit representatives with orbit sizes, in canonical order.
+    """Orbit representatives with orbit sizes, in canonical order: each
+    orbit is listed at its least member, in the order of those members.
 
-    kind "divisors" partitions the boundary divisors; kind "nested" the
-    nested sets of the given cardinality.  Sizes always divide n!.
+    kind "divisors" partitions the boundary divisors, in closed form from
+    (component, |S|); kind "nested" the nested sets of the given
+    cardinality, grouped by their forest code.  Sizes always divide n!.
     """
+    n = g.n
     if kind == "divisors":
-        return _orbit_partition(divisors_for(g), g.n, divisor_sort_key, lambda d: _forest_code((d,)))
+        families = [] if g.space is Space.FM else [(c, 1) for c in range(1, g.n_components + 1)]
+        families += [] if g.space is Space.XD_UPPER else [(0, 2)]
+        return tuple(
+            Orbit(DLocus(n, c, (1 << s) - 1) if c else Diagonal.simple(n, (1 << s) - 1),
+                  math.comb(n, s), math.factorial(s) * math.factorial(n - s))
+            for c, least in families for s in range(least, n + 1))
     if kind == "nested":
         if size is None:
             raise ValueError("orbit kind 'nested' needs a size")
         items = [ns for ns in enumerate_nested_sets(g, max_size=size) if len(ns) == size]
-        return _orbit_partition(
-            items,
-            g.n,
-            lambda ns: tuple(divisor_sort_key(d) for d in ns.divisors),
-            lambda ns: _forest_code(ns.divisors),
-        )
+        groups: dict[tuple, list] = {}
+        for ns in sorted(items, key=lambda ns: tuple(map(divisor_sort_key, ns.divisors))):
+            groups.setdefault(_forest_code(n, ns.divisors), []).append(ns)
+        whole = math.factorial(n)
+        return tuple(Orbit(xs[0], len(xs), whole // len(xs)) for xs in groups.values())
     raise ValueError("unknown orbit kind %r" % kind)
 
 

@@ -14,7 +14,7 @@ needs at least two special points; an expansion level carries the fiberwise
 scaling, so it needs at least one special point away from its two boundary
 sections.  Special points are the markings on the vertex plus the attachment
 points of child screens; a deeper expansion level attaches along a section
-and does not count.  The thresholds sit in one predicate (_min_special) so a
+and does not count.  The thresholds sit in one table (_MIN_SPECIAL) so a
 sharper analysis can revise them in one place.
 """
 
@@ -25,7 +25,7 @@ from enum import Enum
 
 from .geometry import GeometryConfig, extended_config
 from .labels import elements, format_subset, mask_of
-from .loci import Diagonal, DLocus, SeparationCertificate, check_separation
+from .loci import Center, Diagonal, DLocus, SeparationCertificate, check_separation
 from .nested import NestedSet, make_nested_set
 
 
@@ -77,8 +77,8 @@ class DegenerationTree:
                 chains[v.component].add(v.depth)
         for v in vs[1:]:
             p = self.parents[v.vid]
-            if p is None or not 0 <= p < len(vs) or p == v.vid:
-                raise ValueError("vertex %d needs a valid parent" % v.vid)
+            if p is None or not 0 <= p < v.vid:  # parents first: the relation is a tree
+                raise ValueError("vertex %d needs a parent listed before it" % v.vid)
             if v.kind is VertexKind.DLEVEL:
                 parent = vs[p]
                 if v.depth == 1:
@@ -90,37 +90,31 @@ class DegenerationTree:
                     and parent.depth == v.depth - 1
                 ):
                     raise ValueError("expansion levels chain by depth within one component")
-        # screens may hang off any vertex; walk up to guarantee the parent
-        # relation is a tree
-        for v in vs[1:]:
-            seen = {v.vid}
-            p = self.parents[v.vid]
-            while p is not None:
-                if p in seen:
-                    raise ValueError("parent links contain a cycle")
-                seen.add(p)
-                p = self.parents[p]
         for i, vid in enumerate(self.markings, start=1):
             if not 0 <= vid < len(vs):
                 raise ValueError("marking %d placed on a missing vertex" % i)
-
-    def children(self, vid: int) -> tuple[int, ...]:
-        return tuple(v.vid for v in self.vertices if self.parents[v.vid] == vid)
 
     def marks_on(self, vid: int) -> tuple[int, ...]:
         return tuple(i for i, m in enumerate(self.markings, start=1) if m == vid)
 
     def subtree_marks(self, vid: int) -> int:
-        mask = mask_of(self.marks_on(vid))
-        for ch in self.children(vid):
-            mask |= self.subtree_marks(ch)
-        return mask
+        return _subtree_masks(self)[vid]
 
 
-def _min_special(kind: VertexKind) -> int:
-    # screens: C* x translations, trivialized by two fixed points;
-    # expansion levels: fiberwise C*, trivialized by one point off the sections
-    return {VertexKind.ROOT: 0, VertexKind.DLEVEL: 1, VertexKind.SCREEN: 2}[kind]
+def _subtree_masks(t: DegenerationTree) -> list[int]:
+    """Per vertex the bitmask of the points on it or below it: one pass from
+    the last vertex back, as every parent is listed before its children."""
+    masks = [0] * len(t.vertices)
+    for i, vid in enumerate(t.markings):
+        masks[vid] |= 1 << i
+    for vid in range(len(masks) - 1, 0, -1):
+        masks[t.parents[vid]] |= masks[vid]
+    return masks
+
+
+# screens: C* x translations, trivialized by two fixed points;
+# expansion levels: fiberwise C*, trivialized by one point off the sections
+_MIN_SPECIAL = {VertexKind.ROOT: 0, VertexKind.DLEVEL: 1, VertexKind.SCREEN: 2}
 
 
 @dataclass(frozen=True)
@@ -133,78 +127,63 @@ def is_stable(t: DegenerationTree) -> StabilityReport:
     """No vertex admits a leftover automorphism: enough special points
     everywhere.  Special points are own markings plus child-screen
     attachments; a deeper expansion level rides a section and is not special."""
+    special = [0] * len(t.vertices)
+    for vid in t.markings:
+        special[vid] += 1
+    for v in t.vertices[1:]:
+        if v.kind is VertexKind.SCREEN:
+            special[t.parents[v.vid]] += 1
     for v in t.vertices:
-        screens = sum(1 for ch in t.children(v.vid) if t.vertices[ch].kind is VertexKind.SCREEN)
-        special = len(t.marks_on(v.vid)) + screens
-        if special < _min_special(v.kind):
+        if special[v.vid] < _MIN_SPECIAL[v.kind]:
             return StabilityReport(False, v.vid)
     return StabilityReport(True)
+
+
+def face_forest(n: int, divisors) -> tuple[list[Center], list[int | None], list[int]]:
+    """The laminar forest of a nested set's index sets: the divisors in
+    vertex order, each vertex's parent, and each point's vertex.
+
+    Vertex 0 is the root and holds every point; vertex v is divisor v - 1.
+    Vertex order is the D-divisors by component, each chain largest set
+    first, then the diagonals largest first (a stable sort of the canonical
+    order keeps its tie-break).  A vertex's parent, and a point's vertex, is
+    the last earlier vertex whose set contains it.  The rule is exact: the
+    sets containing a given set form a chain, which vertex order lists
+    outermost first, since D-divisors of two components are disjoint and
+    Delta_J meets D_{c,S} only when J lies in S (so Delta_S hangs under
+    D_{c,S}).  An earlier vertex that meets a set thus contains it, and the
+    last one holding any point of the set is its parent.
+    """
+    order = sorted(divisors, key=lambda d: (not d.component, d.component, -d.subset.bit_count()))
+    owner = [0] * n  # per point, the last vertex so far whose set holds it
+    parents: list[int | None] = [None]
+    for vid, d in enumerate(order, start=1):
+        points = elements(d.subset)
+        parents.append(owner[points[0] - 1])
+        for i in points:
+            owner[i - 1] = vid
+    return order, parents, owner
 
 
 def fiber_tree(g: GeometryConfig, ns: NestedSet) -> DegenerationTree:
     """The dual graph of the fiber over the stratum cut out by ``ns``.
 
-    The D-divisors of one component form a chain by nestedness; each chain
-    set becomes an expansion level, the smallest set deepest, and a marking
-    sits at the deepest level whose set contains it (the root if none).
-    Diagonal divisors form a forest; each becomes a screen attached to the
-    vertex owning its markings (the level of the smallest containing S, or
-    the root), nested index sets giving nested screens, and each marking
-    moves to its minimal screen.
+    Vertices, parents and markings are those of ``face_forest``, placed by
+    its one rule: a D-divisor is an expansion level, its depth counted down
+    its component's chain from the root, and a diagonal is a screen.
     """
     if ns.geometry != g:
         raise ValueError("nested set belongs to a different configuration")
-    d_sets: dict[int, list[int]] = {}
-    delta_sets: list[int] = []
-    for d in ns.divisors:
-        if d.component:
-            d_sets.setdefault(d.component, []).append(d.subset)
-        else:
-            delta_sets.append(d.subset)
-
+    order, parents, points = face_forest(g.n, ns.divisors)
     vertices = [Vertex(0, VertexKind.ROOT)]
-    parents: list[int | None] = [None]
-    level_of: dict[tuple[int, int], int] = {}  # (component, chain set) -> vid
-    for c in sorted(d_sets):
-        chain = sorted(d_sets[c], key=lambda m: -m.bit_count())  # largest = depth 1
-        prev = 0
-        for depth, mask in enumerate(chain, start=1):
-            vid = len(vertices)
-            vertices.append(Vertex(vid, VertexKind.DLEVEL, component=c, depth=depth))
-            parents.append(prev)
-            level_of[(c, mask)] = vid
-            prev = vid
-
-    def d_anchor(i_mask: int) -> int:
-        best = None
-        for (c, mask), vid in level_of.items():
-            if i_mask & mask == i_mask and (best is None or mask.bit_count() < best[0]):
-                best = (mask.bit_count(), vid)
-        return 0 if best is None else best[1]
-
-    screen_of: dict[int, int] = {}
-    for i_mask in sorted(delta_sets, key=lambda m: (-m.bit_count(), elements(m))):
-        enclosing = [j for j in delta_sets if j != i_mask and i_mask & j == i_mask]
-        if enclosing:
-            parent = screen_of[min(enclosing, key=lambda m: m.bit_count())]
+    depth: dict[int, int] = {}
+    for vid, d in enumerate(order, start=1):
+        if d.component:
+            depth[d.component] = depth.get(d.component, 0) + 1
+            vertices.append(Vertex(vid, VertexKind.DLEVEL, component=d.component, depth=depth[d.component]))
         else:
-            parent = d_anchor(i_mask)
-        vid = len(vertices)
-        vertices.append(Vertex(vid, VertexKind.SCREEN))
-        parents.append(parent)
-        screen_of[i_mask] = vid
-
-    markings = []
-    for i in range(1, g.n + 1):
-        bit = 1 << (i - 1)
-        screens = [m for m in delta_sets if m & bit]
-        if screens:
-            markings.append(screen_of[min(screens, key=lambda m: m.bit_count())])
-            continue
-        d_hits = [(mask.bit_count(), vid) for (c, mask), vid in level_of.items() if mask & bit]
-        markings.append(min(d_hits)[1] if d_hits else 0)
-
-    tree = DegenerationTree(g, tuple(vertices), tuple(parents), tuple(markings))
+            vertices.append(Vertex(vid, VertexKind.SCREEN))
+    tree = DegenerationTree(g, tuple(vertices), tuple(parents), tuple(points))
     report = is_stable(tree)
     if not report.ok:
         raise AssertionError("placement rules produced an unstable tree at vertex %d" % report.violating_vertex)
@@ -216,12 +195,13 @@ def tree_to_nested(t: DegenerationTree) -> NestedSet:
     markings of each expansion level, screen sets the subtree markings of
     each screen.  Inverse to fiber_tree on its image."""
     g = t.geometry
+    masks = _subtree_masks(t)
     divisors = []
     for v in t.vertices:
         if v.kind is VertexKind.DLEVEL:
-            divisors.append(DLocus(g.n, v.component, t.subtree_marks(v.vid)))
+            divisors.append(DLocus(g.n, v.component, masks[v.vid]))
         elif v.kind is VertexKind.SCREEN:
-            divisors.append(Diagonal.simple(g.n, t.subtree_marks(v.vid)))
+            divisors.append(Diagonal.simple(g.n, masks[v.vid]))
     return make_nested_set(g, divisors)
 
 
@@ -273,6 +253,7 @@ __all__ = [
     "StabilityReport",
     "Vertex",
     "VertexKind",
+    "face_forest",
     "fiber_tree",
     "is_stable",
     "sections_disjoint_check",

@@ -7,7 +7,7 @@ import pytest
 from wonderful.geometry import GeometryConfig, Space, point_components
 from wonderful.labels import Partition
 from wonderful.loci import Diagonal, DLocus
-from wonderful import symmetry
+from wonderful import nested, symmetry
 from wonderful.nested import (
     BudgetError,
     divisors_for,
@@ -182,11 +182,15 @@ def test_divisor_orbits_closed_forms():
 
 def test_orbits_list_no_permutation(monkeypatch):
     def refuse(*args):
-        raise AssertionError("orbits moved an item by a permutation")
+        raise AssertionError("orbits moved an item by a permutation or listed the divisors")
 
     monkeypatch.setattr(symmetry, "all_permutations", refuse)
     monkeypatch.setattr(symmetry, "act", refuse)
     assert len(orbits(point_components(2, n=12), "divisors")) == 35
+    with monkeypatch.context() as m:  # 2 * (2^40 - 1) + 2^40 - 41 divisors, never listed
+        m.setattr(nested, "divisors_for", refuse)
+        m.setattr(symmetry, "divisors_for", refuse, raising=False)  # a copy imported there escapes the first patch
+        assert len(orbits(point_components(2, n=40), "divisors")) == 119
     assert sum(o.size for o in orbits(point_components(1, n=4), "nested", 3)) == sum(
         1 for ns in enumerate_nested_sets(point_components(1, n=4), max_size=3) if len(ns) == 3
     )

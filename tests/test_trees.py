@@ -7,6 +7,7 @@ from wonderful.trees import (
     DegenerationTree,
     Vertex,
     VertexKind,
+    face_forest,
     fiber_tree,
     is_stable,
     sections_disjoint_check,
@@ -39,6 +40,21 @@ def test_screen_hangs_off_expansion_level():
     assert t.marks_on(0) == () and t.marks_on(level.vid) == (3,) and t.marks_on(screen.vid) == (1, 2)
     report = is_stable(t)
     assert report.ok  # the level keeps {3} plus the screen attachment
+
+
+def test_diagonal_on_its_own_set_hangs_under_the_level():
+    # D_{1,S} and Delta_S share S = {1,2,3}: the level comes first, so the
+    # screen of Delta_{123} hangs under it and holds point 3
+    g = point_components(1, n=3)
+    ns = make_nested_set(g, [DLocus(3, 1, 0b111), Diagonal.simple(3, 0b111), Diagonal.simple(3, 0b011)])
+    order, parents, points = face_forest(3, ns.divisors)
+    assert order == [DLocus(3, 1, 0b111), Diagonal.simple(3, 0b111), Diagonal.simple(3, 0b011)]
+    assert parents == [None, 0, 1, 2] and points == [3, 3, 2]
+    t = fiber_tree(g, ns)
+    kinds = [v.kind for v in t.vertices]
+    assert kinds == [VertexKind.ROOT, VertexKind.DLEVEL, VertexKind.SCREEN, VertexKind.SCREEN]
+    assert t.parents == (None, 0, 1, 2) and t.markings == (3, 3, 2)
+    assert is_stable(t).ok and tree_to_nested(t) == ns
 
 
 def test_chain_depths_and_marking_placement():
