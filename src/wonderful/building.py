@@ -52,7 +52,7 @@ from .loci import (
     meets_transversally,
     validate_center,
 )
-from .nested import BudgetError
+from .nested import BudgetError, divisors_for
 
 
 class Stage(Enum):
@@ -153,29 +153,24 @@ class _MemberTable:
 def building_set_for(g: GeometryConfig) -> tuple[BuildingSet, BuildingSet]:
     """The two stages of the construction for the configured space.
 
-    First stage: every D_{c,S} with S nonempty (empty for FM).  Second
-    stage: the transforms of every simple diagonal with |I| >= 2 (empty for
-    the space where points may collide).
+    ``nested.divisors_for(g)`` split on the component: the first stage
+    holds every D_{c,S} with S nonempty (empty for FM), the second the
+    transforms of every simple diagonal with |I| >= 2 (empty for the space
+    where points may collide), each in the canonical divisor order.
     """
-    first_members: list[Center] = []
-    if g.space is not Space.FM:
-        for c in range(1, g.n_components + 1):
-            for mask in subsets(g.n, min_size=1):
-                first_members.append(DLocus(g.n, c, mask))
-    second_members: list[Center] = []
-    if g.space is not Space.XD_UPPER:
-        for mask in subsets(g.n, min_size=2):
-            second_members.append(Diagonal.simple(g.n, mask))
+    divisors = divisors_for(g)
     return (
-        BuildingSet(g, tuple(first_members), Stage.AMBIENT),
-        BuildingSet(g, tuple(second_members), Stage.TRANSFORM),
+        BuildingSet(g, tuple(c for c in divisors if c.component), Stage.AMBIENT),
+        BuildingSet(g, tuple(c for c in divisors if not c.component), Stage.TRANSFORM),
     )
 
 
 def inclusion_key(c: Center) -> tuple:
     """Sort key realizing an inclusion order: bigger index sets blow up first,
     D-loci before diagonals at equal size (a point component makes D_{c,S} a
-    subvariety of Delta_I whenever I is contained in S)."""
+    subvariety of Delta_I whenever I is contained in S).  D-loci of one size
+    go lexicographically; diagonals follow the partition order, which puts
+    the larger least element first: Delta:{2,3}, then {1,2}, then {1,3}."""
     if isinstance(c, DLocus):
         size = c.subset.bit_count()
         return (-size, 0, subset_key(c.subset)[1], c.component)

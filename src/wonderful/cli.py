@@ -45,8 +45,9 @@ ORDER_SOURCES = SCHEMES + ("two_block",)
 # intersections; k=2 n=6 takes 45 404 steps and ~0.8 s, k=3 n=6 217 719.
 # Swaps from the two-block order: k=1 n=8 takes 20 052 and ~40 ms.
 ORDER_CHECK_BOUND = 1 << 16
-# Centers ``order`` and ``rewrite`` may generate, judged by the divisor count
-# (it bounds every scheme): k=1 n=14 (32 752) prints in ~0.7 s.
+# Centers ``order`` and ``rewrite`` may generate, and divisors ``divisors``
+# may list, judged by the divisor count (it bounds every scheme): k=1 n=14
+# (32 752) prints in ~0.7 s.
 ORDER_CENTER_BOUND = 1 << 15
 
 
@@ -139,6 +140,7 @@ def main():
 def divisors(fmt, **cfg):
     """List the boundary divisors."""
     g = build_config(**cfg)
+    _refuse_past_center_bound(g)
     ds = divisors_for(g)
     if fmt == "json":
         _echo_json({"count": count_divisors(g), "divisors": [str(d) for d in ds]})
@@ -244,11 +246,15 @@ def _check_order(g, scheme, seq):
         _fail(3, str(exc))
 
 
-def _generate(g, scheme) -> BlowupSequence:
-    """The order of a scheme or the two-block order; exit 3 first past
-    ORDER_CENTER_BOUND divisors."""
+def _refuse_past_center_bound(g):
+    """Exit 3 past ORDER_CENTER_BOUND divisors, before building any."""
     if count_divisors(g) > ORDER_CENTER_BOUND:
         _fail(3, "refusing an order of more than %d centers (%d predicted)" % (ORDER_CENTER_BOUND, count_divisors(g)))
+
+
+def _generate(g, scheme) -> BlowupSequence:
+    """The order of a scheme or the two-block order, within the center bound."""
+    _refuse_past_center_bound(g)
     return two_block_order(g) if scheme == "two_block" else generate_order(g, scheme)
 
 

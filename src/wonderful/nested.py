@@ -210,14 +210,14 @@ def make_nested_set(g: GeometryConfig, divisors) -> NestedSet:
 def _budgeted_divisors(g: GeometryConfig, max_size: int | None, divisor_bound: int | None):
     if max_size is not None and max_size < 0:
         raise ValueError("max_size must be >= 0, got %d" % max_size)
-    divisors = divisors_for(g)
+    count = count_divisors(g)
     bound = ENUMERATION_DIVISOR_BOUND if divisor_bound is None else divisor_bound
-    if len(divisors) > bound and (max_size is None or max_size > 2):
+    if count > bound and (max_size is None or max_size > 2):
         raise BudgetError(
             "refusing exhaustive enumeration over %d divisors"
-            " (bound %d exceeded and max_size not <= 2)" % (len(divisors), bound)
+            " (bound %d exceeded and max_size not <= 2)" % (count, bound)
         )
-    return divisors
+    return divisors_for(g)
 
 
 def _subset_tables(n: int, divisors) -> dict[int, tuple[list[int], list[int]]]:

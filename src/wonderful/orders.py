@@ -1,20 +1,21 @@
 """Blowup sequences: the explicit construction orders, their validation, and
 rewriting between orders by commuting adjacent centers.
 
-Three generated schemes:
+Every generated order is a sort of ``nested.divisors_for(g)``; round k
+holds the centers with max(S) = k, the index set's largest point.
 
-* ``inclusion``  -- all centers of the configured space sorted so that a
-  center contained in another comes first (bigger index sets first; D-loci
-  before diagonals at equal size, which matters once a point component makes
-  D_{c,S} a subvariety of a diagonal).
-* ``reshuffled`` -- the D-centers in rounds k = 1..n, round k holding the
-  D_{c,S} with max(S) = k by decreasing size; every prefix of this order is
+* ``inclusion``  -- every divisor by ``building.inclusion_key``: bigger index
+  sets first, D-loci before diagonals at equal size (which matters once a
+  point component makes D_{c,S} a subvariety of a diagonal).
+* ``reshuffled`` -- the D-divisors by round; every prefix of this order is
   itself a building set.
-* ``interleaved`` -- for the space of distinct points: each round lists its
-  D-centers and then its diagonals Delta_I with max(I) = k, decreasing size.
+* ``interleaved`` -- for the space of distinct points: every divisor by
+  round, each round listing its D-divisors and then its diagonals.
 
 ``two_block_order`` is the concatenation that the interleaved order is
-rearranged from: all D-rounds, then all diagonal rounds.
+rearranged from: the reshuffled D-divisors, then the diagonals by round.
+Inside a round ``_round_key`` orders by decreasing size, then lexicographic
+index set, then component.
 
 Two adjacent centers may swap when their blowups commute.  That holds when
 they are disjoint or transversal in the ambient product (all these centers
@@ -47,7 +48,7 @@ from typing import NamedTuple
 
 from .building import inclusion_key, is_building_order
 from .geometry import GeometryConfig, Space
-from .labels import subset_key, subsets
+from .labels import subset_key
 from .loci import (
     Center,
     Diagonal,
@@ -57,7 +58,7 @@ from .loci import (
     center_to_locus,
     validate_center,
 )
-from .nested import BudgetError
+from .nested import BudgetError, divisors_for
 
 SCHEMES = ("inclusion", "reshuffled", "interleaved")
 
@@ -79,71 +80,35 @@ class BlowupSequence:
         return [str(c) for c in self.centers]
 
 
-def _d_round(g: GeometryConfig, k: int) -> list[Center]:
-    top = 1 << (k - 1)
-    out = []
-    for mask in subsets(k, min_size=1):
-        if mask & top:
-            for c in range(1, g.n_components + 1):
-                out.append(DLocus(g.n, c, mask))
-    out.sort(key=lambda c: (-c.subset.bit_count(), subset_key(c.subset)[1], c.component))
-    return out
-
-
-def _delta_round(g: GeometryConfig, k: int) -> list[Center]:
-    top = 1 << (k - 1)
-    masks = [m for m in subsets(k, min_size=2) if m & top]
-    masks.sort(key=lambda m: (-m.bit_count(), subset_key(m)[1]))
-    return [Diagonal.simple(g.n, m) for m in masks]
+def _round_key(c: Center) -> tuple:
+    """Round, D-divisors first, decreasing size, index set, component."""
+    s = c.subset
+    return (s.bit_length(), not c.component, -s.bit_count(), subset_key(s)[1], c.component)
 
 
 def generate_order(g: GeometryConfig, scheme: str) -> BlowupSequence:
-    """Generate the named construction order; see the module docstring.
-
-    Ties inside rounds are broken by decreasing size, then lexicographic
-    index set, then component index; the displayed one-component orders fix
-    everything up to these conventions.
-    """
+    """``divisors_for(g)``, or its D-divisors for ``reshuffled``, sorted by
+    the scheme's key; see the module docstring."""
+    divisors = divisors_for(g)
     if scheme == "inclusion":
-        centers: list[Center] = []
-        if g.space is not Space.FM:
-            for c in range(1, g.n_components + 1):
-                for mask in subsets(g.n, min_size=1):
-                    centers.append(DLocus(g.n, c, mask))
-        if g.space is not Space.XD_UPPER:
-            for mask in subsets(g.n, min_size=2):
-                centers.append(Diagonal.simple(g.n, mask))
-        centers.sort(key=inclusion_key)
-        return BlowupSequence(g, tuple(centers))
+        return BlowupSequence(g, tuple(sorted(divisors, key=inclusion_key)))
     if scheme == "reshuffled":
         if g.space is Space.FM:
             raise ValueError("the reshuffled scheme orders D-centers; space FM has none")
-        centers = []
-        for k in range(1, g.n + 1):
-            centers.extend(_d_round(g, k))
-        return BlowupSequence(g, tuple(centers))
+        return BlowupSequence(g, tuple(sorted((c for c in divisors if c.component), key=_round_key)))
     if scheme == "interleaved":
         if g.space is not Space.XD_BRACKET:
             raise ValueError("the interleaved scheme requires the space of distinct points")
-        centers = []
-        for k in range(1, g.n + 1):
-            centers.extend(_d_round(g, k))
-            centers.extend(_delta_round(g, k))
-        return BlowupSequence(g, tuple(centers))
+        return BlowupSequence(g, tuple(sorted(divisors, key=_round_key)))
     raise ValueError("unknown scheme %r; expected one of %s" % (scheme, ", ".join(SCHEMES)))
 
 
 def two_block_order(g: GeometryConfig) -> BlowupSequence:
-    """All D-rounds first, then all diagonal rounds: the order the interleaved
-    sequence is reachable from by commuting swaps."""
+    """``divisors_for(g)``, D-divisors first, each block by the round key:
+    the order the interleaved sequence is reachable from by commuting swaps."""
     if g.space is not Space.XD_BRACKET:
         raise ValueError("the two-block order requires the space of distinct points")
-    centers: list[Center] = []
-    for k in range(1, g.n + 1):
-        centers.extend(_d_round(g, k))
-    for k in range(1, g.n + 1):
-        centers.extend(_delta_round(g, k))
-    return BlowupSequence(g, tuple(centers))
+    return BlowupSequence(g, tuple(sorted(divisors_for(g), key=lambda c: (not c.component, _round_key(c)))))
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from wonderful.loci import parse_center
 from wonderful.nested import (
     BudgetError,
     count_divisors,
+    divisors_for,
     enumerate_nested_sets,
     f_vector,
     maximal_nested_sets,
@@ -173,18 +174,24 @@ def test_rewrite_json_matches_the_encoder(runner):
 
 
 def test_order_commands_refuse_too_many_centers(runner):
-    # the divisor count bounds the centers of every order
+    # each scheme lists every center of its stage once, so the divisor count
+    # bounds the centers of every order
     for space in Space:
         for k in range(1 if space is Space.FM else 3):
             for n in range(1, 5):
                 g = point_components(k, n=n, space=space)
-                for scheme in ("inclusion", "reshuffled", "interleaved"):
+                divisors = divisors_for(g)
+                stages = {"inclusion": divisors, "interleaved": divisors,
+                          "reshuffled": [d for d in divisors if d.component]}
+                for scheme, stage in stages.items():
                     try:
-                        assert len(generate_order(g, scheme).centers) <= count_divisors(g)
+                        centers = generate_order(g, scheme).centers
                     except ValueError:
-                        pass
+                        continue
+                    assert len(centers) == len(set(centers)) and set(centers) == set(stage)
     for n, command in ((16, ["rewrite", "--source", "two_block", "--target", "interleaved"]),
-                       (24, ["order", "--scheme", "inclusion"])):
+                       (24, ["order", "--scheme", "inclusion"]),
+                       (24, ["divisors"])):
         divisors = count_divisors(point_components(1, n=n))
         assert divisors > cli.ORDER_CENTER_BOUND
         start = time.perf_counter()
@@ -421,14 +428,15 @@ def test_face_rows_render_like_nested_sets(runner):
 
 
 def test_face_budget_refusals_keep_their_message(runner):
-    g = point_components(3, n=5)
-    assert count_divisors(g) == 119
-    with pytest.raises(BudgetError) as refused:
-        maximal_nested_sets(g)
-    for argv in (["facets", "--n", "5", "--components", "3"],
-                 ["facets", "--n", "5", "--components", "3", "--format", "json"],
-                 ["nested", "--n", "5", "--components", "3", "--max-size", "3"]):
-        result = runner.invoke(main, argv)
+    assert count_divisors(point_components(3, n=5)) == 119
+    # k=1 n=24 has 33 554 406 divisors: the count refuses before any is built
+    for k, n, argv in ((3, 5, ["facets"]), (3, 5, ["facets", "--format", "json"]),
+                       (3, 5, ["nested", "--max-size", "3"]), (1, 24, ["facets"])):
+        with pytest.raises(BudgetError) as refused:
+            maximal_nested_sets(point_components(k, n=n))
+        start = time.perf_counter()
+        result = runner.invoke(main, argv + ["--n", str(n), "--components", str(k)])
+        assert time.perf_counter() - start < 1
         assert result.exit_code == 3
         assert result.stdout == ""
         assert json.loads(result.stderr) == {"error": str(refused.value)}
