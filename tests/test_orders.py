@@ -15,21 +15,33 @@ from wonderful.orders import (
 )
 
 
-# (scheme, geometry, labels); two_block is the order interleaved is rewritten from
-GENERATED_ORDERS = [
-    ("interleaved", point_components(1, n=2), [
-        "D:c1:{1}", "D:c1:{1,2}", "D:c1:{2}", "Delta:{1,2}",
-    ]),
-    ("reshuffled", point_components(1, n=3), [
+def test_interleaved_display_n2():
+    g = point_components(1, n=2)
+    assert generate_order(g, "interleaved").labels() == [
+        "D:c1:{1}", "D:c1:{1,2}", "D:c1:{2}", "Delta:{1,2}"
+    ]
+
+
+def test_reshuffled_display_n3():
+    g = point_components(1, n=3)
+    assert generate_order(g, "reshuffled").labels() == [
         "D:c1:{1}",
         "D:c1:{1,2}", "D:c1:{2}",
         "D:c1:{1,2,3}", "D:c1:{1,3}", "D:c1:{2,3}", "D:c1:{3}",
-    ]),
+    ]
+
+
+def test_inclusion_fm_n2():
+    g = GeometryConfig(2, 2, (), Space.FM)
+    assert generate_order(g, "inclusion").labels() == ["Delta:{1,2}"]
+
+
+# (scheme, geometry, labels); two_block is the order interleaved is rewritten from
+GENERATED_ORDERS = [
     ("reshuffled", point_components(2, n=2, space=Space.XD_UPPER), [
         "D:c1:{1}", "D:c2:{1}",
         "D:c1:{1,2}", "D:c2:{1,2}", "D:c1:{2}", "D:c2:{2}",
     ]),
-    ("inclusion", GeometryConfig(2, 2, (), Space.FM), ["Delta:{1,2}"]),
     # among diagonals of one size the larger least element comes first
     ("inclusion", point_components(1, n=3), [
         "D:c1:{1,2,3}", "Delta:{1,2,3}",
