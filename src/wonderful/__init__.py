@@ -3,7 +3,7 @@ points in a variety X relative to a nonsingular subvariety D: building sets,
 the nested-set complex of the boundary, blowup orderings, and the dual
 graphs of universal-family fibers."""
 
-from .geometry import Component, ConfigError, GeometryConfig, Space, extended_config, load_config, point_components
+from .geometry import Component, ConfigError, GeometryConfig, Space, load_config, point_components
 from .labels import Partition, SubsetRelation, elements, mask_of, subset_relation
 from .loci import (
     Center,
@@ -25,8 +25,6 @@ from .building import (
     building_set_for,
     g_factors,
     is_nested_flag_oracle,
-    section_labels,
-    universal_family_centers,
 )
 from .nested import (
     BudgetError,
@@ -38,7 +36,6 @@ from .nested import (
     is_nested,
     make_nested_set,
     maximal_nested_sets,
-    mixed_pair_certificate,
 )
 from .orders import (
     BlowupSequence,
@@ -53,7 +50,6 @@ from .trees import (
     DegenerationTree,
     fiber_tree,
     is_stable,
-    sections_disjoint_check,
     to_dot,
     tree_to_nested,
 )

@@ -39,8 +39,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from .geometry import GeometryConfig, Space, extended_config
-from .labels import subset_key, subsets
+from .geometry import GeometryConfig
+from .labels import subset_key
 from .loci import (
     Center,
     Diagonal,
@@ -75,9 +75,6 @@ class BuildingSet:
             seen.add(m)
             if self.stage is Stage.TRANSFORM and not isinstance(m, Diagonal):
                 raise ValueError("second-stage members are diagonal transforms only")
-
-    def member_loci(self) -> tuple[Locus, ...]:
-        return self._table.loci
 
     @cached_property
     def _table(self) -> "_MemberTable":
@@ -177,49 +174,6 @@ def inclusion_key(c: Center) -> tuple:
     support = c.partition.support()
     size = max(b.bit_count() for b in support)
     return (-size, 1, c.partition.sort_key(), 0)
-
-
-def universal_family_centers(g: GeometryConfig, *, include_base_center: bool = False) -> tuple[Center, ...]:
-    """Blowup centers of the universal family, as labels over population n+1.
-
-    For the space with colliding points the centers are D_{c,T+} with T a
-    nonempty subset of {1..n} (T+ adjoins the moving point n+1); the locus
-    D_{c,{n+1}} is by default only a boundary-divisor label and becomes a
-    trailing center when ``include_base_center`` is set.  For the space of
-    distinct points the D-group takes every S including the empty set, and
-    the diagonal group takes every Delta_{I+} with |I| >= 1, the singleton
-    entries being exactly the sections sigma_i; each group is arrayed in an
-    inclusion order.
-    """
-    gp = extended_config(g)
-    moving = 1 << g.n
-    d_group: list[Center] = []
-    delta_group: list[Center] = []
-    if g.space is Space.XD_UPPER:
-        for c in range(1, g.n_components + 1):
-            for mask in subsets(g.n, min_size=1):
-                d_group.append(DLocus(gp.n, c, mask | moving))
-            if include_base_center:
-                d_group.append(DLocus(gp.n, c, moving))
-    elif g.space is Space.XD_BRACKET:
-        for c in range(1, g.n_components + 1):
-            for mask in subsets(g.n, min_size=0):
-                d_group.append(DLocus(gp.n, c, mask | moving))
-        for mask in subsets(g.n, min_size=1):
-            delta_group.append(Diagonal.simple(gp.n, mask | moving))
-    else:
-        for mask in subsets(g.n, min_size=1):
-            delta_group.append(Diagonal.simple(gp.n, mask | moving))
-    d_group.sort(key=inclusion_key)
-    delta_group.sort(key=inclusion_key)
-    return tuple(d_group + delta_group)
-
-
-def section_labels(g: GeometryConfig) -> tuple[Diagonal, ...]:
-    """The section of point i is the diagonal merging i with the moving point."""
-    gp = extended_config(g)
-    moving = 1 << g.n
-    return tuple(Diagonal.simple(gp.n, (1 << (i - 1)) | moving) for i in range(1, g.n + 1))
 
 
 def factors_of_locus(bs: BuildingSet, lo: Locus) -> tuple[Center, ...]:
@@ -392,6 +346,4 @@ __all__ = [
     "is_building_order",
     "is_building_set",
     "is_nested_flag_oracle",
-    "section_labels",
-    "universal_family_centers",
 ]

@@ -15,7 +15,7 @@ Only the integers matter downstream; no coordinates are ever computed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -24,6 +24,10 @@ from .labels import MAX_POINTS
 
 class ConfigError(ValueError):
     """A configuration violating the geometric preconditions."""
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)  # JSON true is not a count
 
 
 class Space(Enum):
@@ -46,18 +50,18 @@ class GeometryConfig:
     space: Space = Space.XD_BRACKET
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or not 1 <= self.n <= MAX_POINTS:
+        if not _is_int(self.n) or not 1 <= self.n <= MAX_POINTS:
             raise ConfigError("n must be an integer in [1, %d], got %r" % (MAX_POINTS, self.n))
-        if not isinstance(self.dim_x, int) or self.dim_x < 1:
+        if not _is_int(self.dim_x) or self.dim_x < 1:
             raise ConfigError("dim_X must be a positive integer, got %r" % (self.dim_x,))
         names = set()
         for comp in self.components:
-            if not comp.name:
-                raise ConfigError("component names must be nonempty")
+            if not isinstance(comp.name, str) or not comp.name:
+                raise ConfigError("component names must be nonempty strings")
             if comp.name in names:
                 raise ConfigError("duplicate component name %r" % comp.name)
             names.add(comp.name)
-            if not isinstance(comp.dim, int) or not 0 <= comp.dim < self.dim_x:
+            if not _is_int(comp.dim) or not 0 <= comp.dim < self.dim_x:
                 raise ConfigError(
                     "component %r must satisfy 0 <= dim < dim_X = %d, got %r"
                     % (comp.name, self.dim_x, comp.dim)
@@ -106,8 +110,11 @@ def config_from_json_dict(data: dict) -> GeometryConfig:
     for key in ("n", "dim_X"):
         if key not in data:
             raise ConfigError("missing configuration key %r" % key)
+    entries = data.get("components", [])
+    if not isinstance(entries, list):
+        raise ConfigError("components must be a list of {name, dim} objects")
     comps = []
-    for entry in data.get("components", []):
+    for entry in entries:
         if not isinstance(entry, dict) or set(entry) - {"name", "dim"}:
             raise ConfigError("component entries must be {name, dim} objects")
         comps.append(Component(entry.get("name", ""), entry.get("dim", -1)))
@@ -135,8 +142,3 @@ def point_components(k: int, dim_x: int = 1, space: Space = Space.XD_BRACKET,
     """Convenience: n points in a dim_x ambient with k point components c1..ck."""
     comps = tuple(Component("c%d" % (i + 1), 0) for i in range(k))
     return GeometryConfig(n, dim_x, comps, space)
-
-
-def extended_config(g: GeometryConfig) -> GeometryConfig:
-    """The same geometry with one extra labeled point (universal-family bookkeeping)."""
-    return replace(g, n=g.n + 1)

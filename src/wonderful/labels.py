@@ -47,8 +47,8 @@ def full_mask(n: int) -> int:
 def mask_of(members) -> int:
     m = 0
     for i in members:
-        if not isinstance(i, int) or i < 1:
-            raise ValueError("subset elements are 1-based integers, got %r" % (i,))
+        if not isinstance(i, int) or not 1 <= i <= MAX_POINTS:
+            raise ValueError("subset elements are integers in [1, %d], got %r" % (MAX_POINTS, i))
         m |= 1 << (i - 1)
     return m
 

@@ -72,10 +72,8 @@ from functools import cached_property, lru_cache
 from .geometry import GeometryConfig
 from .labels import (
     Partition,
-    elements,
     format_subset,
     full_mask,
-    mask_of,
     parse_partition,
     parse_subset,
 )
@@ -248,17 +246,27 @@ def make_locus(g: GeometryConfig, block_pins) -> Locus:
             out.append((mask, pin))
     out.extend((mask, pin) for pin, mask in merged.items())
     out.sort(key=lambda bp: bp[0] & -bp[0])
-    n = g.n
+    return _locus_of(g.n, out)
+
+
+def _locus_of(n: int, block_pins) -> Locus:
+    """The locus of canonical (block, pin) pairs, sorted by least element;
+    a 0 block is a slot merged away and is dropped.  Builds the code (see
+    the module docstring) once."""
     code = 0
-    for mask, pin in out:
-        rest = mask
-        while rest:
-            low = rest & -rest
-            code |= mask << (n * (low.bit_length() - 1))
-            rest ^= low
-        if pin is not None:
-            code |= mask << (n * (n + pin - 1))
-    return Locus(n, tuple(b for b, _ in out), tuple(p for _, p in out), code)
+    out_blocks, out_pins = [], []
+    for m, p in block_pins:
+        if m:
+            out_blocks.append(m)
+            out_pins.append(p)
+            rest = m
+            while rest:
+                low = rest & -rest
+                code |= m << (n * (low.bit_length() - 1))
+                rest ^= low
+            if p is not None:
+                code |= m << (n * (n + p - 1))
+    return Locus(n, tuple(out_blocks), tuple(out_pins), code)
 
 
 def everything_locus(g: GeometryConfig) -> Locus:
@@ -333,21 +341,7 @@ def _intersect(g: GeometryConfig, a: Locus, b: Locus) -> Locus:
             elif pin != pb:
                 return Locus.empty(g.n)
         blocks[first], pins[first] = merged, pin
-    n = g.n
-    code = 0
-    out_blocks, out_pins = [], []
-    for m, p in zip(blocks, pins):
-        if m:
-            out_blocks.append(m)
-            out_pins.append(p)
-            rest = m
-            while rest:
-                low = rest & -rest
-                code |= m << (n * (low.bit_length() - 1))
-                rest ^= low
-            if p is not None:
-                code |= m << (n * (n + p - 1))
-    return Locus(n, tuple(out_blocks), tuple(out_pins), code)
+    return _locus_of(g.n, zip(blocks, pins))
 
 
 def intersect_all(g: GeometryConfig, loci) -> Locus:

@@ -100,8 +100,6 @@ from .loci import (
     Center,
     Diagonal,
     DLocus,
-    SeparationCertificate,
-    check_separation,
     validate_center,
 )
 
@@ -417,24 +415,6 @@ def _f_vector_by_walk(g: GeometryConfig, max_size: int | None = None) -> tuple[i
     return tuple(c for c in counts if c)  # downward closed: the nonzero counts are a prefix
 
 
-def mixed_pair_certificate(g: GeometryConfig, d: DLocus, delta: Diagonal) -> SeparationCertificate:
-    """Constructive disjointness for a non-nested mixed pair.
-
-    Requires S meeting I with I not inside S.  The witness blowup center is
-    D_{c, S union I}: it contains the ambient intersection of D_{c,S} with
-    the diagonal and is strictly contained in D_{c,S}, so once it is blown
-    up (every D_{c,T} is, in stage one) the two transforms are disjoint.
-    """
-    validate_divisor(g, d)
-    validate_divisor(g, delta)
-    if not d.subset & delta.subset or not delta.subset & ~d.subset:
-        raise ValueError("the pair %s, %s is nested; no separation needed" % (d, delta))
-    cert = SeparationCertificate(v1=d, v2=delta, center=DLocus(g.n, d.component, d.subset | delta.subset))
-    if not check_separation(g, cert):
-        raise AssertionError("separation certificate failed for %s, %s" % (d, delta))
-    return cert
-
-
 __all__ = [
     "BudgetError",
     "ENUMERATION_DIVISOR_BOUND",
@@ -448,7 +428,6 @@ __all__ = [
     "is_nested",
     "make_nested_set",
     "maximal_nested_sets",
-    "mixed_pair_certificate",
     "pair_compatible",
     "validate_divisor",
 ]

@@ -110,12 +110,6 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         return self.compose(other)
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, img in enumerate(self.images, start=1):
-            inv[img - 1] = i
-        return Permutation(tuple(inv))
-
     def cycles(self) -> str:
         seen = set()
         parts = []

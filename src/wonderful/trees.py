@@ -23,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .geometry import GeometryConfig, extended_config
+from .geometry import GeometryConfig
 from .labels import elements, format_subset, mask_of
-from .loci import Center, Diagonal, DLocus, SeparationCertificate, check_separation
+from .loci import Center, Diagonal, DLocus
 from .nested import NestedSet, make_nested_set
 
 
@@ -217,46 +217,14 @@ def to_dot(t: DegenerationTree) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class SectionsReport:
-    ok: bool
-    certificates: tuple[SeparationCertificate, ...]
-
-
-def sections_disjoint_check(g: GeometryConfig) -> SectionsReport:
-    """Every section stays off the boundary where the moving point enters D.
-
-    For each point a and component c the witness center is D_{c,{a,n+1}}:
-    it contains the intersection of D_{c,{n+1}} with the section diagonal of
-    a and is strictly contained in D_{c,{n+1}}, so after its blowup (it is a
-    universal-family center) the two transforms are disjoint.
-    """
-    gp = extended_config(g)
-    moving = 1 << g.n
-    certs = []
-    ok = True
-    for a in range(1, g.n + 1):
-        for c in range(1, g.n_components + 1):
-            cert = SeparationCertificate(
-                v1=DLocus(gp.n, c, moving),
-                v2=Diagonal.simple(gp.n, (1 << (a - 1)) | moving),
-                center=DLocus(gp.n, c, (1 << (a - 1)) | moving),
-            )
-            ok = ok and check_separation(gp, cert)
-            certs.append(cert)
-    return SectionsReport(ok, tuple(certs))
-
-
 __all__ = [
     "DegenerationTree",
-    "SectionsReport",
     "StabilityReport",
     "Vertex",
     "VertexKind",
     "face_forest",
     "fiber_tree",
     "is_stable",
-    "sections_disjoint_check",
     "to_dot",
     "tree_to_nested",
 ]

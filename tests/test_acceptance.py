@@ -29,6 +29,7 @@ from wonderful.loci import (
     intersect,
     pair_position,
     PairPosition,
+    SeparationCertificate,
 )
 from wonderful.nested import (
     count_divisors,
@@ -38,7 +39,6 @@ from wonderful.nested import (
     is_nested,
     make_nested_set,
     maximal_nested_sets,
-    mixed_pair_certificate,
 )
 from wonderful.orders import (
     BlowupSequence,
@@ -147,7 +147,7 @@ def test_criterion_05_mixed_pair_separation_certificates():
             for s in subsets(g.n, min_size=1):
                 for i in subsets(g.n, min_size=2):
                     if s & i and i & ~s:
-                        cert = mixed_pair_certificate(g, DLocus(g.n, c, s), Diagonal.simple(g.n, i))
+                        cert = SeparationCertificate(DLocus(g.n, c, s), Diagonal.simple(g.n, i), DLocus(g.n, c, s | i))
                         assert check_separation(g, cert)
                         lz = center_to_locus(g, cert.center)
                         l1 = center_to_locus(g, cert.v1)

@@ -12,10 +12,8 @@ from wonderful.building import (
     g_factors,
     is_building_set,
     is_nested_flag_oracle,
-    section_labels,
-    universal_family_centers,
 )
-from wonderful.geometry import Component, GeometryConfig, Space, extended_config, point_components
+from wonderful.geometry import Component, GeometryConfig, Space, point_components
 from wonderful.labels import Partition
 from wonderful.loci import (
     Diagonal,
@@ -25,7 +23,6 @@ from wonderful.loci import (
     intersect_all,
     meets_transversally,
 )
-from wonderful.orders import validate_inclusion_order, BlowupSequence
 
 
 def test_building_set_sizes():
@@ -169,47 +166,6 @@ def test_is_building_set_d_family_whole():
         g = point_components(k, n=n, space=Space.XD_UPPER)
         first, _ = building_set_for(g)
         assert is_building_set(g, first.members)
-
-
-def test_universal_family_bracket_n1():
-    g = point_components(1, n=1)
-    centers = universal_family_centers(g)
-    assert [str(c) for c in centers] == ["D:c1:{1,2}", "D:c1:{2}", "Delta:{1,2}"]
-    # D_{c,{1,2}} is strictly inside D_{c,{2}}, so it must come first
-    gp = extended_config(g)
-    assert contains(gp, DLocus(2, 1, 0b10), DLocus(2, 1, 0b11))
-
-
-def test_universal_family_upper_n2():
-    g = point_components(1, n=2, space=Space.XD_UPPER)
-    centers = universal_family_centers(g)
-    assert [str(c) for c in centers] == ["D:c1:{1,2,3}", "D:c1:{1,3}", "D:c1:{2,3}"]
-    with_base = universal_family_centers(g, include_base_center=True)
-    assert [str(c) for c in with_base] == ["D:c1:{1,2,3}", "D:c1:{1,3}", "D:c1:{2,3}", "D:c1:{3}"]
-
-
-def test_universal_family_groups_pass_inclusion_validation():
-    for g in [
-        point_components(1, n=2),
-        point_components(2, n=2),
-        point_components(1, n=3, space=Space.XD_UPPER),
-        GeometryConfig(3, 2, (), Space.FM),
-    ]:
-        gp = extended_config(g)
-        centers = universal_family_centers(g)
-        d_part = tuple(c for c in centers if isinstance(c, DLocus))
-        delta_part = tuple(c for c in centers if isinstance(c, Diagonal))
-        assert centers == d_part + delta_part  # D-group first
-        for group in (d_part, delta_part):
-            assert validate_inclusion_order(BlowupSequence(gp, group)).ok
-
-
-def test_section_labels():
-    g = point_components(1, n=3)
-    assert [str(s) for s in section_labels(g)] == ["Delta:{1,4}", "Delta:{2,4}", "Delta:{3,4}"]
-    # in the distinct-points space the sections are among the family's centers
-    centers = set(map(str, universal_family_centers(g)))
-    assert {str(s) for s in section_labels(g)} <= centers
 
 
 def test_transform_stage_rejects_d_members():

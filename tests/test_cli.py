@@ -230,10 +230,19 @@ def test_orbits_n12_answers(runner):
 
 def test_bad_config_exits_2(runner, tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"n": 2, "dim_X": 1, "components": [{"name": "a", "dim": 5}]}')
-    result = runner.invoke(main, ["divisors", "--config", str(bad)])
-    assert result.exit_code == 2
-    assert "error" in result.stderr
+    for text in [
+        '{"n": 2, "dim_X": 1, "components": [{"name": "a", "dim": 5}]}',
+        # a JSON bool is a Python int, but not a count or a dimension
+        '{"n": true, "dim_X": 2, "components": [{"name": "a", "dim": true}]}',
+        '{"n": 2, "dim_X": 2, "components": [{"name": "a", "dim": true}]}',
+        '{"n": true, "dim_X": 1}',
+        '{"n": 2, "dim_X": 1, "components": 5}',
+        '{"n": 2, "dim_X": 1, "components": null}',
+        '{"n": 2, "dim_X": 1, "components": [{"name": ["a"], "dim": 0}]}',
+    ]:
+        bad.write_text(text)
+        for command in ("divisors", "fvector"):
+            _json_error(runner.invoke(main, [command, "--config", str(bad)]))
     missing_n = runner.invoke(main, ["divisors", "--components", "1"])
     assert missing_n.exit_code == 2
 
@@ -303,8 +312,11 @@ def test_usage_errors_raise_without_standalone_mode():
         ("Delta:{1}", 1),
         ("Delta:{1,5}", 1),
         ("D:c3:{1}", 2),
+        # 1 << (i - 1) for this element would take 12.5 GB before any check
+        ("D:c1:{100000000000}", 1),
     ],
-    ids=["polydiagonal", "component-0", "one-point-diagonal", "out-of-population", "missing-component"],
+    ids=["polydiagonal", "component-0", "one-point-diagonal", "out-of-population", "missing-component",
+         "huge-element"],
 )
 def test_fiber_rejects_non_divisor_labels(runner, label, components):
     argv = ["fiber", "--n", "4", "--components", str(components), "--nested", "[%s]" % label]

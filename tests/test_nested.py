@@ -5,9 +5,10 @@ from math import factorial
 import pytest
 
 from wonderful import nested
+from wonderful.building import building_set_for
 from wonderful.geometry import Component, GeometryConfig, Space, point_components
 from wonderful.labels import Partition, subsets
-from wonderful.loci import Diagonal, DLocus, check_separation, parse_center
+from wonderful.loci import Diagonal, DLocus, SeparationCertificate, check_separation, parse_center
 from wonderful.nested import (
     BudgetError,
     NestedSet,
@@ -20,7 +21,6 @@ from wonderful.nested import (
     is_nested,
     make_nested_set,
     maximal_nested_sets,
-    mixed_pair_certificate,
     pair_compatible,
 )
 
@@ -317,24 +317,19 @@ def test_divisor_labels_round_trip():
 
 
 def test_mixed_pair_certificates_found_and_checked():
-    # every non-nested mixed pair is separated by the blowup of D_{c, S u I}
+    # every non-nested mixed pair is separated by the blowup of D_{c, S u I},
+    # a stage-one member
     for comps, dim_x in [([0], 1), ([0, 0], 1), ([1], 2), ([1, 0], 2)]:
         g = GeometryConfig(
             4, dim_x,
             tuple(Component("c%d" % (i + 1), d) for i, d in enumerate(comps)),
             Space.XD_BRACKET,
         )
+        stage_one = set(building_set_for(g)[0].members)
         for c in range(1, g.n_components + 1):
             for s in subsets(4, min_size=1):
                 for i in subsets(4, min_size=2):
                     if s & i and i & ~s:
-                        cert = mixed_pair_certificate(g, DLocus(4, c, s), Diagonal.simple(4, i))
+                        cert = SeparationCertificate(DLocus(4, c, s), Diagonal.simple(4, i), DLocus(4, c, s | i))
                         assert check_separation(g, cert)
-                        assert cert.center.subset == s | i
-                        assert cert.center.component == c
-
-
-def test_mixed_pair_certificate_rejects_nested_input():
-    g = point_components(1, n=3)
-    with pytest.raises(ValueError):
-        mixed_pair_certificate(g, DLocus(3, 1, 0b111), Diagonal.simple(3, 0b011))
+                        assert cert.center in stage_one

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
 from wonderful.geometry import Component, GeometryConfig, Space, point_components
-from wonderful.loci import DLocus, Diagonal
-from wonderful.nested import enumerate_nested_sets, make_nested_set
+from wonderful.loci import DLocus, Diagonal, SeparationCertificate, check_separation
+from wonderful.nested import divisors_for, enumerate_nested_sets, make_nested_set
 from wonderful.trees import (
     DegenerationTree,
     Vertex,
@@ -10,7 +12,6 @@ from wonderful.trees import (
     face_forest,
     fiber_tree,
     is_stable,
-    sections_disjoint_check,
     to_dot,
     tree_to_nested,
 )
@@ -164,27 +165,21 @@ def test_dot_output_stable():
 
 
 def test_sections_disjoint_certificates():
-    g1 = point_components(1, n=1)
-    rep = sections_disjoint_check(g1)
-    assert rep.ok and len(rep.certificates) == 1
-    cert = rep.certificates[0]
-    assert cert.v1 == DLocus(2, 1, 0b10)
-    assert cert.v2 == Diagonal.simple(2, 0b11)
-    assert cert.center == DLocus(2, 1, 0b11)
-
-    g2 = point_components(2, n=2)
-    rep2 = sections_disjoint_check(g2)
-    assert rep2.ok and len(rep2.certificates) == 4
-
-    g_fm = GeometryConfig(3, 2, (), Space.FM)
-    rep3 = sections_disjoint_check(g_fm)
-    assert rep3.ok and rep3.certificates == ()
-
-
-def test_sections_witnesses_are_family_centers():
-    from wonderful.building import universal_family_centers
-
-    for g in [point_components(2, n=2), point_components(1, n=3, space=Space.XD_UPPER)]:
-        centers = set(universal_family_centers(g))
-        for cert in sections_disjoint_check(g).certificates:
-            assert cert.center in centers
+    # In the (n+1)-point geometry the section of point a is Delta_{a,n+1}.  It
+    # meets D_{c,{n+1}}, where the moving point enters D, inside the divisor
+    # D_{c,{a,n+1}}, whose blowup separates the two.
+    for g in [
+        point_components(1, n=1),
+        point_components(2, n=2),
+        point_components(1, n=3, space=Space.XD_UPPER),
+    ]:
+        gp = replace(g, n=g.n + 1)
+        moving = 1 << g.n
+        divisors = set(divisors_for(gp))
+        for a in range(1, g.n + 1):
+            for c in range(1, g.n_components + 1):
+                section = (1 << (a - 1)) | moving
+                cert = SeparationCertificate(DLocus(gp.n, c, moving), Diagonal.simple(gp.n, section),
+                                             DLocus(gp.n, c, section))
+                assert check_separation(gp, cert)
+                assert cert.center in divisors
