@@ -164,22 +164,36 @@ def test_dot_output_stable():
     )
 
 
-def test_sections_disjoint_certificates():
+def _section_certificates(g):
     # In the (n+1)-point geometry the section of point a is Delta_{a,n+1}.  It
     # meets D_{c,{n+1}}, where the moving point enters D, inside the divisor
     # D_{c,{a,n+1}}, whose blowup separates the two.
+    gp = replace(g, n=g.n + 1)
+    moving = 1 << g.n
+    certs = []
+    for a in range(1, g.n + 1):
+        for c in range(1, g.n_components + 1):
+            section = (1 << (a - 1)) | moving
+            certs.append(SeparationCertificate(DLocus(gp.n, c, moving), Diagonal.simple(gp.n, section),
+                                               DLocus(gp.n, c, section)))
+    return gp, certs
+
+
+def test_sections_disjoint_certificates():
     for g in [
         point_components(1, n=1),
         point_components(2, n=2),
         point_components(1, n=3, space=Space.XD_UPPER),
     ]:
-        gp = replace(g, n=g.n + 1)
-        moving = 1 << g.n
+        gp, certs = _section_certificates(g)
+        assert len(certs) == g.n * g.n_components
+        for cert in certs:
+            assert check_separation(gp, cert)
+
+
+def test_sections_witnesses_are_family_centers():
+    for g in [point_components(2, n=2), point_components(1, n=3, space=Space.XD_UPPER)]:
+        gp, certs = _section_certificates(g)
         divisors = set(divisors_for(gp))
-        for a in range(1, g.n + 1):
-            for c in range(1, g.n_components + 1):
-                section = (1 << (a - 1)) | moving
-                cert = SeparationCertificate(DLocus(gp.n, c, moving), Diagonal.simple(gp.n, section),
-                                             DLocus(gp.n, c, section))
-                assert check_separation(gp, cert)
-                assert cert.center in divisors
+        for cert in certs:
+            assert cert.center in divisors
