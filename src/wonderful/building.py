@@ -40,11 +40,10 @@ from enum import Enum
 from functools import cached_property
 
 from .geometry import GeometryConfig
-from .labels import subset_key
+from .labels import elements
 from .loci import (
     Center,
     Diagonal,
-    DLocus,
     Locus,
     center_to_locus,
     intersect,
@@ -163,17 +162,17 @@ def building_set_for(g: GeometryConfig) -> tuple[BuildingSet, BuildingSet]:
 
 
 def inclusion_key(c: Center) -> tuple:
-    """Sort key realizing an inclusion order: bigger index sets blow up first,
-    D-loci before diagonals at equal size (a point component makes D_{c,S} a
-    subvariety of Delta_I whenever I is contained in S).  D-loci of one size
-    go lexicographically; diagonals follow the partition order, which puts
-    the larger least element first: Delta:{2,3}, then {1,2}, then {1,3}."""
-    if isinstance(c, DLocus):
-        size = c.subset.bit_count()
-        return (-size, 0, subset_key(c.subset)[1], c.component)
-    support = c.partition.support()
-    size = max(b.bit_count() for b in support)
-    return (-size, 1, c.partition.sort_key(), 0)
+    """Sort key realizing an inclusion order on the boundary divisors (the
+    ``inclusion`` scheme sorts ``divisors_for``, and nothing else reaches
+    it): bigger index sets blow up first, D-loci before diagonals at equal
+    size (a point component makes D_{c,S} a subvariety of Delta_I whenever
+    I is contained in S).  D-loci of one size go lexicographically;
+    diagonals of one size put the larger least element first, then go
+    lexicographically: Delta:{2,3}, then {1,2}, then {1,3}."""
+    s = c.subset
+    if c.component:
+        return (-s.bit_count(), 0, elements(s), c.component)
+    return (-s.bit_count(), 1, (-(s & -s), elements(s)), 0)
 
 
 def factors_of_locus(bs: BuildingSet, lo: Locus) -> tuple[Center, ...]:

@@ -21,7 +21,8 @@ intersection, the block walk for containment, the relation rule (the
 pairwise criterion as first written), the facet rescan, the orbit brute
 force over all n! relabelings, the per-prefix building-order rule, the
 rewrite bubble on plain lists with the swap-certificate rules as first
-written, and the pairwise inclusion scan.
+written, and the pairwise inclusion scan.  ``partitions_of`` lives here
+too: only the ``partitions`` row and the tests list partitions.
 ``loci._pair_position_by_loci`` and ``nested._f_vector_by_walk`` stay
 beside the fast routes that call them.
 """
@@ -38,7 +39,7 @@ from typing import Callable
 
 from .building import _intersection_closure, building_set_for, is_building_set, is_nested_flag_oracle
 from .geometry import Component, GeometryConfig, Space, point_components
-from .labels import SubsetRelation, elements, join_blocks, partitions_of, subset_relation
+from .labels import Partition, SubsetRelation, check_population, elements, join_blocks, subset_relation
 from .loci import (Center, Diagonal, DLocus, Locus, PairPosition, _intersect, _pair_position_by_loci,
                    center_to_locus, contains, contains_locus, dimension, intersect, intersect_all, make_locus,
                    pair_position, parse_center)
@@ -71,7 +72,7 @@ class GridModel:
                 pinned = range(self.g.component_dim(c), self.g.dim_x)
                 pts = (x for x in self.configurations if all(x[i - 1][j] == c for i in idx for j in pinned))
             else:
-                blocks = [elements(b) for b in center.partition.blocks]
+                blocks = [elements(b) for b in center.blocks]
                 pts = (x for x in self.configurations if all(x[b[0] - 1] == x[i - 1] for b in blocks for i in b))
             self._points[center] = frozenset(pts)
         return self._points[center]
@@ -306,6 +307,29 @@ def inclusion_by_pairs(seq: BlowupSequence) -> InclusionReport:
             witness = "%s is strictly contained in %s but comes later" % (seq.centers[j], seq.centers[i])
             return InclusionReport(False, (i, j, witness))
     return InclusionReport(True)
+
+
+def partitions_of(n: int):
+    """All partitions of {1,...,n}, in a deterministic (restricted-growth) order."""
+    check_population(n)
+    if n == 0:
+        yield Partition(0, ())
+        return
+
+    def rec(i: int, blocks: list[int]):
+        if i > n:
+            yield Partition(n, tuple(sorted(blocks, key=lambda m: m & -m)))
+            return
+        bit = 1 << (i - 1)
+        for k in range(len(blocks)):
+            blocks[k] |= bit
+            yield from rec(i + 1, blocks)
+            blocks[k] &= ~bit
+        blocks.append(bit)
+        yield from rec(i + 1, blocks)
+        blocks.pop()
+
+    yield from rec(1, [])
 
 
 def bell_numbers(up_to: int) -> list[int]:
@@ -678,5 +702,5 @@ ROWS = (
 
 __all__ = ["CheckResult", "GridModel", "ROWS", "Row", "bell_numbers", "building_order_by_prefixes",
            "certificate_by_rules", "contains_by_blocks", "fiber_tree_by_placement", "inclusion_by_pairs", "laminar",
-           "maximal_by_rescan", "orbits_by_brute_force", "pair_compatible_by_relation", "rewrite_by_prefixes",
-           "run_all"]
+           "maximal_by_rescan", "orbits_by_brute_force", "pair_compatible_by_relation", "partitions_of",
+           "rewrite_by_prefixes", "run_all"]

@@ -68,7 +68,7 @@ config_options = [
     click.option("--config", "config_path", type=click.Path(), default=None, help="Configuration JSON file."),
     click.option("--n", "n_points", type=int, default=None, help="Number of labeled points."),
     click.option("--dim-x", type=int, default=None, help="Dimension of the ambient variety."),
-    click.option("--components", "n_point_components", type=int, default=None,
+    click.option("--components", "n_point_components", type=click.IntRange(min=0), default=None,
                  help="Shorthand: this many point components c1, c2, ..."),
     click.option("--component", "component_specs", multiple=True,
                  help="One component as name:dim; repeatable."),

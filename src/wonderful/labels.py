@@ -4,7 +4,9 @@ Index subsets are plain int bitmasks (bit i-1 <-> element i), so membership
 and the boolean operations cost one machine word each; populations above 64
 are refused outright.  A population n accompanies a mask wherever it
 matters.  Partitions keep every block, singletons included, as a tuple of
-masks sorted by least element.
+masks sorted by least element; they are what partition literals parse to
+and what ``Partition.meet`` joins.  A ``loci.Diagonal`` keeps only the
+merged blocks, the ``support()`` of its partition.
 
 Text forms: "{1,3}" for subsets and "{{1,2},{4,5}}" for partitions.
 Singleton blocks may be omitted on input and are omitted on output, so the
@@ -199,23 +201,6 @@ class Partition:
         masks.sort(key=lambda m: m & -m)
         return cls(n, tuple(masks))
 
-    @classmethod
-    def simple(cls, n: int, mask: int) -> "Partition":
-        """The partition merging exactly the given index set (a simple
-        diagonal shape).  Its blocks are made canonical, so the
-        constructor's checks are skipped: every simple diagonal is built
-        here."""
-        check_population(n)
-        if mask & ~full_mask(n):
-            raise ValueError("block %s exceeds population %d" % (format_subset(mask), n))
-        blocks = [1 << i for i in range(n) if not mask >> i & 1]
-        if mask:
-            blocks.insert((mask & -mask).bit_length() - 1, mask)  # after the singletons below it
-        out = object.__new__(cls)
-        object.__setattr__(out, "n", n)
-        object.__setattr__(out, "blocks", tuple(blocks))
-        return out
-
     def support(self) -> tuple[int, ...]:
         return tuple(b for b in self.blocks if b.bit_count() >= 2)
 
@@ -231,9 +216,6 @@ class Partition:
         if self.n != other.n:
             raise ValueError("meet of partitions over different populations")
         return Partition(self.n, tuple(join_blocks(self.n, self.blocks + other.blocks)))
-
-    def sort_key(self) -> tuple:
-        return tuple(subset_key(b) for b in self.blocks)
 
     def __str__(self) -> str:
         return format_partition(self)
@@ -272,26 +254,3 @@ def parse_partition(text: str, n: int) -> Partition:
     if token.strip():
         blocks.append(parse_subset(token))
     return Partition.from_blocks(n, blocks)
-
-
-def partitions_of(n: int):
-    """All partitions of {1,...,n}, in a deterministic (restricted-growth) order."""
-    check_population(n)
-    if n == 0:
-        yield Partition(0, ())
-        return
-
-    def rec(i: int, blocks: list[int]):
-        if i > n:
-            yield Partition(n, tuple(sorted(blocks, key=lambda m: m & -m)))
-            return
-        bit = 1 << (i - 1)
-        for k in range(len(blocks)):
-            blocks[k] |= bit
-            yield from rec(i + 1, blocks)
-            blocks[k] &= ~bit
-        blocks.append(bit)
-        yield from rec(i + 1, blocks)
-        blocks.pop()
-
-    yield from rec(1, [])

@@ -70,19 +70,15 @@ from enum import Enum
 from functools import cached_property, lru_cache
 
 from .geometry import GeometryConfig
-from .labels import (
-    Partition,
-    format_subset,
-    full_mask,
-    parse_partition,
-    parse_subset,
-)
+from .labels import check_population, format_subset, full_mask, parse_partition, parse_subset
 
 # Distinct intersections one geometry remembers before its memo starts over:
 # about 2 MB at ~500 bytes an entry (n=7).  The flag oracle on the stage-one
 # set of k=2, n=4 fills about 1100 entries (450 random and nested
 # sub-collections of up to 8 members).
 INTERSECT_MEMO_LIMIT = 1 << 12
+
+_NO_MERGED_BLOCK = "a diagonal needs at least one block of size >= 2"
 
 
 @dataclass(frozen=True)
@@ -113,39 +109,49 @@ class DLocus:
 
 @dataclass(frozen=True)
 class Diagonal:
-    """The polydiagonal of a partition; simple diagonals have one merged block.
+    """The polydiagonal Delta_P, stored as the merged blocks of P: the
+    blocks of size >= 2, sorted by least element.  Points no block covers
+    stay apart.  Simple diagonals have one block.
 
     A simple diagonal Delta_I also names the boundary divisor covering it
     (see ``nested``), so it reads like a D-locus: ``subset`` is I and
     ``component`` is 0, the code the pairwise criterion reads for a
-    diagonal.  Neither is a field.  ``subset`` is derived from the partition
-    once, at construction; a polydiagonal covers no divisor and has
-    ``subset`` 0."""
+    diagonal.  Neither is a field.  ``subset`` is set once, at
+    construction; a polydiagonal covers no divisor and has ``subset`` 0.
+    Every diagonal, simple or not, passes the checks of ``__post_init__``."""
 
-    partition: Partition
+    n: int
+    blocks: tuple[int, ...]
     component = 0  # not a field
 
     # subset is stored on the instance rather than computed by a descriptor:
     # the pairwise criterion reads it for every pair of divisors
     def __post_init__(self):
-        support = self.partition.support()
-        if not support:
-            raise ValueError("a diagonal needs at least one block of size >= 2")
-        object.__setattr__(self, "subset", support[0] if len(support) == 1 else 0)
+        n, blocks = check_population(self.n), self.blocks
+        if not blocks:
+            raise ValueError(_NO_MERGED_BLOCK)
+        seen = low = 0
+        for b in blocks:
+            if b < 0:
+                raise ValueError("block masks are nonnegative, got %d" % b)
+            if b.bit_count() < 2:
+                if len(blocks) == 1:
+                    raise ValueError(_NO_MERGED_BLOCK)
+                raise ValueError("diagonal block %s has fewer than 2 points" % format_subset(b))
+            if b >> n:
+                raise ValueError("block %s exceeds population %d" % (format_subset(b), n))
+            if b & seen:
+                raise ValueError("overlapping blocks")
+            if b & -b <= low:
+                raise ValueError("blocks must be sorted by least element")
+            low = b & -b
+            seen |= b
+        object.__setattr__(self, "subset", blocks[0] if len(blocks) == 1 else 0)
 
     @classmethod
     def simple(cls, n: int, mask: int) -> "Diagonal":
-        """Delta_I for I = mask, without re-deriving I from the partition."""
-        if mask.bit_count() < 2:
-            raise ValueError("a diagonal needs at least one block of size >= 2")
-        out = object.__new__(cls)
-        object.__setattr__(out, "partition", Partition.simple(n, mask))
-        object.__setattr__(out, "subset", mask)
-        return out
-
-    @property
-    def n(self) -> int:
-        return self.partition.n
+        """Delta_I for I = mask."""
+        return cls(n, (mask,))
 
     @property
     def is_simple(self) -> bool:
@@ -155,7 +161,7 @@ class Diagonal:
     def label(self) -> str:
         if self.is_simple:
             return "Delta:" + format_subset(self.subset)
-        return "Delta:" + str(self.partition)
+        return "Delta:{" + ",".join(map(format_subset, self.blocks)) + "}"
 
     def __str__(self) -> str:
         return self.label
@@ -180,7 +186,7 @@ def parse_center(text: str, n: int) -> Center:
     if t.startswith("Delta:"):
         body = t[len("Delta:"):].strip()
         if body.startswith("{{"):
-            return Diagonal(parse_partition(body, n))
+            return Diagonal(n, parse_partition(body, n).support())
         return Diagonal.simple(n, parse_subset(body))
     raise ValueError("center label must start with 'D:' or 'Delta:', got %r" % text)
 
@@ -282,7 +288,8 @@ def center_to_locus(g: GeometryConfig, c: Center) -> Locus:
             bit = 1 << (i - 1)
             bps.append((bit, {c.component} if c.subset & bit else set()))
         return make_locus(g, bps)
-    return make_locus(g, [(b, set()) for b in c.partition.blocks])
+    apart = full_mask(g.n) & ~sum(c.blocks)  # the blocks are disjoint: their sum is their union
+    return make_locus(g, [(b, ()) for b in c.blocks] + [(1 << i, ()) for i in range(g.n) if apart >> i & 1])
 
 
 def intersect(g: GeometryConfig, a: Locus, b: Locus) -> Locus:
@@ -511,6 +518,4 @@ __all__ = [
     "pair_position",
     "parse_center",
     "validate_center",
-    "elements",
-    "mask_of",
 ]

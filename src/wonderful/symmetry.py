@@ -42,7 +42,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .geometry import GeometryConfig, Space
-from .labels import Partition, elements
+from .labels import elements
 from .loci import Diagonal, DLocus
 from .nested import NestedSet, divisor_sort_key, enumerate_nested_sets, make_nested_set
 from .trees import DegenerationTree, face_forest
@@ -146,9 +146,7 @@ def act(p: Permutation, x):
     if isinstance(x, Diagonal):
         if p.n != x.n:
             raise ValueError("permutation degree %d does not match population %d" % (p.n, x.n))
-        if x.is_simple:
-            return Diagonal.simple(x.n, p.apply_mask(x.subset))
-        return Diagonal(Partition.from_blocks(x.n, map(p.apply_mask, x.partition.blocks)))
+        return Diagonal(x.n, tuple(sorted(map(p.apply_mask, x.blocks), key=lambda m: m & -m)))
     if isinstance(x, NestedSet):
         return make_nested_set(x.geometry, [act(p, d) for d in x.divisors])
     if isinstance(x, DegenerationTree):

@@ -14,7 +14,6 @@ from wonderful.building import (
     is_nested_flag_oracle,
 )
 from wonderful.geometry import Component, GeometryConfig, Space, point_components
-from wonderful.labels import Partition
 from wonderful.loci import (
     Diagonal,
     DLocus,
@@ -126,7 +125,7 @@ def test_intersection_closure_matches_every_subcollection():
         first, second = building_set_for(g)
         centers = list(first.members + second.members)
         if g.n == 4:
-            centers.append(Diagonal(Partition.from_blocks(4, [[1, 2], [3, 4]])))
+            centers.append(Diagonal(4, (0b0011, 0b1100)))
         for size in range(1, 9):
             for _ in range(6):
                 loci = [center_to_locus(g, c) for c in rng.sample(centers, size)]

@@ -280,11 +280,13 @@ def _json_error(result, code=2) -> str:
         (["divisors", "--n", "abc"], "--n"),
         (["divisors", "--n", "2", "--format", "bogus"], "--format"),
         (["nested", "--max-size", "-1", "--n", "2", "--components", "1"], "--max-size"),
+        (["divisors", "--n", "2", "--components", "-1"], "--components"),
         (["divisors", "--bogus"], "--bogus"),
         (["order", "--n", "3"], "--scheme"),
         (["orbits", "--kind", "divisors", "--size", "2", "--n", "3"], "--size"),
     ],
-    ids=["not-an-int", "bad-choice", "out-of-range", "unknown-option", "missing-option", "size-of-divisors"],
+    ids=["not-an-int", "bad-choice", "out-of-range", "negative-components", "unknown-option", "missing-option",
+         "size-of-divisors"],
 )
 def test_usage_errors_print_json(runner, argv, names):
     assert names in _json_error(runner.invoke(main, argv))

@@ -12,11 +12,11 @@ from wonderful.labels import (
     mask_of,
     parse_partition,
     parse_subset,
-    partitions_of,
     subset_key,
     subset_relation,
     subsets,
 )
+from wonderful.certify import partitions_of
 
 
 def test_meet_forces_transitive_closure():

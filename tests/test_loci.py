@@ -5,7 +5,8 @@ import pytest
 from wonderful import loci
 from wonderful.building import _intersection_closure, building_set_for
 from wonderful.geometry import Component, GeometryConfig, Space, point_components
-from wonderful.labels import Partition, mask_of, partitions_of, subsets
+from wonderful.certify import partitions_of
+from wonderful.labels import mask_of, subsets
 from wonderful.loci import (
     Diagonal,
     DLocus,
@@ -47,7 +48,7 @@ def test_center_to_locus_definitions():
     assert lo2.blocks == (0b011, 0b100)
     assert lo2.pins == (None, None)
     g4 = bracket(4, [1])
-    lo3 = center_to_locus(g4, Diagonal(Partition.from_blocks(4, [[1, 2], [3, 4]])))
+    lo3 = center_to_locus(g4, Diagonal(4, (0b0011, 0b1100)))
     assert lo3.blocks == (0b0011, 0b1100)
 
 
@@ -232,7 +233,7 @@ def test_polydiagonal_pairs_take_the_locus_route(monkeypatch):
     original = loci._pair_position_by_loci
     monkeypatch.setattr(loci, "_pair_position_by_loci", counting)
     g = bracket(5, [0, 1], dim_x=2)
-    polys = [Diagonal(p) for p in partitions_of(5) if len(p.support()) >= 2]
+    polys = [Diagonal(5, p.support()) for p in partitions_of(5) if len(p.support()) >= 2]
     simple = all_centers(g)
     assert len(polys) == 25
     for a in simple:
@@ -290,10 +291,50 @@ def test_center_labels_round_trip():
     g = bracket(4, [1, 0])
     for c in all_centers(g):
         assert parse_center(str(c), 4) == c
-    poly = Diagonal(Partition.from_blocks(4, [[1, 2], [3, 4]]))
+    poly = Diagonal(4, (0b0011, 0b1100))
     assert parse_center(str(poly), 4) == poly
     with pytest.raises(ValueError):
         parse_center("X:{1}", 4)
+
+
+@pytest.mark.parametrize(
+    "n, blocks, message",
+    [
+        (65, (0b11,), "population"),
+        (-1, (0b11,), "population"),
+        (3, (), "at least one block of size >= 2"),
+        (3, (0,), "at least one block of size >= 2"),
+        (3, (0b100,), "at least one block of size >= 2"),
+        (4, (0b0011, 0b0100), "fewer than 2 points"),
+        (3, (-0b11,), "nonnegative"),
+        (3, (0b1001,), "exceeds population 3"),
+        (4, (0b0011, 0b0110), "overlapping"),
+        (4, (0b1100, 0b0011), "sorted by least element"),
+    ],
+    ids=["n-too-big", "n-negative", "no-block", "empty-block", "singleton", "singleton-beside-a-block",
+         "negative-mask", "outside-population", "overlap", "unsorted"],
+)
+def test_diagonal_rejects_bad_blocks_on_every_path(n, blocks, message):
+    with pytest.raises(ValueError, match=message):
+        Diagonal(n, blocks)
+    if len(blocks) == 1:
+        with pytest.raises(ValueError, match=message):
+            Diagonal.simple(n, blocks[0])
+
+
+def test_diagonal_is_its_merged_blocks():
+    simple = Diagonal.simple(3, 0b011)
+    parsed = parse_center("Delta:{{1,2}}", 3)
+    assert parsed == simple and hash(parsed) == hash(simple)
+    assert parsed.label == simple.label == "Delta:{1,2}"
+    assert (simple.blocks, simple.subset, simple.component) == ((0b011,), 0b011, 0)
+    poly = parse_center("Delta:{{3,4},{1,2}}", 5)
+    assert poly == Diagonal(5, (0b00011, 0b01100))
+    assert (poly.subset, poly.label) == (0, "Delta:{{1,2},{3,4}}")
+    for text, message in (("Delta:{{1}}", "size >= 2"), ("Delta:{{1,2},{2,3}}", "overlapping blocks"),
+                          ("Delta:{{1,4}}", "exceeds population 3")):
+        with pytest.raises(ValueError, match=message):
+            parse_center(text, 3)
 
 
 def test_config_json_round_trip():

@@ -7,7 +7,7 @@ import pytest
 from wonderful import nested
 from wonderful.building import building_set_for
 from wonderful.geometry import Component, GeometryConfig, Space, point_components
-from wonderful.labels import Partition, subsets
+from wonderful.labels import subsets
 from wonderful.loci import Diagonal, DLocus, SeparationCertificate, check_separation, parse_center
 from wonderful.nested import (
     BudgetError,
@@ -46,7 +46,7 @@ def test_divisor_validation():
     with pytest.raises(ValueError):
         Diagonal.simple(3, 0b001)  # diagonal divisors need two indices
     with pytest.raises(ValueError):  # a polydiagonal covers no boundary divisor
-        is_nested(point_components(1, n=4), [Diagonal(Partition.from_blocks(4, [0b0011, 0b1100]))])
+        is_nested(point_components(1, n=4), [Diagonal(4, (0b0011, 0b1100))])
 
 
 def test_count_divisors_formulas():

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from wonderful.geometry import GeometryConfig, Space, point_components
-from wonderful.labels import Partition
 from wonderful.loci import Diagonal, DLocus
 from wonderful import nested, symmetry
 from wonderful.nested import (
@@ -37,8 +36,8 @@ def test_act_examples():
     rho = Permutation.from_cycles("(1 2 3)", 3)
     assert act(rho, Diagonal.simple(3, 0b011)) == Diagonal.simple(3, 0b110)
     sigma = Permutation.from_cycles("(2 3)", 4)
-    poly = Diagonal(Partition.from_blocks(4, [0b0011, 0b1100]))
-    assert act(sigma, poly) == Diagonal(Partition.from_blocks(4, [0b0101, 0b1010]))
+    poly = Diagonal(4, (0b0011, 0b1100))
+    assert act(sigma, poly) == Diagonal(4, (0b0101, 0b1010))
     assert act(p, DLocus(3, 2, 0b001)) == DLocus(3, 2, 0b010)
 
 
