@@ -149,7 +149,7 @@ def maximal_by_rescan(g: GeometryConfig) -> tuple[NestedSet, ...]:
     """Nested sets, in enumeration order, that no single further divisor
     stays compatible with: O(faces * divisors * size) pair tests."""
     divisors = divisors_for(g)
-    return tuple(ns for ns in enumerate_nested_sets(g) if not any(
+    return tuple(ns for ns in enumerate_nested_sets(g, divisor_bound=len(divisors)) if not any(
         d not in ns.divisors and all(pair_compatible(d, e) for e in ns.divisors) for d in divisors))
 
 
@@ -637,15 +637,14 @@ ROWS = (
     Row("enumeration", (point_components(2, n=2), point_components(1, n=3), GeometryConfig(3, 2, (), Space.FM)),
         _is_face,
         lambda g: [(_text(sub), is_nested(g, sub)) for sub in _collections(divisors_for(g))]),
-    Row("facets", (point_components(2, n=3), point_components(1, n=4, space=Space.XD_UPPER),
-                   point_components(3, n=3), GeometryConfig(4, 2, (), Space.FM)),
-        lambda g: list(enumerate(ns.labels() for ns in maximal_nested_sets(g))),
+    Row("facets", _every_space(4),  # the top-size faces are every maximal face: the complex is pure
+        lambda g: list(enumerate(ns.labels() for ns in maximal_nested_sets(g, divisor_bound=count_divisors(g)))),
         lambda g: list(enumerate(ns.labels() for ns in maximal_by_rescan(g)))),
     Row("pair-rule", _every_space(5),
         lambda g: _pairs(g, pair_compatible),
         lambda g: _pairs(g, pair_compatible_by_relation)),
     Row("compatibility-rows", _every_space(6),
-        lambda g: list(zip(map(str, divisors_for(g)), _compatibility_rows(g.n, divisors_for(g)))),
+        lambda g: list(zip(map(str, divisors_for(g)), _compatibility_rows(g))),
         _pairwise_rows),
     Row("pair-position",  # every space, k = 0..3 components of dims 0 and 1, dim X = 2, 3, n <= 5 (4 at k = 3)
         tuple(_config(n, [(i + dim_x) % 2 for i in range(k)], dim_x, space) for space in Space

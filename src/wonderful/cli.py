@@ -35,7 +35,7 @@ from .orders import (
     validate_inclusion_order,
 )
 from .symmetry import orbits
-from .trees import fiber_tree, is_stable, to_dot, tree_to_nested
+from .trees import fiber_tree, is_stable, to_dot
 
 ORDER_SOURCES = SCHEMES + ("two_block",)
 # Steps ``order --check`` may spend on a generated order, and swaps
@@ -167,14 +167,14 @@ def nested(max_size, want_fvector, fmt, **cfg):
 
 
 def _echo_faces(g, fmt, key, **walk):
-    """Print the faces of ``face_rows`` in one write: JSON quotes each label
-    once, tables print them bare, one face per line."""
+    """Print the faces of ``face_rows`` (never none) in one write: JSON
+    quotes each label once, tables print them bare, one face per line."""
     try:
         rows = face_rows(g, json.dumps if fmt == "json" else str, **walk)
     except BudgetError as exc:
         _fail(3, str(exc))
     if fmt == "json":
-        click.echo('{"count":%d,"%s":[%s]}' % (len(rows), key, ",".join(["[%s]" % r for r in rows])))
+        click.echo('{"count":%d,"%s":[[' % (len(rows), key) + "],[".join(rows) + "]]}")
     else:
         click.echo("".join(["{%s}\n" % r for r in rows]) + "total %d" % len(rows))
 
@@ -345,7 +345,7 @@ def fiber(nested_literal, fmt, **cfg):
                 ],
                 "edges": [[tree.parents[v.vid], v.vid] for v in tree.vertices[1:]],
                 "stable": is_stable(tree).ok,
-                "nested": list(tree_to_nested(tree).labels()),
+                "nested": list(ns.labels()),
             }
         )
 

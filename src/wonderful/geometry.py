@@ -82,6 +82,12 @@ class GeometryConfig:
         dimensions."""
         return {}
 
+    @cached_property
+    def divisor_graph(self) -> dict:
+        """Memo of ``nested.divisors_for`` ("divisors") and of the
+        compatibility rows over them ("rows").  Not a field either."""
+        return {}
+
     def component_dim(self, c: int) -> int:
         """Dimension of the c-th component, 1-based."""
         if not 1 <= c <= len(self.components):

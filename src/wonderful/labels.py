@@ -56,13 +56,13 @@ def mask_of(members) -> int:
 
 
 def elements(mask: int) -> tuple[int, ...]:
+    if mask < 0:
+        raise ValueError("a subset mask is nonnegative, got %d" % mask)
     out = []
-    i = 1
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
     return tuple(out)
 
 

@@ -41,16 +41,42 @@ the rules above turn into unions of table entries:
   sub_c[~I] | sup_c[I] for every c.
 
 Every divisor is compatible with itself, so each union holds its own bit;
-the row clears it, because the walk's maximality test reads an empty
-``common`` as "nothing outside the face extends it".  ``pair_compatible``
-stays the one pairwise rule: ``is_nested`` uses it, and it is the oracle
-the rows are checked against.
+the row clears it, so the candidates below a face are the divisors outside
+it compatible with all of it.  ``pair_compatible`` stays the one pairwise
+rule (``is_nested`` uses it; the rows are checked against it).  Divisors
+and rows are built once per geometry, in ``GeometryConfig.divisor_graph``.
 
 A face the walk reports is a clique by construction: every chosen index is
 drawn, in increasing order, from the candidates compatible with all earlier
 ones, over the canonically sorted ``divisors_for(g)``.  So walked faces are
 built without re-sorting and without re-running ``is_nested``; the public
 ``NestedSet`` constructor, which takes outside input, still checks both.
+
+The complex is pure: every maximal nested set has the top size, n when
+there are D-divisors and n - 1 when there are only diagonals (0 when there
+are no divisors at all), as Feichtner and Kozlov show for nested-set
+complexes of building sets.  In the fiber tree below, every object (a
+point, or the screen of a chosen diagonal) hangs on exactly one vertex, so
+with L levels and S screens the n + S objects are shared out among the
+root, the levels and the screens.  A level holds at least one object and a
+screen at least two.  A maximal nested set puts the minimum everywhere, as
+any surplus lets one more divisor in, compatible with all the others:
+
+* a level S_i holding two or more objects outside S_(i+1) takes a new
+  level between them, S_(i+1) with all of those objects but one;
+* a screen over three or more objects takes the diagonal of two of them;
+* with D-divisors, a root object O takes D_{c, S_1 u O} above the top
+  level S_1 of component c, or D_{c, O} when c has no level, so the root
+  ends with none; with diagonals only, two root objects take the diagonal
+  of their union, so the root ends with one.
+
+Every object moved under a new divisor lies inside or outside any other
+chosen set as a whole, which is what compatibility asks.  So a maximal set
+has n + S = r + L + 2S, r = 0 or 1 the root's minimum, and |T| = L + S =
+n - r.  ``maximal_nested_sets`` therefore lists the faces of size
+top = len(f_vector(g)) - 1 and cuts every branch that can no longer reach
+it; the ``facets`` row of ``certify`` holds this against a rescan of every
+face for a divisor that would extend it.
 
 ``f_vector`` counts faces without walking.  A nested set is a fiber tree
 (see ``trees``): a root holding the points and screens that lie in no D_c,
@@ -84,13 +110,14 @@ The walk has three public consumers.  ``enumerate_nested_sets`` and
 walks over the divisors' labels, each quoted once, and returns every face
 as its joined label string, which is all the command line prints; it
 builds no ``NestedSet``.  The three share one helper, ``_faces``, so the
-budget, ``max_size`` and the empty face are handled once.
+budget, ``max_size``, the top size and the empty face are handled once.
 Counting functions count nested sets; whether distinct nested sets can cut
 out one and the same stratum is left open here, deliberately.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
@@ -129,14 +156,17 @@ def validate_divisor(g: GeometryConfig, d: Center) -> Center:
 
 def divisors_for(g: GeometryConfig) -> tuple[Center, ...]:
     """All boundary divisors of the configured space, canonically ordered:
-    ``subsets`` lists the index sets by ``subset_key`` already."""
-    out: list[Center] = []
-    if g.space is not Space.FM:
-        for c in range(1, g.n_components + 1):
-            out.extend(DLocus(g.n, c, mask) for mask in subsets(g.n, min_size=1))
-    if g.space is not Space.XD_UPPER:
-        out.extend(Diagonal.simple(g.n, mask) for mask in subsets(g.n, min_size=2))
-    return tuple(out)
+    ``subsets`` lists the index sets by ``subset_key``; memoised on ``g``."""
+    memo = g.divisor_graph
+    if "divisors" not in memo:
+        out: list[Center] = []
+        if g.space is not Space.FM:
+            for c in range(1, g.n_components + 1):
+                out.extend(DLocus(g.n, c, mask) for mask in subsets(g.n, min_size=1))
+        if g.space is not Space.XD_UPPER:
+            out.extend(Diagonal.simple(g.n, mask) for mask in subsets(g.n, min_size=2))
+        memo["divisors"] = tuple(out)
+    return memo["divisors"]
 
 
 def count_divisors(g: GeometryConfig) -> int:
@@ -241,10 +271,15 @@ def _subset_tables(n: int, divisors) -> dict[int, tuple[list[int], list[int]]]:
     return tables
 
 
-def _compatibility_rows(n: int, divisors) -> list[int]:
-    """Row j is the bitmask of the divisors compatible with divisor j, its
-    own bit cleared; rows equal ``pair_compatible`` on every pair, each read
-    as a union of a few subset-table entries (see the module docstring)."""
+def _compatibility_rows(g: GeometryConfig) -> list[int]:
+    """Row j is the bitmask of the divisors compatible with divisor j of
+    ``divisors_for(g)``, its own bit cleared, memoised beside them; rows equal
+    ``pair_compatible`` on every pair, each read as a union of a few
+    subset-table entries (see the module docstring)."""
+    memo = g.divisor_graph
+    if "rows" in memo:
+        return memo["rows"]
+    n, divisors = g.n, divisors_for(g)
     tables = _subset_tables(n, divisors)
     empty = [0] * (1 << n)
     sub_delta, sup_delta = tables.pop(0, (empty, empty))
@@ -265,62 +300,54 @@ def _compatibility_rows(n: int, divisors) -> list[int]:
             for sub, sup in tables.values():
                 row |= sub[rest] | sup[s]
         rows.append(row & ~(1 << j))
+    memo["rows"] = rows
     return rows
 
 
-def _walk(n: int, divisors, max_size, visit, names=None) -> None:
-    """Call ``visit(chosen, common)`` on every nonempty nested set of at most
-    ``max_size`` divisors of n points, each before its extensions:
-    ``chosen`` holds the ``names`` of its divisors (by default the divisors
-    themselves) in the order of ``divisors``, and bit j of ``common`` is set
-    when divisor j is outside ``chosen`` and compatible with all of it (0
-    means maximal)."""
-    adj = _compatibility_rows(n, divisors)
-    names = divisors if names is None else names
+def _walk(rows, names, low: int, high: int, emit, arg, append) -> None:
+    """``append(emit(arg, face))`` for every nested set of ``low`` to ``high``
+    divisors (at least one), each before its extensions: ``face`` holds the
+    ``names`` of its divisors in the order of the rows.  A branch is cut
+    where the face and all its candidates together fall short of ``low``."""
 
-    def extend(chosen, cand, common):
+    def extend(chosen, cand):
+        depth = len(chosen) + 1
         while cand:
-            low = cand & -cand
-            cand ^= low
-            i = low.bit_length() - 1
+            bit = cand & -cand
+            cand ^= bit
+            i = bit.bit_length() - 1
             face = chosen + (names[i],)
-            visit(face, common & adj[i])
-            if max_size is None or len(face) < max_size:
-                extend(face, cand & adj[i], common & adj[i])
+            if depth >= low:
+                append(emit(arg, face))
+            if depth < high:
+                nxt = cand & rows[i]
+                if depth + nxt.bit_count() >= low:
+                    extend(face, nxt)
 
-    everything = (1 << len(divisors)) - 1
-    extend((), everything, everything)
+    extend((), (1 << len(names)) - 1)
 
 
 def _faces(g: GeometryConfig, max_size, maximal, divisor_bound, emit, arg, quote=None) -> tuple:
-    """Every nested set of at most ``max_size`` divisors (only the maximal
-    ones when ``maximal`` is set), the empty one included where it counts, in
-    walk order.  Each face is the tuple of its divisors, or of their labels
-    through ``quote`` when one is given (each label is quoted once, before
-    the walk), and goes out as ``emit(arg, face)``: ``NestedSet._walked``
-    with the geometry, or ``str.join`` with a comma.  Both are called
-    directly; a ``functools.partial`` per face cost 3-4% on small
-    enumerations."""
+    """Every nested set of at most ``max_size`` divisors, the empty one
+    included, or with ``maximal`` only those of the top size, which are the
+    maximal ones as the complex is pure (module docstring); in walk order.
+    Each face is the tuple of its divisors, or of their labels through
+    ``quote`` when one is given (each label is quoted once, before the
+    walk), and goes out as ``emit(arg, face)``: ``NestedSet._walked`` with
+    the geometry, or ``str.join`` with a comma.  Both are called directly; a
+    ``functools.partial`` per face cost 3-4% on small enumerations."""
     divisors = _budgeted_divisors(g, max_size, divisor_bound)
     names = divisors if quote is None else [quote(d.label) for d in divisors]
+    low, high = 0, max_size
     if maximal:
-        out = [] if divisors else [emit(arg, ())]
-        append = out.append
-
-        def visit(chosen, common):
-            if not common:
-                append(emit(arg, chosen))
-    else:
-        out = [emit(arg, ())]
-        if max_size is not None and max_size <= 1:
-            return tuple(out + [emit(arg, (x,)) for x in names if max_size == 1])
-        append = out.append
-
-        def visit(chosen, common):
-            append(emit(arg, chosen))
-
-    if max_size != 0:
-        _walk(g.n, divisors, max_size, visit, names)
+        low = high = len(f_vector(g)) - 1
+        if max_size is not None and max_size < low:
+            return ()
+    out = [emit(arg, ())] if low == 0 else []
+    if high is None or high > 1:
+        _walk(_compatibility_rows(g), names, low, len(names) if high is None else high, emit, arg, out.append)
+    elif high == 1:
+        out += [emit(arg, (x,)) for x in names]
     return tuple(out)
 
 
@@ -341,8 +368,8 @@ def enumerate_nested_sets(
 
 
 def maximal_nested_sets(g: GeometryConfig, divisor_bound: int | None = None) -> tuple[NestedSet, ...]:
-    """Nested sets maximal under inclusion.  Pairwise-ness makes maximality a
-    local test: no divisor outside the set is compatible with all of it."""
+    """Nested sets maximal under inclusion: the complex is pure, so they are
+    the faces of the top size (module docstring), listed in walk order."""
     return _faces(g, None, True, divisor_bound, NestedSet._walked, g)
 
 
@@ -404,15 +431,8 @@ def _fiber_tree_count(n: int, k: int, diagonals: bool, y: int) -> int:
 def _f_vector_by_walk(g: GeometryConfig, max_size: int | None = None) -> tuple[int, ...]:
     """The f-vector counted face by face on the clique walk, with no budget:
     the oracle of ``f_vector``."""
-    divisors = _budgeted_divisors(g, max_size, count_divisors(g))
-    counts = [1] + [0] * len(divisors)
-
-    def visit(chosen, common):
-        counts[len(chosen)] += 1
-
-    if max_size != 0:
-        _walk(g.n, divisors, max_size, visit)
-    return tuple(c for c in counts if c)  # downward closed: the nonzero counts are a prefix
+    sizes = Counter(_faces(g, max_size, False, count_divisors(g), lambda _, face: len(face), None))
+    return tuple(sizes[s] for s in range(len(sizes)))  # downward closed: sizes 0.. all occur
 
 
 __all__ = [

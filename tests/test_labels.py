@@ -112,6 +112,8 @@ def test_subset_text_round_trip():
     assert parse_subset(" {2,4} ") == mask_of([2, 4])
     with pytest.raises(ValueError):
         parse_subset("1,2")
+    with pytest.raises(ValueError):
+        format_subset(-1)
 
 
 def test_partition_text_round_trip_omits_singletons():
@@ -135,3 +137,5 @@ def test_partition_validation():
         Partition(3, (0b001,))  # no cover
     with pytest.raises(ValueError):
         Partition(2, (0b10, 0b01))  # not sorted by least element
+    with pytest.raises(ValueError):
+        Partition.from_blocks(3, [-3])  # a negative mask

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from collections import Counter
 from math import factorial
@@ -70,6 +71,18 @@ def test_count_divisors_formulas():
             divisors = divisors_for(g)
             assert len(divisors) == count_divisors(g)
             assert list(divisors) == sorted(set(divisors), key=divisor_sort_key), g
+
+
+def test_divisor_graph_is_memoised_per_geometry():
+    g = point_components(2, n=3)
+    before = (hash(g), g.dumps())
+    copy = dataclasses.replace(g)
+    assert divisors_for(g) is divisors_for(g)
+    enumerate_nested_sets(g)  # fills the compatibility rows too
+    assert set(g.divisor_graph) == {"divisors", "rows"}
+    assert copy.divisor_graph == {}  # a copy builds its own memo
+    assert divisors_for(copy) is not divisors_for(g) and divisors_for(copy) == divisors_for(g)
+    assert g == copy and (hash(g), g.dumps()) == before
 
 
 def test_five_point_moduli_complex():
