@@ -16,6 +16,7 @@ import sys
 import click
 
 from .geometry import Component, ConfigError, GeometryConfig, Space, load_config
+from .labels import split_top_level
 from .loci import parse_center
 from .nested import (
     BudgetError,
@@ -100,10 +101,12 @@ def build_config(config_path, n_points, dim_x, n_point_components, component_spe
         if component_specs:
             parsed = []
             for spec in component_specs:
-                name, sep, dim_text = spec.partition(":")
-                if not sep:
-                    raise ConfigError("--component expects name:dim, got %r" % spec)
-                parsed.append(Component(name, int(dim_text)))
+                name, _, dim_text = spec.partition(":")  # no colon leaves dim_text empty
+                try:
+                    dim = int(dim_text)
+                except ValueError:
+                    raise ConfigError("--component expects name:dim with an integer dim, got %r" % spec) from None
+                parsed.append(Component(name, dim))
             comps = tuple(parsed)
         elif n_point_components is not None:
             comps = tuple(Component("c%d" % (i + 1), 0) for i in range(n_point_components))
@@ -277,23 +280,7 @@ def _parse_label_array(text: str) -> list[str]:
     if not (t.startswith("[") and t.endswith("]")):
         raise ValueError("expected a JSON array of labels, got %r" % text)
     body = t[1:-1].strip()
-    if not body:
-        return []
-    out = []
-    depth = 0
-    token = ""
-    for ch in body:
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-        if ch == "," and depth == 0:
-            out.append(token.strip().strip('"'))
-            token = ""
-        else:
-            token += ch
-    out.append(token.strip().strip('"'))
-    return out
+    return [item.strip('"') for item in split_top_level(body)] if body else []
 
 
 @main.command()
@@ -329,8 +316,13 @@ def fiber(nested_literal, fmt, **cfg):
     """Dual graph of the universal-family fiber over a boundary stratum."""
     g = build_config(**cfg)
     try:
-        labels = _parse_label_array(nested_literal)
-        ns = make_nested_set(g, [parse_center(t, g.n) for t in labels])
+        seen = set()
+        for text in _parse_label_array(nested_literal):
+            d = parse_center(text, g.n)
+            if d in seen:
+                raise ValueError("repeated divisor %s in nested set" % d)
+            seen.add(d)
+        ns = make_nested_set(g, seen)
         tree = fiber_tree(g, ns)
     except ValueError as exc:
         _fail(2, str(exc))

@@ -1,16 +1,15 @@
-"""Subsets and partitions of the index set {1, ..., n}.
+"""Subsets of the index set {1, ..., n} and their text form.
 
 Index subsets are plain int bitmasks (bit i-1 <-> element i), so membership
 and the boolean operations cost one machine word each; populations above 64
 are refused outright.  A population n accompanies a mask wherever it
-matters.  Partitions keep every block, singletons included, as a tuple of
-masks sorted by least element; they are what partition literals parse to
-and what ``Partition.meet`` joins.  A ``loci.Diagonal`` keeps only the
-merged blocks, the ``support()`` of its partition.
+matters.
 
-Text forms: "{1,3}" for subsets and "{{1,2},{4,5}}" for partitions.
-Singleton blocks may be omitted on input and are omitted on output, so the
-discrete partition prints as "{}".
+Text forms: "{1,3}" for a subset; "{{1,2},{4,5}}", singletons optional, for
+the merged blocks a ``loci.Diagonal`` keeps.  ``split_top_level`` splits
+that literal and the command line's label arrays.  ``Partition`` (every
+block, singletons included) stays only for ``meet``, which the benchmark's
+tracer names.
 """
 
 from __future__ import annotations
@@ -75,6 +74,26 @@ def format_subset(mask: int) -> str:
     return "{" + ",".join(str(i) for i in elements(mask)) + "}"
 
 
+def split_top_level(text: str) -> list[str]:
+    """The comma-separated items of ``text`` that lie outside every brace,
+    each stripped; an empty text is one empty item."""
+    items, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch == "{":
+            depth += 1
+        elif ch == "}":
+            depth -= 1
+            if depth < 0:
+                break
+        elif ch == "," and not depth:
+            items.append(text[start:i].strip())
+            start = i + 1
+    if depth:
+        raise ValueError("unbalanced braces in %r" % text)
+    items.append(text[start:].strip())
+    return items
+
+
 def parse_subset(text: str) -> int:
     t = text.strip()
     if not (t.startswith("{") and t.endswith("}")):
@@ -88,11 +107,10 @@ def parse_subset(text: str) -> int:
         raise ValueError("bad subset literal %r: %s" % (text, exc)) from None
 
 
-def subsets(n: int, min_size: int = 0, max_size: int | None = None):
-    """All subsets of {1,...,n} with size in the given range, canonically ordered."""
+def subsets(n: int, min_size: int = 0):
+    """All subsets of {1,...,n} of at least ``min_size`` elements, canonically ordered."""
     check_population(n)
-    top = n if max_size is None else min(max_size, n)
-    for k in range(min_size, top + 1):
+    for k in range(min_size, n + 1):
         for combo in itertools.combinations(range(1, n + 1), k):
             yield mask_of(combo)
 
@@ -145,11 +163,8 @@ def join_blocks(n: int, blocks) -> list[int]:
 
 @dataclass(frozen=True)
 class Partition:
-    """A partition of {1,...,n}: disjoint nonempty blocks covering everything.
-
-    Canonical form keeps singleton blocks and sorts blocks by least element;
-    support() is the view listing only blocks of size >= 2.
-    """
+    """A partition of {1,...,n}: disjoint nonempty blocks covering everything,
+    singletons included, sorted by least element."""
 
     n: int
     blocks: tuple[int, ...]
@@ -171,39 +186,6 @@ class Partition:
         if seen != full_mask(self.n):
             raise ValueError("blocks do not cover {1..%d}" % self.n)
 
-    @classmethod
-    def discrete(cls, n: int) -> "Partition":
-        return cls(n, tuple(1 << i for i in range(n)))
-
-    @classmethod
-    def one_block(cls, n: int) -> "Partition":
-        return cls(n, (full_mask(n),) if n else ())
-
-    @classmethod
-    def from_blocks(cls, n: int, blocks) -> "Partition":
-        """Build from the given blocks (masks or member iterables); uncovered
-        elements become singletons."""
-        masks = []
-        for b in blocks:
-            m = b if isinstance(b, int) else mask_of(b)
-            if m:
-                masks.append(m)
-        seen = 0
-        for m in masks:
-            if m & ~full_mask(n):
-                raise ValueError(
-                    "block %s exceeds population %d" % (format_subset(m), n)
-                )
-            if m & seen:
-                raise ValueError("overlapping blocks")
-            seen |= m
-        masks.extend(1 << i for i in range(n) if not seen & (1 << i))
-        masks.sort(key=lambda m: m & -m)
-        return cls(n, tuple(masks))
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(b for b in self.blocks if b.bit_count() >= 2)
-
     def meet(self, other: "Partition") -> "Partition":
         """The partition I^J whose polydiagonal is the intersection of the two
         polydiagonals.
@@ -217,40 +199,21 @@ class Partition:
             raise ValueError("meet of partitions over different populations")
         return Partition(self.n, tuple(join_blocks(self.n, self.blocks + other.blocks)))
 
-    def __str__(self) -> str:
-        return format_partition(self)
 
-
-def format_partition(p: Partition) -> str:
-    return "{" + ",".join(format_subset(b) for b in p.support()) + "}"
-
-
-def parse_partition(text: str, n: int) -> Partition:
-    """Parse "{{1,2},{3,4}}"; omitted singletons are filled in."""
+def parse_blocks(text: str, n: int) -> tuple[int, ...]:
+    """The merged blocks of "{{1,2},{3,4}}": its blocks of two or more
+    points, sorted by least element.  Singletons may be omitted; a given one
+    is dropped from the result but still has to lie in {1..n} and to miss
+    every other block."""
     t = text.strip()
     if not (t.startswith("{") and t.endswith("}")):
         raise ValueError("partition literal must look like '{{1,2},{3}}', got %r" % text)
-    body = t[1:-1].strip()
-    blocks = []
-    depth = 0
-    token = ""
-    for ch in body:
-        if ch == "{":
-            depth += 1
-            token += ch
-        elif ch == "}":
-            depth -= 1
-            token += ch
-            if depth < 0:
-                raise ValueError("unbalanced braces in %r" % text)
-        elif ch == "," and depth == 0:
-            if token.strip():
-                blocks.append(parse_subset(token))
-            token = ""
-        else:
-            token += ch
-    if depth != 0:
-        raise ValueError("unbalanced braces in %r" % text)
-    if token.strip():
-        blocks.append(parse_subset(token))
-    return Partition.from_blocks(n, blocks)
+    masks = [parse_subset(item) for item in split_top_level(t[1:-1]) if item]
+    seen = 0
+    for m in masks:
+        if m & ~full_mask(n):
+            raise ValueError("block %s exceeds population %d" % (format_subset(m), n))
+        if m & seen:
+            raise ValueError("overlapping blocks")
+        seen |= m
+    return tuple(sorted((m for m in masks if m.bit_count() >= 2), key=lambda m: m & -m))

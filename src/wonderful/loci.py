@@ -70,7 +70,7 @@ from enum import Enum
 from functools import cached_property, lru_cache
 
 from .geometry import GeometryConfig
-from .labels import check_population, format_subset, full_mask, parse_partition, parse_subset
+from .labels import check_population, format_subset, full_mask, parse_blocks, parse_subset
 
 # Distinct intersections one geometry remembers before its memo starts over:
 # about 2 MB at ~500 bytes an entry (n=7).  The flag oracle on the stage-one
@@ -171,7 +171,9 @@ Center = DLocus | Diagonal
 
 
 def parse_center(text: str, n: int) -> Center:
-    """Parse center labels: "D:c1:{1,2}", "Delta:{1,2}", "Delta:{{1,2},{3,4}}"."""
+    """Parse center labels: "D:c1:{1,2}", "Delta:{1,2}", "Delta:{{1,2},{3,4}}";
+    ``labels.parse_blocks`` reads the last straight into the merged blocks,
+    so "Delta:{{1,2},{3}}" is Delta:{1,2}."""
     t = text.strip()
     if t.startswith("D:"):
         rest = t[2:]
@@ -186,7 +188,7 @@ def parse_center(text: str, n: int) -> Center:
     if t.startswith("Delta:"):
         body = t[len("Delta:"):].strip()
         if body.startswith("{{"):
-            return Diagonal(n, parse_partition(body, n).support())
+            return Diagonal(n, parse_blocks(body, n))
         return Diagonal.simple(n, parse_subset(body))
     raise ValueError("center label must start with 'D:' or 'Delta:', got %r" % text)
 

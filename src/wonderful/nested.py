@@ -74,9 +74,10 @@ Every object moved under a new divisor lies inside or outside any other
 chosen set as a whole, which is what compatibility asks.  So a maximal set
 has n + S = r + L + 2S, r = 0 or 1 the root's minimum, and |T| = L + S =
 n - r.  ``maximal_nested_sets`` therefore lists the faces of size
-top = len(f_vector(g)) - 1 and cuts every branch that can no longer reach
-it; the ``facets`` row of ``certify`` holds this against a rescan of every
-face for a divisor that would extend it.
+top = n with D-divisors, n - 1 with diagonals only and 0 with no divisor at
+all (``_facet_size``), and cuts every branch that can no longer reach it;
+the ``facets`` row of ``certify`` holds this against a rescan of every face
+for a divisor that would extend it.
 
 ``f_vector`` counts faces without walking.  A nested set is a fiber tree
 (see ``trees``): a root holding the points and screens that lie in no D_c,
@@ -327,6 +328,13 @@ def _walk(rows, names, low: int, high: int, emit, arg, append) -> None:
     extend((), (1 << len(names)) - 1)
 
 
+def _facet_size(g: GeometryConfig) -> int:
+    """The size of every maximal nested set: n - r (module docstring), or 0 with no divisor."""
+    if g.space is not Space.FM and g.n_components and g.n:
+        return g.n
+    return 0 if g.space is Space.XD_UPPER else max(g.n - 1, 0)
+
+
 def _faces(g: GeometryConfig, max_size, maximal, divisor_bound, emit, arg, quote=None) -> tuple:
     """Every nested set of at most ``max_size`` divisors, the empty one
     included, or with ``maximal`` only those of the top size, which are the
@@ -340,7 +348,7 @@ def _faces(g: GeometryConfig, max_size, maximal, divisor_bound, emit, arg, quote
     names = divisors if quote is None else [quote(d.label) for d in divisors]
     low, high = 0, max_size
     if maximal:
-        low = high = len(f_vector(g)) - 1
+        low = high = _facet_size(g)
         if max_size is not None and max_size < low:
             return ()
     out = [emit(arg, ())] if low == 0 else []

@@ -44,7 +44,7 @@ from dataclasses import dataclass, replace
 from .geometry import GeometryConfig, Space
 from .labels import elements
 from .loci import Diagonal, DLocus
-from .nested import NestedSet, divisor_sort_key, enumerate_nested_sets, make_nested_set
+from .nested import NestedSet, enumerate_nested_sets, make_nested_set
 from .trees import DegenerationTree, face_forest
 
 
@@ -62,36 +62,6 @@ class Permutation:
     def n(self) -> int:
         return len(self.images)
 
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
-
-    @classmethod
-    def from_cycles(cls, text: str, n: int) -> "Permutation":
-        """Parse cycle notation "(1 2)(3 4)"; fixed points may be omitted."""
-        images = list(range(1, n + 1))
-        body = text.strip()
-        if body in ("", "()", "id"):
-            return cls(tuple(images))
-        if body.count("(") != body.count(")"):
-            raise ValueError("unbalanced cycle notation %r" % text)
-        for chunk in body.replace(")", ")|").split("|"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            if not (chunk.startswith("(") and chunk.endswith(")")):
-                raise ValueError("bad cycle %r in %r" % (chunk, text))
-            entries = [int(tok) for tok in chunk[1:-1].replace(",", " ").split()]
-            if len(set(entries)) != len(entries):
-                raise ValueError("repeated element in cycle %r" % chunk)
-            for i in entries:
-                if not 1 <= i <= n:
-                    raise ValueError("cycle element %d outside {1..%d}" % (i, n))
-            for a, b in zip(entries, entries[1:] + entries[:1]):
-                images[a - 1] = b
-        perm = cls(tuple(images))
-        return perm
-
     def apply(self, i: int) -> int:
         return self.images[i - 1]
 
@@ -100,35 +70,6 @@ class Permutation:
         for i in elements(mask):
             out |= 1 << (self.images[i - 1] - 1)
         return out
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self * other)(i) = self(other(i))."""
-        if self.n != other.n:
-            raise ValueError("composing permutations of different degrees")
-        return Permutation(tuple(self.images[other.images[i] - 1] for i in range(self.n)))
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        return self.compose(other)
-
-    def cycles(self) -> str:
-        seen = set()
-        parts = []
-        for i in range(1, self.n + 1):
-            if i in seen:
-                continue
-            cyc = [i]
-            seen.add(i)
-            j = self.apply(i)
-            while j != i:
-                cyc.append(j)
-                seen.add(j)
-                j = self.apply(j)
-            if len(cyc) > 1:
-                parts.append("(" + " ".join(map(str, cyc)) + ")")
-        return "".join(parts) or "()"
-
-    def __str__(self):
-        return self.cycles()
 
 
 def all_permutations(n: int):
@@ -185,6 +126,10 @@ def orbits(g: GeometryConfig, kind: str, size: int | None = None) -> tuple[Orbit
     kind "divisors" partitions the boundary divisors, in closed form from
     (component, |S|); kind "nested" the nested sets of the given
     cardinality, grouped by their forest code.  Sizes always divide n!.
+
+    No sort is needed for "nested": the walk lists each face before its
+    extensions and extends by later divisors only, so the faces of one size
+    come out in the order of their divisor keys, least member first.
     """
     n = g.n
     if kind == "divisors":
@@ -197,10 +142,10 @@ def orbits(g: GeometryConfig, kind: str, size: int | None = None) -> tuple[Orbit
     if kind == "nested":
         if size is None:
             raise ValueError("orbit kind 'nested' needs a size")
-        items = [ns for ns in enumerate_nested_sets(g, max_size=size) if len(ns) == size]
         groups: dict[tuple, list] = {}
-        for ns in sorted(items, key=lambda ns: tuple(map(divisor_sort_key, ns.divisors))):
-            groups.setdefault(_forest_code(n, ns.divisors), []).append(ns)
+        for ns in enumerate_nested_sets(g, max_size=size):
+            if len(ns) == size:
+                groups.setdefault(_forest_code(n, ns.divisors), []).append(ns)
         whole = math.factorial(n)
         return tuple(Orbit(xs[0], len(xs), whole // len(xs)) for xs in groups.values())
     raise ValueError("unknown orbit kind %r" % kind)

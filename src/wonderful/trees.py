@@ -97,9 +97,6 @@ class DegenerationTree:
     def marks_on(self, vid: int) -> tuple[int, ...]:
         return tuple(i for i, m in enumerate(self.markings, start=1) if m == vid)
 
-    def subtree_marks(self, vid: int) -> int:
-        return _subtree_masks(self)[vid]
-
 
 def _subtree_masks(t: DegenerationTree) -> list[int]:
     """Per vertex the bitmask of the points on it or below it: one pass from

@@ -15,7 +15,7 @@ from click.testing import CliRunner
 from wonderful import certify, cli
 from wonderful.cli import main
 from wonderful.geometry import GeometryConfig, Space, point_components
-from wonderful.loci import parse_center
+from wonderful.loci import Diagonal, parse_center
 from wonderful.nested import (
     BudgetError,
     count_divisors,
@@ -171,6 +171,13 @@ def test_rewrite_json_matches_the_encoder(runner):
     fm4 = GeometryConfig(4, 1, (), Space.FM)
     sequence = lambda labels: BlowupSequence(fm4, tuple(parse_center(t, 4) for t in labels))  # noqa: E731
     assert result.stdout == _rewrite_payload(sequence(labels), sequence(target))
+    # the relaxed unquoted array reads a polydiagonal's inner commas as its own
+    result = runner.invoke(main, ["rewrite", "--n", "4", "--components", "1",
+                                  "--source", "[D:c1:{1},Delta:{{1,2},{3,4}}]",
+                                  "--target", '["Delta:{{1,2},{3,4}}","D:c1:{1}"]'])
+    g4 = point_components(1, n=4)
+    centers = (parse_center("D:c1:{1}", 4), Diagonal(4, (0b0011, 0b1100)))
+    assert result.stdout == _rewrite_payload(BlowupSequence(g4, centers), BlowupSequence(g4, centers[::-1]))
 
 
 def test_order_commands_refuse_too_many_centers(runner):
@@ -245,6 +252,8 @@ def test_bad_config_exits_2(runner, tmp_path):
             _json_error(runner.invoke(main, [command, "--config", str(bad)]))
     missing_n = runner.invoke(main, ["divisors", "--components", "1"])
     assert missing_n.exit_code == 2
+    message = _json_error(runner.invoke(main, ["divisors", "--n", "2", "--component", "a:x"]))
+    assert message == "--component expects name:dim with an integer dim, got 'a:x'"
 
 
 def test_budget_exceeded_exits_3(runner):
@@ -316,15 +325,16 @@ def test_usage_errors_raise_without_standalone_mode():
         ("D:c3:{1}", 2),
         # 1 << (i - 1) for this element would take 12.5 GB before any check
         ("D:c1:{100000000000}", 1),
+        ("D:c1:{1,2},D:c1:{1,2}", 1),
     ],
     ids=["polydiagonal", "component-0", "one-point-diagonal", "out-of-population", "missing-component",
-         "huge-element"],
+         "huge-element", "repeated"],
 )
 def test_fiber_rejects_non_divisor_labels(runner, label, components):
     argv = ["fiber", "--n", "4", "--components", str(components), "--nested", "[%s]" % label]
     message = _json_error(runner.invoke(main, argv))
-    if label.startswith("Delta:{{"):
-        assert label in message
+    named = {"Delta:{{1,2},{3,4}}": "Delta:{{1,2},{3,4}}", "D:c1:{1,2},D:c1:{1,2}": "repeated divisor D:c1:{1,2}"}
+    assert named.get(label, "") in message
 
 
 def test_certify_passes(runner):

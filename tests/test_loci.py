@@ -233,7 +233,8 @@ def test_polydiagonal_pairs_take_the_locus_route(monkeypatch):
     original = loci._pair_position_by_loci
     monkeypatch.setattr(loci, "_pair_position_by_loci", counting)
     g = bracket(5, [0, 1], dim_x=2)
-    polys = [Diagonal(5, p.support()) for p in partitions_of(5) if len(p.support()) >= 2]
+    merged = [tuple(b for b in p.blocks if b.bit_count() >= 2) for p in partitions_of(5)]
+    polys = [Diagonal(5, blocks) for blocks in merged if len(blocks) >= 2]
     simple = all_centers(g)
     assert len(polys) == 25
     for a in simple:
@@ -331,10 +332,18 @@ def test_diagonal_is_its_merged_blocks():
     poly = parse_center("Delta:{{3,4},{1,2}}", 5)
     assert poly == Diagonal(5, (0b00011, 0b01100))
     assert (poly.subset, poly.label) == (0, "Delta:{{1,2},{3,4}}")
+    # singletons may be given or omitted; the blocks come out sorted by least element
+    assert parse_center("Delta:{{1,2},{3}}", 3) == simple
+    assert parse_center("Delta:{{1,3},{2}}", 5) == parse_center("Delta:{{1,3}}", 5) == Diagonal.simple(5, 0b00101)
+    assert parse_center("Delta:{{2,3},{1,4}}", 4).blocks == (0b1001, 0b0110)
     for text, message in (("Delta:{{1}}", "size >= 2"), ("Delta:{{1,2},{2,3}}", "overlapping blocks"),
-                          ("Delta:{{1,4}}", "exceeds population 3")):
+                          ("Delta:{{1,4}}", "exceeds population 3"),
+                          # a given singleton still counts for overlap and population
+                          ("Delta:{{1,2},{1}}", "overlapping blocks")):
         with pytest.raises(ValueError, match=message):
             parse_center(text, 3)
+    with pytest.raises(ValueError, match="exceeds population 4"):
+        parse_center("Delta:{{1,2},{9}}", 4)
 
 
 def test_config_json_round_trip():

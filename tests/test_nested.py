@@ -253,6 +253,12 @@ def test_f_vector_identities_up_to_thirty_points():
             assert _reduced_euler(bracket[k, n]) == (-1) ** (n - 1) * factorial(n + k - 2) // factorial(k - 2)
         for k in (1, 2, 3):
             assert _reduced_euler(upper[k, n]) == (-1) ** (n - 1) * (k - 1) ** n
+    # the facet size that purity gives in closed form, on every space with k <= 3
+    for n in range(1, 31):
+        for g in (GeometryConfig(n, 2, (), Space.FM),
+                  *(point_components(k, n=n, space=space) for space in (Space.XD_BRACKET, Space.XD_UPPER)
+                    for k in range(4))):
+            assert nested._facet_size(g) == len(f_vector(g)) - 1
     for n in range(2, 32):
         assert fm[n][-1] == _double_factorial(2 * n - 3)
         assert _reduced_euler(fm[n]) == 0

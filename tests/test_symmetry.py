@@ -30,25 +30,15 @@ def every_space(n_max):
 
 
 def test_act_examples():
-    p = Permutation.from_cycles("(1 2)", 3)
+    p = Permutation((2, 1, 3))  # (1 2)
     assert act(p, DLocus(3, 1, 0b101)) == DLocus(3, 1, 0b110)
-    assert act(Permutation.identity(3), DLocus(3, 1, 0b101)) == DLocus(3, 1, 0b101)
-    rho = Permutation.from_cycles("(1 2 3)", 3)
+    assert act(Permutation((1, 2, 3)), DLocus(3, 1, 0b101)) == DLocus(3, 1, 0b101)
+    rho = Permutation((2, 3, 1))  # (1 2 3)
     assert act(rho, Diagonal.simple(3, 0b011)) == Diagonal.simple(3, 0b110)
-    sigma = Permutation.from_cycles("(2 3)", 4)
+    sigma = Permutation((1, 3, 2, 4))  # (2 3)
     poly = Diagonal(4, (0b0011, 0b1100))
     assert act(sigma, poly) == Diagonal(4, (0b0101, 0b1010))
     assert act(p, DLocus(3, 2, 0b001)) == DLocus(3, 2, 0b010)
-
-
-def test_cycle_notation_round_trip():
-    for images in itertools.permutations((1, 2, 3, 4)):
-        p = Permutation(images)
-        assert Permutation.from_cycles(p.cycles(), 4) == p
-    assert Permutation.from_cycles("(1 2)(3 4)", 4).images == (2, 1, 4, 3)
-    assert str(Permutation.identity(3)) == "()"
-    with pytest.raises(ValueError):
-        Permutation.from_cycles("(1 5)", 4)
 
 
 def test_group_action_laws_exhaustive_n3():
@@ -56,15 +46,16 @@ def test_group_action_laws_exhaustive_n3():
     xs = list(divisors_for(g))
     perms = list(all_permutations(3))
     for p, q in itertools.product(perms, repeat=2):
+        p_after_q = Permutation(tuple(p.apply(q.apply(i)) for i in range(1, 4)))
         for x in xs:
-            assert act(p.compose(q), x) == act(p, act(q, x))
+            assert act(p_after_q, x) == act(p, act(q, x))
     for x in xs:
-        assert act(Permutation.identity(3), x) == x
+        assert act(Permutation((1, 2, 3)), x) == x
 
 
 def test_size_mismatch_rejected():
     with pytest.raises(ValueError):
-        act(Permutation.identity(3), DLocus(4, 1, 0b0001))
+        act(Permutation((1, 2, 3)), DLocus(4, 1, 0b0001))
 
 
 def test_nestedness_equivariance_exhaustive():
@@ -88,7 +79,7 @@ def test_tree_action_permutes_markings():
     g = point_components(1, n=3)
     ns = make_nested_set(g, [DLocus(3, 1, 0b011)])
     t = fiber_tree(g, ns)
-    p = Permutation.from_cycles("(1 3)", 3)
+    p = Permutation((3, 2, 1))  # (1 3)
     t2 = act(p, t)
     assert t2.marks_on(1) == (2, 3)  # the level now carries {2,3}
     assert t2.marks_on(0) == (1,)

@@ -78,7 +78,6 @@ def test_nested_screens():
     inner = next(v.vid for v in t.vertices if v.kind is VertexKind.SCREEN and v.vid != outer)
     assert t.parents[inner] == outer
     assert t.marks_on(outer) == (3,) and t.marks_on(inner) == (1, 2)
-    assert t.subtree_marks(outer) == 0b0111
 
 
 def test_stability_negative_examples():
