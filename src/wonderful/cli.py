@@ -345,7 +345,7 @@ def fiber(nested_literal, fmt, **cfg):
 @main.command("orbits")
 @with_config
 @click.option("--kind", type=click.Choice(["divisors", "nested"]), default="divisors")
-@click.option("--size", type=int, default=None, help="Cardinality for kind=nested.")
+@click.option("--size", type=click.IntRange(min=0), default=None, help="Cardinality for kind=nested.")
 @click.option("--format", "fmt", type=click.Choice(["table", "json"]), default="table")
 def orbits_cmd(kind, size, fmt, **cfg):
     """Orbits of the symmetric-group action."""

@@ -51,6 +51,9 @@ drawn, in increasing order, from the candidates compatible with all earlier
 ones, over the canonically sorted ``divisors_for(g)``.  So walked faces are
 built without re-sorting and without re-running ``is_nested``; the public
 ``NestedSet`` constructor, which takes outside input, still checks both.
+``NestedSet`` keeps its two fields in slots, and ``NestedSet._walked``
+fills them through the slots' member descriptors: a walked face costs one
+tuple, one bare object and two slot stores, and carries no ``__dict__``.
 
 The complex is pure: every maximal nested set has the top size, n when
 there are D-divisors and n - 1 when there are only diagonals (0 when there
@@ -112,6 +115,8 @@ walks over the divisors' labels, each quoted once, and returns every face
 as its joined label string, which is all the command line prints; it
 builds no ``NestedSet``.  The three share one helper, ``_faces``, so the
 budget, ``max_size``, the top size and the empty face are handled once.
+A listing capped at size 0 is the empty face alone, so it builds no
+divisor, whatever n is.
 Counting functions count nested sets; whether distinct nested sets can cut
 out one and the same stratum is left open here, deliberately.
 """
@@ -199,14 +204,16 @@ def is_nested(g: GeometryConfig, divisors) -> bool:
     return all(pair_compatible(ds[i], ds[j]) for i in range(len(ds)) for j in range(i + 1, len(ds)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NestedSet:
     """A nested collection of boundary divisors in canonical order.
 
     The constructor enforces the order and the pairwise criterion, since it
     takes outside input (parsed labels, relabelings, fiber trees).  Faces of
     the clique walk skip both checks through ``_walked``: the walk only
-    ever extends a face by a later divisor compatible with all of it."""
+    ever extends a face by a later divisor compatible with all of it.  The
+    fields live in slots, so a walked face is one bare object and two slot
+    stores, and holds no ``__dict__``."""
 
     geometry: GeometryConfig
     divisors: tuple[Center, ...]
@@ -218,11 +225,11 @@ class NestedSet:
         if not is_nested(self.geometry, self.divisors):
             raise ValueError("collection is not nested")
 
-    @classmethod
-    def _walked(cls, g: GeometryConfig, divisors: tuple[Center, ...]) -> "NestedSet":
-        ns = object.__new__(cls)
-        object.__setattr__(ns, "geometry", g)
-        object.__setattr__(ns, "divisors", divisors)
+    @staticmethod
+    def _walked(g: GeometryConfig, divisors: tuple[Center, ...]) -> "NestedSet":
+        ns = _new_object(NestedSet)
+        _set_geometry(ns, g)
+        _set_divisors(ns, divisors)
         return ns
 
     def labels(self) -> tuple[str, ...]:
@@ -232,13 +239,18 @@ class NestedSet:
         return len(self.divisors)
 
 
+# The slots' own member descriptors store a walked face's fields, past the
+# frozen ``__setattr__``; bound once here, not looked up per face.
+_new_object = object.__new__
+_set_geometry = NestedSet.geometry.__set__
+_set_divisors = NestedSet.divisors.__set__
+
+
 def make_nested_set(g: GeometryConfig, divisors) -> NestedSet:
     return NestedSet(g, tuple(sorted(set(divisors), key=divisor_sort_key)))
 
 
 def _budgeted_divisors(g: GeometryConfig, max_size: int | None, divisor_bound: int | None):
-    if max_size is not None and max_size < 0:
-        raise ValueError("max_size must be >= 0, got %d" % max_size)
     count = count_divisors(g)
     bound = ENUMERATION_DIVISOR_BOUND if divisor_bound is None else divisor_bound
     if count > bound and (max_size is None or max_size > 2):
@@ -343,18 +355,25 @@ def _faces(g: GeometryConfig, max_size, maximal, divisor_bound, emit, arg, quote
     ``quote`` when one is given (each label is quoted once, before the
     walk), and goes out as ``emit(arg, face)``: ``NestedSet._walked`` with
     the geometry, or ``str.join`` with a comma.  Both are called directly; a
-    ``functools.partial`` per face cost 3-4% on small enumerations."""
-    divisors = _budgeted_divisors(g, max_size, divisor_bound)
-    names = divisors if quote is None else [quote(d.label) for d in divisors]
+    ``functools.partial`` per face cost 3-4% on small enumerations.  A
+    listing capped at size 0 is the empty face alone (or nothing, when
+    ``maximal`` and the top size is larger), which needs no divisor, so none
+    is built and no budget applies."""
+    if max_size is not None and max_size < 0:
+        raise ValueError("max_size must be >= 0, got %d" % max_size)
     low, high = 0, max_size
     if maximal:
         low = high = _facet_size(g)
         if max_size is not None and max_size < low:
             return ()
+    if high == 0:
+        return (emit(arg, ()),)
+    divisors = _budgeted_divisors(g, max_size, divisor_bound)
+    names = divisors if quote is None else [quote(d.label) for d in divisors]
     out = [emit(arg, ())] if low == 0 else []
     if high is None or high > 1:
         _walk(_compatibility_rows(g), names, low, len(names) if high is None else high, emit, arg, out.append)
-    elif high == 1:
+    else:
         out += [emit(arg, (x,)) for x in names]
     return tuple(out)
 
@@ -367,10 +386,11 @@ def enumerate_nested_sets(
 
     The nested sets are the cliques of the compatibility graph, listed depth
     first in canonical divisor order; with max_size <= 1 no graph is built,
-    and a negative max_size is a ValueError.  Exhaustive enumeration over
-    more than ENUMERATION_DIVISOR_BOUND divisors is refused unless
-    max_size <= 2; a caller that knows better may raise ``divisor_bound``
-    explicitly (the command line interface never does).
+    with max_size 0 no divisor either, and a negative max_size is a
+    ValueError.  Exhaustive enumeration over more than
+    ENUMERATION_DIVISOR_BOUND divisors is refused unless max_size <= 2; a
+    caller that knows better may raise ``divisor_bound`` explicitly (the
+    command line interface never does).
     """
     return _faces(g, max_size, False, divisor_bound, NestedSet._walked, g)
 

@@ -127,7 +127,10 @@ def orbits(g: GeometryConfig, kind: str, size: int | None = None) -> tuple[Orbit
     (component, |S|); kind "nested" the nested sets of the given
     cardinality, grouped by their forest code.  Sizes always divide n!.
 
-    No sort is needed for "nested": the walk lists each face before its
+    Sizes 0 and 1 need no walk: the empty set is one orbit, built without a
+    divisor, and a one-divisor set lies in its divisor's orbit, so size 1 is
+    kind "divisors" with each representative wrapped in a ``NestedSet``.
+    No sort is needed for larger sizes: the walk lists each face before its
     extensions and extends by later divisors only, so the faces of one size
     come out in the order of their divisor keys, least member first.
     """
@@ -142,6 +145,9 @@ def orbits(g: GeometryConfig, kind: str, size: int | None = None) -> tuple[Orbit
     if kind == "nested":
         if size is None:
             raise ValueError("orbit kind 'nested' needs a size")
+        if size == 1:
+            return tuple(replace(o, representative=make_nested_set(g, (o.representative,)))
+                         for o in orbits(g, "divisors"))
         groups: dict[tuple, list] = {}
         for ns in enumerate_nested_sets(g, max_size=size):
             if len(ns) == size:

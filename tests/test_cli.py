@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -293,9 +294,10 @@ def _json_error(result, code=2) -> str:
         (["divisors", "--bogus"], "--bogus"),
         (["order", "--n", "3"], "--scheme"),
         (["orbits", "--kind", "divisors", "--size", "2", "--n", "3"], "--size"),
+        (["orbits", "--kind", "nested", "--size", "-1", "--n", "2", "--components", "1"], "--size"),
     ],
     ids=["not-an-int", "bad-choice", "out-of-range", "negative-components", "unknown-option", "missing-option",
-         "size-of-divisors"],
+         "size-of-divisors", "negative-size"],
 )
 def test_usage_errors_print_json(runner, argv, names):
     assert names in _json_error(runner.invoke(main, argv))
@@ -354,6 +356,28 @@ def test_certify_reports_the_first_differing_item(runner, monkeypatch):
     assert result.exit_code == 1
     where = point_components(1, n=2).dumps()
     assert result.output.splitlines() == ["FAIL broken: b on %s: fast 2, slow 0" % where]
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        ("nested --max-size 0 --n 64 --components 1 --format json", {"count": 1, "nested_sets": [[]]}),
+        ("orbits --kind nested --size 0 --n 40 --components 1 --format json",
+         [{"representative": "{}", "size": 1, "stabilizer_order": math.factorial(40)}]),
+        ("orbits --kind nested --size 1 --n 30 --components 1 --format json",
+         [{"representative": "{%s:{%s}}" % (family, ",".join(map(str, range(1, s + 1)))),
+           "size": math.comb(30, s), "stabilizer_order": math.factorial(s) * math.factorial(30 - s)}
+          for family, least in (("D:c1", 1), ("Delta", 2)) for s in range(least, 31)]),
+    ],
+    ids=["nested-size-0", "orbits-size-0", "orbits-size-1"],
+)
+def test_small_sizes_answer_at_large_n(argv, expected):
+    # a subprocess with a time limit: a listing that grows with n fails here instead of hanging the suite
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    result = subprocess.run([sys.executable, "-m", "wonderful.cli", *argv.split()], env=env, capture_output=True,
+                            text=True, timeout=10)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == expected
 
 
 def test_cli_import_leaves_certify_unloaded():

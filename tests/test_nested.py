@@ -284,6 +284,9 @@ def test_walked_faces_are_canonical_and_nested(g, bound):
         assert list(ns.divisors) == sorted(set(ns.divisors), key=divisor_sort_key)
         assert is_nested(g, ns.divisors)
         assert make_nested_set(g, ns.divisors) == ns
+        assert hash(ns) == hash(make_nested_set(g, ns.divisors))
+        assert type(ns) is NestedSet
+        assert not hasattr(ns, "__dict__")
 
 
 def _double_factorial(k):
@@ -326,7 +329,10 @@ def test_public_nested_set_constructor_checks_its_input():
         NestedSet(g, (Diagonal.simple(3, 0b011), DLocus(3, 1, 0b111)))  # nested, not sorted
     with pytest.raises(ValueError):
         NestedSet(g, (DLocus(3, 1, 0b111), DLocus(3, 1, 0b111)))  # repeated
-    assert NestedSet(g, (DLocus(3, 1, 0b111), Diagonal.simple(3, 0b011))).labels() == ("D:c1:{1,2,3}", "Delta:{1,2}")
+    ns = NestedSet(g, (DLocus(3, 1, 0b111), Diagonal.simple(3, 0b011)))
+    assert ns.labels() == ("D:c1:{1,2,3}", "Delta:{1,2}")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ns.divisors = ()
 
 
 def test_divisor_labels_round_trip():

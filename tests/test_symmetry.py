@@ -170,6 +170,18 @@ def test_divisor_orbits_closed_forms():
                 assert o.stabilizer_order == math.factorial(s) * math.factorial(n - s)
 
 
+def test_single_divisor_orbits_match_the_walk():
+    # size 1 is read off the divisor orbits; grouping the walked faces by code is the oracle
+    for g in every_space(6):
+        groups: dict[tuple, list] = {}
+        for ns in enumerate_nested_sets(g, max_size=1):
+            if len(ns) == 1:
+                groups.setdefault(symmetry._forest_code(g.n, ns.divisors), []).append(ns)
+        whole = math.factorial(g.n)
+        assert [(o.representative, o.size, o.stabilizer_order) for o in orbits(g, "nested", 1)] == [
+            (xs[0], len(xs), whole // len(xs)) for xs in groups.values()], g
+
+
 def test_orbits_list_no_permutation(monkeypatch):
     def refuse(*args):
         raise AssertionError("orbits moved an item by a permutation or listed the divisors")
@@ -181,6 +193,8 @@ def test_orbits_list_no_permutation(monkeypatch):
         m.setattr(nested, "divisors_for", refuse)
         m.setattr(symmetry, "divisors_for", refuse, raising=False)  # a copy imported there escapes the first patch
         assert len(orbits(point_components(2, n=40), "divisors")) == 119
+        assert [len(o.representative) for o in orbits(point_components(2, n=40), "nested", 0)] == [0]
+        assert len(orbits(point_components(2, n=40), "nested", 1)) == 119
     assert sum(o.size for o in orbits(point_components(1, n=4), "nested", 3)) == sum(
         1 for ns in enumerate_nested_sets(point_components(1, n=4), max_size=3) if len(ns) == 3
     )
