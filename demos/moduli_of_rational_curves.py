@@ -27,7 +27,7 @@ for n_marked in (4, 5, 6, 7):
     m = n_marked - 3
     g = point_components(3, n=m)
     divisors = count_divisors(g)
-    facets = len(maximal_nested_sets(g, divisor_bound=64))
+    facets = len(maximal_nested_sets(g))
     print(
         "   %d     |    %d    |        %3d          |  %4d == %4d"
         % (n_marked, m, divisors, facets, double_factorial(2 * n_marked - 5))

@@ -43,7 +43,7 @@ from .labels import Partition, SubsetRelation, check_population, elements, join_
 from .loci import (Center, Diagonal, DLocus, Locus, PairPosition, _intersect, _pair_position_by_loci,
                    center_to_locus, contains, contains_locus, dimension, intersect, intersect_all, make_locus,
                    pair_position, parse_center)
-from .nested import (BudgetError, NestedSet, _compatibility_rows, _f_vector_by_walk, count_divisors,
+from .nested import (NestedSet, _compatibility_rows, _f_vector_by_walk, count_divisors,
                      divisor_sort_key, divisors_for, enumerate_nested_sets, f_vector, is_nested,
                      maximal_nested_sets, pair_compatible)
 from .orders import (BlowupSequence, InclusionReport, generate_order, swap_rewrite,
@@ -149,7 +149,7 @@ def maximal_by_rescan(g: GeometryConfig) -> tuple[NestedSet, ...]:
     """Nested sets, in enumeration order, that no single further divisor
     stays compatible with: O(faces * divisors * size) pair tests."""
     divisors = divisors_for(g)
-    return tuple(ns for ns in enumerate_nested_sets(g, divisor_bound=len(divisors)) if not any(
+    return tuple(ns for ns in enumerate_nested_sets(g) if not any(
         d not in ns.divisors and all(pair_compatible(d, e) for e in ns.divisors) for d in divisors))
 
 
@@ -406,22 +406,22 @@ def _moduli_closed_forms(g: GeometryConfig) -> list:
     return [("divisors", 2 ** (marked - 1) - marked - 1), ("facets", math.prod(range(2 * marked - 5, 0, -2)))]
 
 
-def _f_vectors(g: GeometryConfig, whole, unbounded, upto, cut) -> list:
-    """The whole f-vector, with a divisor bound and without, then the one up
-    to each size s; for n <= 4 once more for the walk cut off at s."""
+def _f_vectors(g: GeometryConfig, whole, upto, cut) -> list:
+    """The whole f-vector, then the one up to each size s; for n <= 4 once
+    more for the walk cut off at s."""
     sizes = range(len(whole) + 1)
-    items = [("whole", whole), ("no budget", unbounded)] + [("max_size=%d" % s, upto(s)) for s in sizes]
+    items = [("whole", whole)] + [("max_size=%d" % s, upto(s)) for s in sizes]
     return items + [("walk cut at %d" % s, cut(s)) for s in sizes if g.n <= 4]
 
 
 def _f_vector_fast(g: GeometryConfig) -> list:
     upto = lambda s: f_vector(g, max_size=s)  # noqa: E731
-    return _f_vectors(g, f_vector(g), f_vector(g, divisor_bound=0), upto, upto)
+    return _f_vectors(g, f_vector(g), upto, upto)
 
 
 def _f_vector_slow(g: GeometryConfig) -> list:
     walked = _f_vector_by_walk(g)
-    return _f_vectors(g, walked, walked, lambda s: walked[:s + 1], lambda s: _f_vector_by_walk(g, max_size=s))
+    return _f_vectors(g, walked, lambda s: walked[:s + 1], lambda s: _f_vector_by_walk(g, max_size=s))
 
 
 def _pairs(g: GeometryConfig, route, distinct: bool = True) -> list:
@@ -539,13 +539,14 @@ def _inclusion_items(g: GeometryConfig, route) -> list:
 
 
 def _orbit_items(g: GeometryConfig, route) -> list:
+    """The divisor orbits and the orbits of nested sets of sizes 1 and 2,
+    and of size 3 on configurations of at most 40 divisors: the brute force
+    moves every face by all n! permutations."""
     out = []
-    for kind, size in (("divisors", None), ("nested", 1), ("nested", 2), ("nested", 3)):
+    sizes = (1, 2, 3) if count_divisors(g) <= 40 else (1, 2)
+    for kind, size in [("divisors", None)] + [("nested", s) for s in sizes]:
         label = kind if size is None else "nested sets of size %d" % size
-        try:
-            out += [("%s #%d" % (label, i), o) for i, o in enumerate(route(g, kind, size))]
-        except BudgetError:
-            out.append((label, "over budget"))
+        out += [("%s #%d" % (label, i), o) for i, o in enumerate(route(g, kind, size))]
     return out
 
 
@@ -553,7 +554,7 @@ def _fiber_trees(g: GeometryConfig, route) -> list:
     """Every face of g, the empty one included, and the vertices, parents
     and markings of its fiber tree by ``route``."""
     return [(_text(ns.divisors), (t.vertices, t.parents, t.markings))
-            for ns in enumerate_nested_sets(g, divisor_bound=count_divisors(g)) for t in [route(g, ns)]]
+            for ns in enumerate_nested_sets(g) for t in [route(g, ns)]]
 
 
 def _containments(g: GeometryConfig, route) -> list:
@@ -628,7 +629,7 @@ ROWS = (
         lambda g: [("divisors", count_divisors(g))],
         lambda g: [("divisors", len(enumerate_nested_sets(g, max_size=1)) - 1)]),
     Row("moduli-anchors", tuple(point_components(3, n=n) for n in range(1, 6)),  # M_{0,4..8}
-        lambda g: [("divisors", count_divisors(g)), ("facets", len(maximal_nested_sets(g, divisor_bound=200)))],
+        lambda g: [("divisors", count_divisors(g)), ("facets", len(maximal_nested_sets(g)))],
         _moduli_closed_forms),
     Row("f-vector",  # every space, k = 0..3, n <= 6 but M_{0,9} (k=3 n=6), and mixed components
         tuple(g for g in _every_space(6) if g != point_components(3, n=6))
@@ -638,7 +639,7 @@ ROWS = (
         _is_face,
         lambda g: [(_text(sub), is_nested(g, sub)) for sub in _collections(divisors_for(g))]),
     Row("facets", _every_space(4),  # the top-size faces are every maximal face: the complex is pure
-        lambda g: list(enumerate(ns.labels() for ns in maximal_nested_sets(g, divisor_bound=count_divisors(g)))),
+        lambda g: list(enumerate(ns.labels() for ns in maximal_nested_sets(g))),
         lambda g: list(enumerate(ns.labels() for ns in maximal_by_rescan(g)))),
     Row("pair-rule", _every_space(5),
         lambda g: _pairs(g, pair_compatible),

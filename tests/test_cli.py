@@ -258,9 +258,9 @@ def test_bad_config_exits_2(runner, tmp_path):
 
 
 def test_budget_exceeded_exits_3(runner):
-    result = runner.invoke(main, ["nested", "--n", "6", "--components", "1"])
+    result = runner.invoke(main, ["nested", "--n", "7", "--components", "1"])
     assert result.exit_code == 3
-    assert "40" in result.stderr
+    assert "262144" in result.stderr
     shallow = runner.invoke(main, ["nested", "--n", "6", "--components", "1", "--max-size", "1"])
     assert shallow.exit_code == 0
 
@@ -380,6 +380,33 @@ def test_small_sizes_answer_at_large_n(argv, expected):
     assert json.loads(result.stdout) == expected
 
 
+# sum(f_vector(point_components(4, n=64))), written out: the recursion takes ~0.35 s at n = 64 on a 2-vCPU Xeon
+FACES_K4_N64 = int("19454200545585053820349317347804272331337219380818391179128918191545"
+                   "43952764749685990772198810449728888366571607556096")
+
+
+@pytest.mark.parametrize(
+    "argv, predicted",
+    [
+        ("nested --max-size 1 --n 26 --components 1", 134217701),
+        ("nested --max-size 2 --n 22 --components 1", 141005053318),
+        ("orbits --kind nested --size 2 --n 20 --components 1", 15642295541),
+        ("orbits --kind nested --size 2 --n 12 --components 1", 2268697),
+        ("facets --n 64 --components 4", FACES_K4_N64),
+    ],
+    ids=["nested-size-1", "nested-size-2", "orbits-size-2-n20", "orbits-size-2-n12", "facets-n64"],
+)
+def test_large_listings_are_refused_on_their_predicted_size(argv, predicted):
+    # a subprocess with a time limit: a listing past the face bound exits 3 before it walks
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    result = subprocess.run([sys.executable, "-m", "wonderful.cli", *argv.split()], env=env, capture_output=True,
+                            text=True, timeout=10)
+    assert result.returncode == 3
+    assert result.stdout == ""
+    [line] = result.stderr.splitlines()
+    assert json.loads(line) == {"error": "refusing to walk %d nested sets (bound 262144)" % predicted}
+
+
 def test_cli_import_leaves_certify_unloaded():
     code = "import sys, wonderful.cli; print('wonderful.certify' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
@@ -454,21 +481,19 @@ def _geometries(max_n):
 
 
 def test_face_rows_render_like_nested_sets(runner):
+    # sizes above 2, whole listings and facets on configurations of at most 40 divisors
     for argv, g in _geometries(5):
-        for max_size in (0, 1, 2, 3, None):
-            try:
-                sets = enumerate_nested_sets(g, max_size=max_size)
-            except BudgetError:
-                continue
+        shallow = count_divisors(g) > 40
+        for max_size in (0, 1, 2) if shallow else (0, 1, 2, 3, None):
+            sets = enumerate_nested_sets(g, max_size=max_size)
             size = [] if max_size is None else ["--max-size", str(max_size)]
             for fmt in ("json", "table"):
                 result = runner.invoke(main, ["nested", *argv, *size, "--format", fmt])
                 assert result.exit_code == 0
                 assert result.stdout == _old_rendering(sets, "nested_sets", fmt), (argv, max_size, fmt)
-        try:
-            sets = maximal_nested_sets(g)
-        except BudgetError:
+        if shallow:
             continue
+        sets = maximal_nested_sets(g)
         for fmt in ("json", "table"):
             result = runner.invoke(main, ["facets", *argv, "--format", fmt])
             assert result.exit_code == 0
@@ -476,10 +501,9 @@ def test_face_rows_render_like_nested_sets(runner):
 
 
 def test_face_budget_refusals_keep_their_message(runner):
-    assert count_divisors(point_components(3, n=5)) == 119
-    # k=1 n=24 has 33 554 406 divisors: the count refuses before any is built
-    for k, n, argv in ((3, 5, ["facets"]), (3, 5, ["facets", "--format", "json"]),
-                       (3, 5, ["nested", "--max-size", "3"]), (1, 24, ["facets"])):
+    assert sum(f_vector(point_components(3, n=6))) == 660032  # M_{0,9}
+    # k=1 n=24 has 33 554 406 divisors: the prediction refuses before any is built
+    for k, n, argv in ((3, 6, ["facets"]), (3, 6, ["facets", "--format", "json"]), (1, 24, ["facets"])):
         with pytest.raises(BudgetError) as refused:
             maximal_nested_sets(point_components(k, n=n))
         start = time.perf_counter()
@@ -488,6 +512,12 @@ def test_face_budget_refusals_keep_their_message(runner):
         assert result.exit_code == 3
         assert result.stdout == ""
         assert json.loads(result.stderr) == {"error": str(refused.value)}
+    # M_{0,8}: 119 divisors, but 39 208 faces, so its 10 395 facets are listed
+    facets = maximal_nested_sets(point_components(3, n=5))
+    assert len(facets) == 10395
+    result = runner.invoke(main, ["facets", "--n", "5", "--components", "3", "--format", "json"])
+    assert result.exit_code == 0
+    assert result.stdout == _old_rendering(facets, "facets", "json")
 
 
 def test_nested_csv_needs_fvector(runner):

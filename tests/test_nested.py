@@ -124,13 +124,27 @@ def test_enumeration_deterministic():
 
 
 def test_budget_guard():
-    g = point_components(1, n=6)  # 63 + 57 = 120 divisors
-    assert count_divisors(g) > 40
+    g = point_components(1, n=7)  # 127 + 120 = 247 divisors, 1 320 064 faces
+    assert count_divisors(g) == 247
     with pytest.raises(BudgetError) as err:
         enumerate_nested_sets(g)
-    assert "40" in str(err.value)
+    assert "1320064" in str(err.value) and "262144" in str(err.value)
+    # 63 + 57 = 120 divisors, but 78 416 faces: within the bound
+    g = point_components(1, n=6)
+    assert len(enumerate_nested_sets(g)) == sum(f_vector(g)) == 78416
     # shallow queries stay allowed
     assert len(enumerate_nested_sets(g, max_size=1)) == count_divisors(g) + 1
+
+
+def test_refused_listing_builds_nothing(monkeypatch):
+    # k=1 n=18 has 524 268 divisors, so even the faces of size <= 1 are past the bound
+    def never(*args):
+        raise AssertionError("a refused listing built divisors")
+
+    monkeypatch.setattr(nested, "divisors_for", never)
+    monkeypatch.setattr(nested, "pair_compatible", never)
+    with pytest.raises(BudgetError, match="refusing to walk 524269 nested sets"):
+        enumerate_nested_sets(point_components(1, n=18), max_size=1)
 
 
 def test_negative_max_size_is_refused():
@@ -191,8 +205,8 @@ def test_shallow_and_refused_queries_test_no_pairs(monkeypatch):
     assert len(enumerate_nested_sets(g, max_size=1)) == count_divisors(g) + 1
     assert calls == []
     with pytest.raises(BudgetError) as err:
-        enumerate_nested_sets(g)
-    assert "40" in str(err.value)
+        enumerate_nested_sets(point_components(1, n=7))  # 1 320 064 faces
+    assert "262144" in str(err.value)
     assert calls == []
 
 
@@ -223,10 +237,10 @@ def test_f_vector_up_to_a_size_is_a_prefix(g):
 
 
 def test_f_vector_up_to_two_skips_the_budget():
-    g = point_components(1, n=6)  # 120 divisors, over ENUMERATION_DIVISOR_BOUND
-    with pytest.raises(nested.BudgetError):
-        enumerate_nested_sets(g)
-    assert f_vector(g, max_size=2) == (1, 120, len(enumerate_nested_sets(g, max_size=2)) - 121)
+    g = point_components(1, n=11)  # 2047 + 2036 = 4083 divisors
+    with pytest.raises(BudgetError, match="739897"):
+        enumerate_nested_sets(g, max_size=2)
+    assert f_vector(g, max_size=2) == (1, 4083, 735813)
 
 
 def _stirling2(n, k):

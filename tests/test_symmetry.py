@@ -8,7 +8,7 @@ from wonderful.geometry import GeometryConfig, Space, point_components
 from wonderful.loci import Diagonal, DLocus
 from wonderful import nested, symmetry
 from wonderful.nested import (
-    BudgetError,
+    count_divisors,
     divisors_for,
     enumerate_nested_sets,
     is_nested,
@@ -148,13 +148,12 @@ def test_equivariance_sampled_large_n():
 
 
 def test_stabilizer_order_counts_the_stabilizer():
+    # size 3 on configurations of at most 40 divisors
     for g in every_space(4):
         for kind, size in ORBIT_KINDS:
-            try:
-                out = orbits(g, kind, size)
-            except BudgetError:
+            if size == 3 and count_divisors(g) > 40:
                 continue
-            for o in out:
+            for o in orbits(g, kind, size):
                 assert o.stabilizer_order == len(stabilizer(g, o.representative)), (g, o)
 
 
