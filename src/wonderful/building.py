@@ -30,7 +30,8 @@ which every prefix must be a building set, in one pass: the G-factors of w
 in prefix k are the minimal ones among the first k members containing w,
 so member k changes them only for the w that lie inside V_k, and those are
 exactly the elements w cap V_k that its step yields.  Only they are checked
-again; ``is_building_set`` stays the check of one whole collection.
+again; ``is_building_set`` stays the check of one whole collection.  Only
+the order check is budgeted, always, by ``nested.ORDER_CHECK_BOUND``.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
+from . import nested
 from .geometry import GeometryConfig
-from .labels import elements
 from .loci import (
     Center,
     Diagonal,
@@ -51,7 +52,6 @@ from .loci import (
     meets_transversally,
     validate_center,
 )
-from .nested import BudgetError, divisors_for
 
 
 class Stage(Enum):
@@ -154,25 +154,11 @@ def building_set_for(g: GeometryConfig) -> tuple[BuildingSet, BuildingSet]:
     transforms of every simple diagonal with |I| >= 2 (empty for the space
     where points may collide), each in the canonical divisor order.
     """
-    divisors = divisors_for(g)
+    divisors = nested.divisors_for(g)
     return (
         BuildingSet(g, tuple(c for c in divisors if c.component), Stage.AMBIENT),
         BuildingSet(g, tuple(c for c in divisors if not c.component), Stage.TRANSFORM),
     )
-
-
-def inclusion_key(c: Center) -> tuple:
-    """Sort key realizing an inclusion order on the boundary divisors (the
-    ``inclusion`` scheme sorts ``divisors_for``, and nothing else reaches
-    it): bigger index sets blow up first, D-loci before diagonals at equal
-    size (a point component makes D_{c,S} a subvariety of Delta_I whenever
-    I is contained in S).  D-loci of one size go lexicographically;
-    diagonals of one size put the larger least element first, then go
-    lexicographically: Delta:{2,3}, then {1,2}, then {1,3}."""
-    s = c.subset
-    if c.component:
-        return (-s.bit_count(), 0, elements(s), c.component)
-    return (-s.bit_count(), 1, (-(s & -s), elements(s)), 0)
 
 
 def factors_of_locus(bs: BuildingSet, lo: Locus) -> tuple[Center, ...]:
@@ -222,8 +208,8 @@ def _closure_steps(g: GeometryConfig, loci, bound: int | None = None, spent: int
         yield inside
 
 
-def _over_budget(bound: int) -> BudgetError:
-    return BudgetError(
+def _over_budget(bound: int) -> nested.BudgetError:
+    return nested.BudgetError(
         "refusing a building-set check of more than %d steps"
         " (containment tests between members, then intersections)" % bound
     )
@@ -309,7 +295,7 @@ def is_building_set(g: GeometryConfig, members) -> bool:
     return all(table.cuts_out(w, table.factor_mask(w)) for w in _intersection_closure(g, table.loci))
 
 
-def is_building_order(g: GeometryConfig, members, bound: int | None = None) -> bool:
+def is_building_order(g: GeometryConfig, members) -> bool:
     """Is every prefix of ``members`` a building set?  One pass over the
     order, which builds the intersection closure by the prefix recurrence.
 
@@ -319,12 +305,13 @@ def is_building_order(g: GeometryConfig, members, bound: int | None = None) -> b
     ``_closure_steps`` yields for member k, and only they are checked again.
 
     The work is the containment tests between members, then one
-    intersection per closure element and member; past ``bound`` such steps
-    the pass raises a BudgetError.
+    intersection per closure element and member; past
+    ``nested.ORDER_CHECK_BOUND`` such steps the pass raises a BudgetError.
     """
+    bound = nested.ORDER_CHECK_BOUND
     members = list(members)
     spent = len(members) ** 2
-    if bound is not None and spent > bound:
+    if spent > bound:
         raise _over_budget(bound)
     table = _MemberTable(g, members)
     for k, inside in enumerate(_closure_steps(g, table.loci, bound, spent)):
@@ -341,7 +328,6 @@ __all__ = [
     "building_set_for",
     "factors_of_locus",
     "g_factors",
-    "inclusion_key",
     "is_building_order",
     "is_building_set",
     "is_nested_flag_oracle",

@@ -39,13 +39,6 @@ from .symmetry import orbits
 from .trees import fiber_tree, is_stable, to_dot
 
 ORDER_SOURCES = SCHEMES + ("two_block",)
-# Steps ``order --check`` may spend on a generated order, and swaps
-# ``rewrite`` may make; times for one thread of a 2-vCPU Xeon.  Inclusion:
-# one mask test per pair of centers; k=3 n=6 takes 30 135 and ~3 ms, k=2 n=9
-# 1 160 526.  Reshuffled: containment tests between the centers, then
-# intersections; k=2 n=6 takes 45 404 steps and ~0.8 s, k=3 n=6 217 719.
-# Swaps from the two-block order: k=1 n=8 takes 20 052 and ~40 ms.
-ORDER_CHECK_BOUND = 1 << 16
 # Centers ``order`` and ``rewrite`` may generate, and divisors ``divisors``
 # may list, judged by the divisor count (it bounds every scheme): k=1 n=14
 # (32 752) prints in ~0.7 s.
@@ -235,13 +228,13 @@ def _check_order(g, scheme, seq):
     interleaved by certified swaps from the two-block order."""
     try:
         if scheme == "inclusion":
-            if not validate_inclusion_order(seq, ORDER_CHECK_BOUND).ok:
+            if not validate_inclusion_order(seq).ok:
                 _fail(1, "generated inclusion order failed validation")
         elif scheme == "reshuffled":
-            if not validate_building_set_order(seq, ORDER_CHECK_BOUND):
+            if not validate_building_set_order(seq):
                 _fail(1, "generated reshuffled order failed validation: a prefix is not a building set")
         else:
-            res = swap_rewrite(two_block_order(g), seq, ORDER_CHECK_BOUND)
+            res = swap_rewrite(two_block_order(g), seq)
             if not res.ok:
                 _fail(1, "generated interleaved order failed validation: %s and %s do not commute"
                          " on the way from the two-block order" % res.blocking)
@@ -293,7 +286,7 @@ def rewrite(source, target, **cfg):
     try:
         seq = _sequence_from(g, source)
         tgt = _sequence_from(g, target)
-        result = swap_rewrite(seq, tgt, ORDER_CHECK_BOUND)
+        result = swap_rewrite(seq, tgt)
     except ValueError as exc:
         _fail(2, str(exc))
     except BudgetError as exc:

@@ -105,7 +105,7 @@ recursion runs on plain integers.  Run at y = 1 it gives the number of
 faces, which bounds every coefficient, so with 2^w above that number the
 base-2^w digits of the value at y = 2^w are the face counts.  The count
 needs only (n, k, space), because ``pair_compatible`` reads the components
-and index sets of the divisors and nothing else (FM is k = 0; the
+and index sets of the divisors and nothing else (FM has k = 0; the
 colliding-points space has no diagonals).  ``_f_vector_by_walk`` counts the
 walked faces by size; it is the oracle of the recursion.
 
@@ -118,12 +118,14 @@ budget, ``max_size``, the top size and the empty face are handled once.
 A listing capped at size 0 is the empty face alone and builds no divisor.
 Any other walks at most ``FACE_BOUND`` = 2^18 nested sets: past that many,
 counted as ``sum(f_vector(g, max_size=top))`` with ``top`` the size cap or
-the facet size, it raises ``BudgetError`` naming both before building a
-divisor.  The binomial sum of the divisor count up to ``top`` bounds the
-count, so while that sum is within the bound the recursion (20-55 us at
-n <= 6, against 1-2 us) is skipped.  At 2^18 the largest admitted listings
-take ~3 s on a 2-vCPU Xeon (size <= 1 at k=1 n=17; size-2 orbits at k=1
-n=10); 2^20 admits size <= 1 at n=19 (11.7 s, 37 MB).
+the facet size (then it is every face: the recursion at y = 1 alone), it
+raises ``BudgetError`` naming both before building a divisor.  The binomial
+sum of the divisor count up to ``top`` bounds the count, so while that sum
+is within the bound the recursion (20-55 us at n <= 6, against 1-2 us) is
+skipped.  At 2^18 the largest admitted listings take ~3 s on a 2-vCPU Xeon
+(size <= 1 at k=1 n=17; size-2 orbits at k=1 n=10); 2^20 admits size <= 1
+at n=19 (11.7 s, 37 MB).  ``ORDER_CHECK_BOUND`` = 2^16 is the one budget of
+the order checks in ``orders`` and ``building``.
 Counting functions count nested sets; whether distinct nested sets can cut
 out one and the same stratum is left open here, deliberately.
 """
@@ -144,6 +146,13 @@ from .loci import (
 )
 
 FACE_BOUND = 1 << 18
+# Steps an order check may spend, read by ``orders`` and ``building`` at
+# call time; times for one thread of a 2-vCPU Xeon.  Inclusion: one mask
+# test per pair of centers; k=3 n=6 takes 30 135 and ~3 ms, k=2 n=9
+# 1 160 526.  Reshuffled: containment tests between the centers, then
+# intersections; k=2 n=6 takes 45 404 steps and ~0.8 s, k=3 n=6 217 719.
+# Swaps from the two-block order: k=1 n=8 takes 20 052 and ~40 ms.
+ORDER_CHECK_BOUND = 1 << 16
 
 
 class BudgetError(RuntimeError):
@@ -173,9 +182,8 @@ def divisors_for(g: GeometryConfig) -> tuple[Center, ...]:
     memo = g.divisor_graph
     if "divisors" not in memo:
         out: list[Center] = []
-        if g.space is not Space.FM:
-            for c in range(1, g.n_components + 1):
-                out.extend(DLocus(g.n, c, mask) for mask in subsets(g.n, min_size=1))
+        for c in range(1, g.n_components + 1):
+            out.extend(DLocus(g.n, c, mask) for mask in subsets(g.n, min_size=1))
         if g.space is not Space.XD_UPPER:
             out.extend(Diagonal.simple(g.n, mask) for mask in subsets(g.n, min_size=2))
         memo["divisors"] = tuple(out)
@@ -185,9 +193,8 @@ def divisors_for(g: GeometryConfig) -> tuple[Center, ...]:
 def count_divisors(g: GeometryConfig) -> int:
     """#components * (2^n - 1) D-divisors plus, with distinct points, 2^n - n - 1
     diagonal divisors."""
-    d_part = g.n_components * ((1 << g.n) - 1) if g.space is not Space.FM else 0
     delta_part = (1 << g.n) - g.n - 1 if g.space is not Space.XD_UPPER else 0
-    return d_part + delta_part
+    return g.n_components * ((1 << g.n) - 1) + delta_part
 
 
 def pair_compatible(a: Center, b: Center) -> bool:
@@ -338,9 +345,7 @@ def _walk(rows, names, low: int, high: int, emit, arg, append) -> None:
 
 def _facet_size(g: GeometryConfig) -> int:
     """The size of every maximal nested set: n - r (module docstring), or 0 with no divisor."""
-    if g.space is not Space.FM and g.n_components and g.n:
-        return g.n
-    return 0 if g.space is Space.XD_UPPER else max(g.n - 1, 0)
+    return g.n if g.n_components else 0 if g.space is Space.XD_UPPER else g.n - 1
 
 
 def _faces(g: GeometryConfig, max_size, maximal, bound, emit, arg, quote=None) -> tuple:
@@ -366,7 +371,7 @@ def _faces(g: GeometryConfig, max_size, maximal, bound, emit, arg, quote=None) -
         top = _facet_size(g) if high is None else min(high, _facet_size(g))
         count = count_divisors(g)
         if sum([comb(count, s) for s in range(top + 1)]) > bound:
-            predicted = sum(f_vector(g, max_size=top))
+            predicted = _fiber_tree_count(g, 1) if top == _facet_size(g) else sum(f_vector(g, max_size=top))
             if predicted > bound:
                 raise BudgetError("refusing to walk %d nested sets (bound %d)" % (predicted, bound))
     divisors = divisors_for(g)
@@ -426,10 +431,8 @@ def f_vector(
     is the oracle."""
     if max_size is not None and max_size < 0:
         raise ValueError("max_size must be >= 0, got %d" % max_size)
-    k = 0 if g.space is Space.FM else g.n_components
-    diagonals = g.space is not Space.XD_UPPER
-    w = _fiber_tree_count(g.n, k, diagonals, 1).bit_length()
-    value = _fiber_tree_count(g.n, k, diagonals, 1 << w)
+    w = _fiber_tree_count(g, 1).bit_length()
+    value = _fiber_tree_count(g, 1 << w)
     mask = (1 << w) - 1
     counts = []
     while value and (max_size is None or len(counts) <= max_size):
@@ -438,11 +441,13 @@ def f_vector(
     return tuple(counts)
 
 
-def _fiber_tree_count(n: int, k: int, diagonals: bool, y: int) -> int:
-    """n! [x^n] of B (1 - L)^-k at the given y (module docstring).  A[m],
-    B[m], L[m] and G[m] are the labelled counts on m points of a point or
-    screen, a set of those, one level and the k chains of levels; a product
-    of series is a binomial convolution of these counts."""
+def _fiber_tree_count(g: GeometryConfig, y: int) -> int:
+    """n! [x^n] of B (1 - L)^-k at the given y, for the n points and k
+    components of ``g`` (module docstring).  A[m], B[m], L[m] and G[m] are
+    the labelled counts on m points of a point or screen, a set of those,
+    one level and the k chains of levels; a product of series is a binomial
+    convolution of these counts."""
+    n, k, diagonals = g.n, g.n_components, g.space is not Space.XD_UPPER
     A, B = [0, 1], [1, 1]
     for m in range(2, n + 1):  # B' = A' B, and A_m = y (B_m - A_m) for m >= 2
         s = sum([comb(m - 1, j - 1) * A[j] * B[m - j] for j in range(1, m)])
@@ -467,6 +472,7 @@ __all__ = [
     "BudgetError",
     "FACE_BOUND",
     "NestedSet",
+    "ORDER_CHECK_BOUND",
     "count_divisors",
     "divisor_sort_key",
     "divisors_for",

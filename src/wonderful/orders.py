@@ -4,7 +4,7 @@ rewriting between orders by commuting adjacent centers.
 Every generated order is a sort of ``nested.divisors_for(g)``; round k
 holds the centers with max(S) = k, the index set's largest point.
 
-* ``inclusion``  -- every divisor by ``building.inclusion_key``: bigger index
+* ``inclusion``  -- every divisor by ``inclusion_key``: bigger index
   sets first, D-loci before diagonals at equal size (which matters once a
   point component makes D_{c,S} a subvariety of a diagonal).
 * ``reshuffled`` -- the D-divisors by round; every prefix of this order is
@@ -39,6 +39,7 @@ allocates only its ``SwapStep`` tuple.  ``swap_certificate`` is the same
 kernel on one swap after any prefix of centers, validated;
 ``certify.certificate_by_rules`` states the rules apart, one swap at a
 time, and ``certify``'s ``rewrite-replay`` row holds the kernel to it.
+Each check refuses past ``nested.ORDER_CHECK_BOUND`` steps, read when called.
 """
 
 from __future__ import annotations
@@ -46,9 +47,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .building import inclusion_key, is_building_order
+from . import nested
+from .building import is_building_order
 from .geometry import GeometryConfig, Space
-from .labels import subset_key
+from .labels import elements, subset_key
 from .loci import (
     Center,
     Diagonal,
@@ -58,7 +60,6 @@ from .loci import (
     center_to_locus,
     validate_center,
 )
-from .nested import BudgetError, divisors_for
 
 SCHEMES = ("inclusion", "reshuffled", "interleaved")
 
@@ -86,10 +87,20 @@ def _round_key(c: Center) -> tuple:
     return (s.bit_length(), not c.component, -s.bit_count(), subset_key(s)[1], c.component)
 
 
+def inclusion_key(c: Center) -> tuple:
+    """The ``inclusion`` scheme's key (module docstring).  D-loci of one size
+    go lexicographically; diagonals of one size put the larger least element
+    first, then go lexicographically: Delta:{2,3}, then {1,2}, then {1,3}."""
+    s = c.subset
+    if c.component:
+        return (-s.bit_count(), 0, elements(s), c.component)
+    return (-s.bit_count(), 1, (-(s & -s), elements(s)), 0)
+
+
 def generate_order(g: GeometryConfig, scheme: str) -> BlowupSequence:
     """``divisors_for(g)``, or its D-divisors for ``reshuffled``, sorted by
     the scheme's key; see the module docstring."""
-    divisors = divisors_for(g)
+    divisors = nested.divisors_for(g)
     if scheme == "inclusion":
         return BlowupSequence(g, tuple(sorted(divisors, key=inclusion_key)))
     if scheme == "reshuffled":
@@ -108,7 +119,7 @@ def two_block_order(g: GeometryConfig) -> BlowupSequence:
     the order the interleaved sequence is reachable from by commuting swaps."""
     if g.space is not Space.XD_BRACKET:
         raise ValueError("the two-block order requires the space of distinct points")
-    return BlowupSequence(g, tuple(sorted(divisors_for(g), key=lambda c: (not c.component, _round_key(c)))))
+    return BlowupSequence(g, tuple(sorted(nested.divisors_for(g), key=lambda c: (not c.component, _round_key(c)))))
 
 
 @dataclass(frozen=True)
@@ -117,7 +128,7 @@ class InclusionReport:
     violation: tuple[int, int, str] | None = None
 
 
-def validate_inclusion_order(seq: BlowupSequence, bound: int | None = None) -> InclusionReport:
+def validate_inclusion_order(seq: BlowupSequence) -> InclusionReport:
     """A center strictly contained in another must be blown up first.
 
     Containment is decided on the locus codes, so point components
@@ -125,13 +136,14 @@ def validate_inclusion_order(seq: BlowupSequence, bound: int | None = None) -> I
     A center's locus is never empty, so center j lies strictly inside center
     i when every constraint of i holds on j and the codes differ.  The first
     violating pair (i, j) is reported.  The check makes at most N(N-1)/2
-    containment tests on N centers; when that is more than ``bound`` it
-    raises ``nested.BudgetError`` before testing any.
+    containment tests on N centers; when that is more than
+    ``nested.ORDER_CHECK_BOUND`` it raises ``BudgetError`` before testing any.
     """
     g = seq.geometry
+    bound = nested.ORDER_CHECK_BOUND
     tests = len(seq.centers) * (len(seq.centers) - 1) // 2
-    if bound is not None and tests > bound:
-        raise BudgetError(
+    if tests > bound:
+        raise nested.BudgetError(
             "refusing an inclusion check of more than %d containment tests"
             " (%d centers need %d)" % (bound, len(seq.centers), tests)
         )
@@ -145,23 +157,23 @@ def validate_inclusion_order(seq: BlowupSequence, bound: int | None = None) -> I
     return InclusionReport(True)
 
 
-def validate_building_set_order(seq: BlowupSequence, bound: int | None = None) -> bool:
+def validate_building_set_order(seq: BlowupSequence) -> bool:
     """Is every prefix of the sequence a building set?
 
     One pass over the order (``building.is_building_order``): a new center
-    re-checks only the intersections that lie inside it.  Past ``bound``
-    steps (containment tests between the centers, then intersections) the
-    pass raises ``nested.BudgetError``.  Only single-stage
-    sequences are meaningful here (the D-family in the ambient product, or
-    the diagonal transforms of stage two); a sequence holding both D-loci
-    and diagonals is a ValueError, and interleaved mixed orders are
-    justified by ``swap_rewrite`` instead.
+    re-checks only the intersections that lie inside it.  Past
+    ``nested.ORDER_CHECK_BOUND`` steps (containment tests, then
+    intersections) it raises ``BudgetError``.  Only single-stage sequences
+    are meaningful here (the D-family in the ambient product, or the
+    diagonal transforms of stage two); a sequence holding both D-loci and
+    diagonals is a ValueError, and interleaved mixed orders are justified
+    by ``swap_rewrite`` instead.
     """
     if {type(c) for c in seq.centers} == {DLocus, Diagonal}:
         raise ValueError(
             "mixed-stage sequence; validate per stage or justify via swap_rewrite"
         )
-    return is_building_order(seq.geometry, seq.centers, bound)
+    return is_building_order(seq.geometry, seq.centers)
 
 
 class SwapStep(NamedTuple):
@@ -201,24 +213,25 @@ def swap_certificate(g: GeometryConfig, prefix, a: Center, b: Center) -> str | N
     return res.swaps[0].certificate if res.ok else None
 
 
-def swap_rewrite(seq: BlowupSequence, target: BlowupSequence, bound: int | None = None) -> RewriteResult:
+def swap_rewrite(seq: BlowupSequence, target: BlowupSequence) -> RewriteResult:
     """Transform ``seq`` into ``target`` by adjacent certified swaps.
 
     Greedy bubble toward the target: the commutation relation is a partial
     commutation, so when the target is reachable the greedy order reaches it,
     and a blocked mandatory swap names the offending pair.  A rewrite that
-    needs more than ``bound`` swaps raises ``nested.BudgetError``.
+    needs more than ``nested.ORDER_CHECK_BOUND`` swaps raises ``BudgetError``.
     """
     labels, wanted = seq.labels(), target.labels()
     if sorted(labels) != sorted(wanted):
         raise ValueError("sequences do not hold the same centers")
     index = {t: i for i, t in enumerate(labels)}  # a label names one center
-    return _rewrite(seq, [index[t] for t in wanted], bound)
+    return _rewrite(seq, [index[t] for t in wanted])
 
 
-def _rewrite(seq: BlowupSequence, goal: list[int], bound: int | None = None) -> RewriteResult:
+def _rewrite(seq: BlowupSequence, goal: list[int]) -> RewriteResult:
     """``swap_rewrite`` toward ``goal``, the target as indices into ``seq``."""
     g = seq.geometry
+    bound = nested.ORDER_CHECK_BOUND
     centers = seq.centers
     labels = seq.labels()
     comp = [c.component for c in centers]
@@ -238,7 +251,7 @@ def _rewrite(seq: BlowupSequence, goal: list[int], bound: int | None = None) -> 
             left, right = work[j - 1], work[j]
             limit = j - 1  # the centers before the swap are blown up
             if len(steps) == bound:
-                raise BudgetError("refusing a rewrite of more than %d swaps" % bound)
+                raise nested.BudgetError("refusing a rewrite of more than %d swaps" % bound)
             pos = _position(g, centers[left], centers[right])
             if pos is disjoint:
                 cert = "ambient-disjoint"
@@ -272,6 +285,7 @@ __all__ = [
     "RewriteResult",
     "SwapStep",
     "generate_order",
+    "inclusion_key",
     "swap_certificate",
     "swap_rewrite",
     "two_block_order",

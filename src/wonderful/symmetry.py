@@ -136,7 +136,7 @@ def orbits(g: GeometryConfig, kind: str, size: int | None = None) -> tuple[Orbit
     """
     n = g.n
     if kind == "divisors":
-        families = [] if g.space is Space.FM else [(c, 1) for c in range(1, g.n_components + 1)]
+        families = [(c, 1) for c in range(1, g.n_components + 1)]
         families += [] if g.space is Space.XD_UPPER else [(0, 2)]
         return tuple(
             Orbit(DLocus(n, c, (1 << s) - 1) if c else Diagonal.simple(n, (1 << s) - 1),

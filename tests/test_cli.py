@@ -13,7 +13,7 @@ import click
 import pytest
 from click.testing import CliRunner
 
-from wonderful import certify, cli
+from wonderful import certify, cli, nested
 from wonderful.cli import main
 from wonderful.geometry import GeometryConfig, Space, point_components
 from wonderful.loci import Diagonal, parse_center
@@ -211,9 +211,9 @@ def test_order_commands_refuse_too_many_centers(runner):
 def test_rewrite_spends_at_most_the_check_bound(runner, monkeypatch):
     # k=1 n=3: 4 swaps from the two-block order
     argv = ["rewrite", "--source", "two_block", "--target", "interleaved", "--n", "3", "--components", "1"]
-    monkeypatch.setattr(cli, "ORDER_CHECK_BOUND", 4)
+    monkeypatch.setattr(nested, "ORDER_CHECK_BOUND", 4)
     assert runner.invoke(main, argv).exit_code == 0
-    monkeypatch.setattr(cli, "ORDER_CHECK_BOUND", 3)
+    monkeypatch.setattr(nested, "ORDER_CHECK_BOUND", 3)
     assert "more than 3 swaps" in _json_error(runner.invoke(main, argv), 3)
 
 
@@ -520,6 +520,16 @@ def test_face_budget_refusals_keep_their_message(runner):
     assert result.stdout == _old_rendering(facets, "facets", "json")
 
 
+def test_facets_refusal_counts_the_faces_in_one_pass(runner):
+    # every face is within the facet size, so the count is the recursion at
+    # y = 1 alone (~2 ms at n = 64), not the packed f-vector (~0.4 s)
+    argv = ["facets", "--n", "64", "--components", "4"]
+    start = time.perf_counter()
+    message = _json_error(runner.invoke(main, argv), 3)
+    assert time.perf_counter() - start < 0.1
+    assert message == "refusing to walk %d nested sets (bound 262144)" % FACES_K4_N64
+
+
 def test_nested_csv_needs_fvector(runner):
     message = _json_error(runner.invoke(main, ["nested", "--n", "2", "--components", "1", "--format", "csv"]))
     assert "--fvector" in message
@@ -534,8 +544,8 @@ def test_order_check_validates_every_scheme(runner, monkeypatch, scheme, compone
     plain = runner.invoke(main, argv)
     checked = runner.invoke(main, argv + ["--check"])
     assert checked.exit_code == 0 and checked.output == plain.output
-    monkeypatch.setattr(cli, "validate_building_set_order", lambda seq, bound: False)
-    monkeypatch.setattr(cli, "swap_rewrite", lambda seq, target, bound: RewriteResult(False, (), ("D:c1:{1}", "Delta:{1,2}")))
+    monkeypatch.setattr(cli, "validate_building_set_order", lambda seq: False)
+    monkeypatch.setattr(cli, "swap_rewrite", lambda seq, target: RewriteResult(False, (), ("D:c1:{1}", "Delta:{1,2}")))
     message = _json_error(runner.invoke(main, argv + ["--check"]), 1)
     assert message.startswith("generated %s order failed validation" % scheme)
     if scheme == "interleaved":
@@ -549,7 +559,7 @@ def test_order_check_validates_every_scheme(runner, monkeypatch, scheme, compone
 def test_order_check_budget_exits_3(runner, monkeypatch, scheme, unit):
     # k=1 n=3: 7 reshuffled centers (49 containment tests); 4 swaps; 11
     # inclusion centers (55 containment tests)
-    monkeypatch.setattr(cli, "ORDER_CHECK_BOUND", 3)
+    monkeypatch.setattr(nested, "ORDER_CHECK_BOUND", 3)
     argv = ["order", "--scheme", scheme, "--check", "--n", "3", "--components", "1"]
     message = _json_error(runner.invoke(main, argv), 3)
     assert "more than 3 %s" % unit in message

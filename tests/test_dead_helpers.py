@@ -7,7 +7,12 @@ CLI, ``certify`` (the slow routes) and the package's re-exports are callers,
 not candidates; an import or an ``__all__`` entry is not a use.  Dunders are
 the language's to call and are skipped.  The names the benchmark's tracer
 patches are exempt, a traced method with its class: the tracer looks them
-up by string, and dropping one is a change to the benchmark."""
+up by string, and dropping one is a change to the benchmark.
+
+Nor do any of those functions or methods take a parameter named
+``bound``: each budget is one library constant that every call applies.
+The ignored ``divisor_bound`` is another name and stays until the
+benchmark stops passing it."""
 
 import ast
 import importlib.util
@@ -44,16 +49,16 @@ def _references():
 
 
 def _public_definitions(path):
-    """(qualname, name) of each public top-level function and class of the
+    """(qualname, node) of each public top-level function and class of the
     module, and of each public method of its public classes."""
     for node in ast.parse(path.read_text(encoding="utf-8")).body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
             continue
-        yield node.name, node.name
+        yield node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                    yield "%s.%s" % (node.name, item.name), item.name
+                    yield "%s.%s" % (node.name, item.name), item
 
 
 def test_every_public_helper_has_a_caller_outside_the_tests():
@@ -63,7 +68,22 @@ def test_every_public_helper_has_a_caller_outside_the_tests():
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name in NOT_CANDIDATES:
             continue
-        for qualname, name in _public_definitions(path):
-            if (path.stem, qualname) not in exempt and name not in used:
+        for qualname, node in _public_definitions(path):
+            if (path.stem, qualname) not in exempt and node.name not in used:
                 unused.append("%s.%s" % (path.stem, qualname))
     assert not unused, "reached by tests only: " + ", ".join(unused)
+
+
+def test_no_public_function_takes_a_bound():
+    # a budget is the library's own constant (``nested.FACE_BOUND``,
+    # ``nested.ORDER_CHECK_BOUND``), not a knob each caller may set or forget
+    knobs = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in NOT_CANDIDATES:
+            continue
+        for qualname, node in _public_definitions(path):
+            if isinstance(node, ast.FunctionDef):
+                arguments = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                if any(a.arg == "bound" for a in arguments):
+                    knobs.append("%s.%s" % (path.stem, qualname))
+    assert not knobs, "a bound parameter: " + ", ".join(knobs)

@@ -1,6 +1,6 @@
 import pytest
 
-from wonderful import building, certify, loci, orders
+from wonderful import building, certify, loci, nested, orders
 from wonderful.geometry import Component, GeometryConfig, Space, point_components
 from wonderful.loci import Diagonal, DLocus, parse_center
 from wonderful.nested import BudgetError
@@ -149,20 +149,51 @@ def test_building_set_order_builds_one_table(monkeypatch):
         assert len(tables) == 1
 
 
-def test_order_checks_refuse_past_their_bound():
+def test_order_checks_refuse_past_their_bound(monkeypatch):
     g = point_components(2, n=4, space=Space.XD_UPPER)
     seq = generate_order(g, "reshuffled")
-    assert validate_building_set_order(seq, bound=len(seq.centers) ** 2 + 3036)
+    monkeypatch.setattr(nested, "ORDER_CHECK_BOUND", len(seq.centers) ** 2 + 3036)
+    assert validate_building_set_order(seq)
+    monkeypatch.setattr(nested, "ORDER_CHECK_BOUND", 1000)
     with pytest.raises(BudgetError, match="more than 1000 steps"):
-        validate_building_set_order(seq, bound=1000)
+        validate_building_set_order(seq)
+    monkeypatch.setattr(nested, "ORDER_CHECK_BOUND", 899)
     with pytest.raises(BudgetError, match="more than 899 steps"):
-        validate_building_set_order(seq, bound=899)  # 30 centers: 900 containment tests
+        validate_building_set_order(seq)  # 30 centers: 900 containment tests
     g = point_components(1, n=3)
     source, target = two_block_order(g), generate_order(g, "interleaved")
     swaps = len(swap_rewrite(source, target).swaps)
-    assert swap_rewrite(source, target, bound=swaps).ok
+    monkeypatch.setattr(nested, "ORDER_CHECK_BOUND", swaps)
+    assert swap_rewrite(source, target).ok
+    monkeypatch.setattr(nested, "ORDER_CHECK_BOUND", swaps - 1)
     with pytest.raises(BudgetError, match="more than %d swaps" % (swaps - 1)):
-        swap_rewrite(source, target, bound=swaps - 1)
+        swap_rewrite(source, target)
+
+
+def test_plain_library_order_checks_refuse_past_the_check_bound():
+    # no bound is passed anywhere: the library's own 2^16 applies
+    assert nested.ORDER_CHECK_BOUND == 65536
+    steps = ("refusing a building-set check of more than 65536 steps"
+             " (containment tests between members, then intersections)")
+    seq = generate_order(point_components(2, n=9), "inclusion")
+    with pytest.raises(BudgetError) as refused:
+        validate_inclusion_order(seq)
+    assert str(refused.value) == ("refusing an inclusion check of more than 65536 containment tests"
+                                  " (1524 centers need 1160526)")
+    # k=2 n=7: 254 centers, 64 516 containment tests, refused among the intersections;
+    # k=3 n=7: 381 centers, refused before the first intersection
+    for k in (2, 3):
+        seq = generate_order(point_components(k, n=7, space=Space.XD_UPPER), "reshuffled")
+        with pytest.raises(BudgetError) as refused:
+            validate_building_set_order(seq)
+        assert str(refused.value) == steps
+        with pytest.raises(BudgetError) as refused:
+            building.is_building_order(seq.geometry, seq.centers)
+        assert str(refused.value) == steps
+    g = point_components(1, n=9)
+    with pytest.raises(BudgetError) as refused:
+        swap_rewrite(two_block_order(g), generate_order(g, "interleaved"))
+    assert str(refused.value) == "refusing a rewrite of more than 65536 swaps"
 
 
 def test_swap_rewrite_identity():
