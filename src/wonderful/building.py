@@ -14,7 +14,10 @@ cleanly and (2) for every sub-collection with nonempty intersection W, the
 G-factors of W (the minimal members containing W) meet transversally and cut
 out exactly W.  A sub-collection C of G is nested when some flag
 W_1 <= ... <= W_k of nonempty intersections of members has every element of
-C among the G-factors of some W_i.  The flag definition is implemented here
+C among the G-factors of some W_i.  Every such element contains W_1, so a
+nested collection meets: when the meet of C is empty no flag can witness it,
+and the oracle answers False there, as the full search would, without
+building anything.  Otherwise the flag definition is implemented here
 as one forward pass over the candidate flag entries, smallest locus first,
 which keeps for each candidate the masks of C covered by the flags ending
 there: at most 2^|C| masks per candidate.  It is kept strictly separate from
@@ -229,6 +232,11 @@ def _intersection_closure(g: GeometryConfig, loci) -> list[Locus]:
 def is_nested_flag_oracle(bs: BuildingSet, sub) -> bool:
     """Decide nestedness by searching for a witnessing flag.
 
+    A witnessing flag starts at a nonempty W_1 lying inside every member of
+    ``sub``, so a collection whose members do not meet is not nested; it is
+    refused on its meet, with the answer the search below would give, before
+    any candidate is built.
+
     Candidate flag entries are the distinct nonempty intersections of
     sub-collections of ``sub``.  Nothing is lost by this bound: replacing a
     witnessing W_i by the intersection of the sub-elements containing W_i
@@ -250,7 +258,10 @@ def is_nested_flag_oracle(bs: BuildingSet, sub) -> bool:
     sub = table.indices(dict.fromkeys(sub))
     if not sub:
         return True
-    candidates = _intersection_closure(g, [table.loci[k] for k in sub])
+    loci = [table.loci[k] for k in sub]
+    if intersect_all(g, loci).is_empty:
+        return False
+    candidates = _intersection_closure(g, loci)
 
     want = (1 << len(sub)) - 1
     bits = [(k, 1 << i) for i, k in enumerate(sub)]

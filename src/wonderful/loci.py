@@ -74,8 +74,9 @@ from .labels import check_population, format_subset, full_mask, parse_blocks, pa
 
 # Distinct intersections one geometry remembers before its memo starts over:
 # about 2 MB at ~500 bytes an entry (n=7).  The flag oracle on the stage-one
-# set of k=2, n=4 fills about 1100 entries (450 random and nested
-# sub-collections of up to 8 members).
+# set of k=2, n=4 fills 400-430 entries (450 random and nested
+# sub-collections of up to 8 members; those whose members do not meet stop
+# at their meet).
 INTERSECT_MEMO_LIMIT = 1 << 12
 
 _NO_MERGED_BLOCK = "a diagonal needs at least one block of size >= 2"

@@ -57,10 +57,10 @@ class DegenerationTree:
 
     def __post_init__(self):
         vs = self.vertices
-        if not vs or vs[0].kind is not VertexKind.ROOT or self.parents[0] is not None:
-            raise ValueError("vertex 0 must be the parentless root")
         if len(self.parents) != len(vs):
             raise ValueError("parent table size mismatch")
+        if not vs or vs[0].kind is not VertexKind.ROOT or self.parents[0] is not None:
+            raise ValueError("vertex 0 must be the parentless root")
         if len(self.markings) != self.geometry.n:
             raise ValueError("markings must place every one of the %d points" % self.geometry.n)
         chains: dict[int, set[int]] = {}

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from wonderful import building, nested
 from wonderful.building import (
     BuildingSet,
     _intersection_closure,
@@ -19,9 +20,12 @@ from wonderful.loci import (
     DLocus,
     center_to_locus,
     contains,
+    everything_locus,
+    intersect,
     intersect_all,
     meets_transversally,
 )
+from wonderful.nested import is_nested
 
 
 def test_building_set_sizes():
@@ -112,6 +116,53 @@ def test_flag_oracle_examples():
     _, diag = building_set_for(g_fm)
     assert is_nested_flag_oracle(diag, [Diagonal.simple(4, 0b0011), Diagonal.simple(4, 0b1100)])
     assert is_nested_flag_oracle(diag, [])
+
+
+def _stage_one_collections(k, n):
+    g = point_components(k, n=n, space=Space.XD_UPPER)
+    first, _ = building_set_for(g)
+    members = first.members
+    subs = [sub for r in range(len(members) + 1) for sub in itertools.combinations(members, r)]
+    return g, first, subs
+
+
+def test_flag_oracle_refuses_an_empty_meet_before_the_closure(monkeypatch):
+    g, first, subs = _stage_one_collections(2, 3)
+    # combinations come by size, so each meet extends the one without its last member
+    meets = {(): everything_locus(g)}
+    for sub in subs[1:]:
+        meets[sub] = intersect(g, meets[sub[:-1]], center_to_locus(g, sub[-1]))
+    disjoint = [sub for sub in subs if meets[sub].is_empty]
+    expected = [is_nested(g, sub) for sub in disjoint]
+
+    class ClosureBuilt(Exception):
+        pass
+
+    def closure(g, loci):
+        raise ClosureBuilt
+
+    monkeypatch.setattr(building, "_intersection_closure", closure)
+    assert disjoint and not any(expected)
+    assert [is_nested_flag_oracle(first, sub) for sub in disjoint] == expected
+    # a pair that meets but is not nested still needs the flag search
+    g1 = point_components(1, n=2, space=Space.XD_UPPER)
+    pair = [DLocus(2, 1, 0b01), DLocus(2, 1, 0b10)]
+    assert not is_nested(g1, pair)
+    with pytest.raises(ClosureBuilt):
+        is_nested_flag_oracle(building_set_for(g1)[0], pair)
+
+
+def test_flag_oracle_never_reads_the_pairwise_rule(monkeypatch):
+    sweeps = [_stage_one_collections(k, n) for k in (1, 2) for n in (1, 2, 3)]
+    expected = [[is_nested(g, sub) for sub in subs] for g, _, subs in sweeps]
+
+    def pairwise(*args):
+        raise AssertionError("the flag oracle read the pairwise rule")
+
+    for name in ("pair_compatible", "is_nested", "_compatibility_rows"):
+        monkeypatch.setattr(nested, name, pairwise)
+    for (_, first, subs), answers in zip(sweeps, expected):
+        assert [is_nested_flag_oracle(first, sub) for sub in subs] == answers
 
 
 def test_intersection_closure_matches_every_subcollection():

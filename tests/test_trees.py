@@ -132,6 +132,8 @@ def test_structural_validation():
         )
     with pytest.raises(ValueError):
         fiber_tree(g, make_nested_set(point_components(1, n=3), [DLocus(3, 1, 0b011)]))
+    with pytest.raises(ValueError, match="parent table size mismatch"):
+        DegenerationTree(point_components(1, n=1), (Vertex(0, VertexKind.ROOT),), (), (0,))
 
 
 def test_round_trip_exhaustive():
