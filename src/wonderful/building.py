@@ -35,6 +35,14 @@ so member k changes them only for the w that lie inside V_k, and those are
 exactly the elements w cap V_k that its step yields.  Only they are checked
 again; ``is_building_set`` stays the check of one whole collection.  Only
 the order check is budgeted, always, by ``nested.ORDER_CHECK_BOUND``.
+
+The order check decides condition (2) by arithmetic, on two facts.  At an
+element w of the closure the G-factors always cut out w: w is the meet of
+some members, and each of them contains a minimal member containing w.
+Codimension is subadditive on loci that meet, so the factors, which all
+contain w, meet transversally exactly when their codimensions add up to
+codim w.  ``is_building_set`` checks the definition as written; it is the
+order check's slow route in ``certify``.
 """
 
 from __future__ import annotations
@@ -45,11 +53,13 @@ from functools import cached_property
 
 from . import nested
 from .geometry import GeometryConfig
+from .labels import elements
 from .loci import (
     Center,
     Diagonal,
     Locus,
     center_to_locus,
+    codimension,
     intersect,
     intersect_all,
     meets_transversally,
@@ -95,7 +105,6 @@ class _MemberTable:
     """
 
     def __init__(self, g: GeometryConfig, members):
-        self.geometry = g
         self.loci = tuple(center_to_locus(g, m) for m in members)
         self.index = {m: k for k, m in enumerate(members)}
         # member loci are nonempty, so strict containment is the mask test on codes
@@ -140,13 +149,6 @@ class _MemberTable:
         if whole:
             self.factors[code] = out
         return out
-
-    def cuts_out(self, w: Locus, factors: int) -> bool:
-        """Condition (2) at ``w``: the members in the bitmask ``factors``
-        meet transversally and intersect in exactly ``w``."""
-        g = self.geometry
-        factor_loci = [lo for k, lo in enumerate(self.loci) if factors >> k & 1]
-        return intersect_all(g, factor_loci) == w and meets_transversally(g, factor_loci)
 
 
 def building_set_for(g: GeometryConfig) -> tuple[BuildingSet, BuildingSet]:
@@ -303,7 +305,12 @@ def is_building_set(g: GeometryConfig, members) -> bool:
     centers is simultaneously linearizable, so it intersects cleanly.
     """
     table = _MemberTable(g, list(members))
-    return all(table.cuts_out(w, table.factor_mask(w)) for w in _intersection_closure(g, table.loci))
+    for w in _intersection_closure(g, table.loci):
+        factors = table.factor_mask(w)
+        factor_loci = [lo for k, lo in enumerate(table.loci) if factors >> k & 1]
+        if intersect_all(g, factor_loci) != w or not meets_transversally(g, factor_loci):
+            return False
+    return True
 
 
 def is_building_order(g: GeometryConfig, members) -> bool:
@@ -313,7 +320,8 @@ def is_building_order(g: GeometryConfig, members) -> bool:
     The G-factors of w in prefix k are the minimal ones among the first k
     members containing w, so they differ from those in prefix k-1 only when
     member k contains w.  Those w, the new elements included, are what
-    ``_closure_steps`` yields for member k, and only they are checked again.
+    ``_closure_steps`` yields for member k, and only they are checked again,
+    by adding the factors' codimensions (module docstring).
 
     The work is the containment tests between members, then one
     intersection per closure element and member; past
@@ -325,10 +333,11 @@ def is_building_order(g: GeometryConfig, members) -> bool:
     if spent > bound:
         raise _over_budget(bound)
     table = _MemberTable(g, members)
+    codims = [codimension(g, lo) for lo in table.loci]
     for k, inside in enumerate(_closure_steps(g, table.loci, bound, spent)):
         prefix = (2 << k) - 1
         for w in inside.values():
-            if not table.cuts_out(w, table.factor_mask(w, prefix)):
+            if sum(codims[j - 1] for j in elements(table.factor_mask(w, prefix))) != codimension(g, w):
                 return False
     return True
 

@@ -3,9 +3,18 @@
 Every command is a thin adapter over the library: parse a configuration
 (file plus flag overrides), call one library entry point, render the result.
 JSON is the canonical machine format (compact separators, deterministic
-order); tables are human renderings of the same data.  Exit codes: 0 ok,
-2 bad configuration or arguments, 3 enumeration or check budget exceeded,
-1 failed certification or order check.
+order); tables are human renderings of the same data.  Exit codes, the
+contract of every command:
+
+* 0: an answer, on stdout;
+* 1: a failed check: ``order --check``, or ``certify`` and a blocked
+  ``rewrite``, whose report on stdout is their answer;
+* 2: a ``ValueError`` (``ConfigError`` among them) or a click usage error;
+* 3: a ``BudgetError``, an enumeration or check refused past its budget.
+
+Every other non-zero exit prints nothing on stdout and one
+``{"error": ...}`` line on stderr.  Commands raise; ``_JsonErrors.main``
+alone turns exceptions into exit codes.
 """
 
 from __future__ import annotations
@@ -26,15 +35,7 @@ from .nested import (
     face_rows,
     make_nested_set,
 )
-from .orders import (
-    SCHEMES,
-    BlowupSequence,
-    generate_order,
-    swap_rewrite,
-    two_block_order,
-    validate_building_set_order,
-    validate_inclusion_order,
-)
+from .orders import SCHEMES, BlowupSequence, check_order, generate_order, swap_rewrite, two_block_order
 from .symmetry import orbits
 from .trees import fiber_tree, is_stable, to_dot
 
@@ -77,50 +78,56 @@ def with_config(fn):
 
 
 def build_config(config_path, n_points, dim_x, n_point_components, component_specs, space) -> GeometryConfig:
-    try:
-        if config_path:
-            base = load_config(config_path)
-            n = n_points if n_points is not None else base.n
-            d = dim_x if dim_x is not None else base.dim_x
-            comps = base.components
-            sp = Space(space) if space else base.space
-        else:
-            if n_points is None:
-                raise ConfigError("--n is required without --config")
-            n = n_points
-            d = dim_x if dim_x is not None else 1
-            comps = ()
-            sp = Space(space) if space else Space.XD_BRACKET
-        if component_specs:
-            parsed = []
-            for spec in component_specs:
-                name, _, dim_text = spec.partition(":")  # no colon leaves dim_text empty
-                try:
-                    dim = int(dim_text)
-                except ValueError:
-                    raise ConfigError("--component expects name:dim with an integer dim, got %r" % spec) from None
-                parsed.append(Component(name, dim))
-            comps = tuple(parsed)
-        elif n_point_components is not None:
-            comps = tuple(Component("c%d" % (i + 1), 0) for i in range(n_point_components))
-        return GeometryConfig(n, d, comps, sp)
-    except (ConfigError, ValueError, OSError) as exc:
-        _fail(2, str(exc))
+    if config_path:
+        base = load_config(config_path)
+        n = n_points if n_points is not None else base.n
+        d = dim_x if dim_x is not None else base.dim_x
+        comps = base.components
+        sp = Space(space) if space else base.space
+    else:
+        if n_points is None:
+            raise ConfigError("--n is required without --config")
+        n = n_points
+        d = dim_x if dim_x is not None else 1
+        comps = ()
+        sp = Space(space) if space else Space.XD_BRACKET
+    if component_specs:
+        parsed = []
+        for spec in component_specs:
+            name, _, dim_text = spec.partition(":")  # no colon leaves dim_text empty
+            try:
+                dim = int(dim_text)
+            except ValueError:
+                raise ConfigError("--component expects name:dim with an integer dim, got %r" % spec) from None
+            parsed.append(Component(name, dim))
+        comps = tuple(parsed)
+    elif n_point_components is not None:
+        comps = tuple(Component("c%d" % (i + 1), 0) for i in range(n_point_components))
+    return GeometryConfig(n, d, comps, sp)
 
 
 class _JsonErrors(click.Group):
-    """Reports click's own usage errors, like every other error, as one JSON
-    line on stderr.  A caller that passes ``standalone_mode=False`` handles
-    click's exceptions itself and gets them unchanged."""
+    """The one owner of the exit-code contract (module docstring): a
+    ``BudgetError`` exits 3 and a ``ValueError`` (``ConfigError`` among
+    them) exits 2, and each, like click's own exceptions, prints one JSON
+    line on stderr.  A caller that passes ``standalone_mode=False`` gets the
+    library's errors as the same ``SystemExit``, and click's own exceptions
+    raised unchanged, to handle itself."""
 
     def main(self, *args, standalone_mode=True, **kwargs):
-        if not standalone_mode:
-            return super().main(*args, standalone_mode=False, **kwargs)
         try:
             return super().main(*args, standalone_mode=False, **kwargs)
+        except BudgetError as exc:
+            _fail(3, str(exc))
+        except ValueError as exc:
+            _fail(2, str(exc))
         except click.ClickException as exc:
+            if not standalone_mode:
+                raise
             _fail(exc.exit_code, exc.format_message())
         except click.Abort:
+            if not standalone_mode:
+                raise
             _fail(1, "aborted")
 
 
@@ -165,10 +172,7 @@ def nested(max_size, want_fvector, fmt, **cfg):
 def _echo_faces(g, fmt, key, **walk):
     """Print the faces of ``face_rows`` (never none) in one write: JSON
     quotes each label once, tables print them bare, one face per line."""
-    try:
-        rows = face_rows(g, json.dumps if fmt == "json" else str, **walk)
-    except BudgetError as exc:
-        _fail(3, str(exc))
+    rows = face_rows(g, json.dumps if fmt == "json" else str, **walk)
     if fmt == "json":
         click.echo('{"count":%d,"%s":[[' % (len(rows), key) + "],[".join(rows) + "]]}")
     else:
@@ -208,13 +212,10 @@ def facets(fmt, **cfg):
 @click.option("--format", "fmt", type=click.Choice(["json", "table"]), default="json")
 def order(scheme, check, fmt, **cfg):
     """Generate a blowup order."""
-    g = build_config(**cfg)
-    try:
-        seq = _generate(g, scheme)
-    except ValueError as exc:
-        _fail(2, str(exc))
-    if check:
-        _check_order(g, scheme, seq)
+    seq = _generate(build_config(**cfg), scheme)
+    failure = check_order(seq, scheme) if check else None
+    if failure:
+        _fail(1, failure)
     if fmt == "json":
         _echo_json(seq.labels())
     else:
@@ -222,30 +223,11 @@ def order(scheme, check, fmt, **cfg):
             click.echo(label)
 
 
-def _check_order(g, scheme, seq):
-    """Validate a generated order the way its scheme is justified: inclusion
-    by the containment rule, reshuffled by its building-set prefixes, and
-    interleaved by certified swaps from the two-block order."""
-    try:
-        if scheme == "inclusion":
-            if not validate_inclusion_order(seq).ok:
-                _fail(1, "generated inclusion order failed validation")
-        elif scheme == "reshuffled":
-            if not validate_building_set_order(seq):
-                _fail(1, "generated reshuffled order failed validation: a prefix is not a building set")
-        else:
-            res = swap_rewrite(two_block_order(g), seq)
-            if not res.ok:
-                _fail(1, "generated interleaved order failed validation: %s and %s do not commute"
-                         " on the way from the two-block order" % res.blocking)
-    except BudgetError as exc:
-        _fail(3, str(exc))
-
-
 def _refuse_past_center_bound(g):
-    """Exit 3 past ORDER_CENTER_BOUND divisors, before building any."""
+    """Raise BudgetError past ORDER_CENTER_BOUND divisors, before building any."""
     if count_divisors(g) > ORDER_CENTER_BOUND:
-        _fail(3, "refusing an order of more than %d centers (%d predicted)" % (ORDER_CENTER_BOUND, count_divisors(g)))
+        raise BudgetError("refusing an order of more than %d centers (%d predicted)"
+                          % (ORDER_CENTER_BOUND, count_divisors(g)))
 
 
 def _generate(g, scheme) -> BlowupSequence:
@@ -283,14 +265,8 @@ def _parse_label_array(text: str) -> list[str]:
 def rewrite(source, target, **cfg):
     """Rewrite one blowup order into another by certified adjacent swaps."""
     g = build_config(**cfg)
-    try:
-        seq = _sequence_from(g, source)
-        tgt = _sequence_from(g, target)
-        result = swap_rewrite(seq, tgt)
-    except ValueError as exc:
-        _fail(2, str(exc))
-    except BudgetError as exc:
-        _fail(3, str(exc))
+    seq = _sequence_from(g, source)
+    result = swap_rewrite(seq, _sequence_from(g, target))
     # one write, each distinct label and certificate quoted once, as in _echo_faces
     q = {t: json.dumps(t) for t in {*seq.labels(), *(s.certificate for s in result.swaps)}}
     swaps = ",".join([f'{{"position":{p},"left":{q[a]},"right":{q[b]},"certificate":{q[c]}}}'
@@ -308,17 +284,14 @@ def rewrite(source, target, **cfg):
 def fiber(nested_literal, fmt, **cfg):
     """Dual graph of the universal-family fiber over a boundary stratum."""
     g = build_config(**cfg)
-    try:
-        seen = set()
-        for text in _parse_label_array(nested_literal):
-            d = parse_center(text, g.n)
-            if d in seen:
-                raise ValueError("repeated divisor %s in nested set" % d)
-            seen.add(d)
-        ns = make_nested_set(g, seen)
-        tree = fiber_tree(g, ns)
-    except ValueError as exc:
-        _fail(2, str(exc))
+    seen = set()
+    for text in _parse_label_array(nested_literal):
+        d = parse_center(text, g.n)
+        if d in seen:
+            raise ValueError("repeated divisor %s in nested set" % d)
+        seen.add(d)
+    ns = make_nested_set(g, seen)
+    tree = fiber_tree(g, ns)
     if fmt == "dot":
         click.echo(to_dot(tree), nl=False)
     else:
@@ -344,13 +317,8 @@ def orbits_cmd(kind, size, fmt, **cfg):
     """Orbits of the symmetric-group action."""
     if kind == "divisors" and size is not None:
         _fail(2, "--size applies to --kind nested only")
-    g = build_config(**cfg)
-    try:
-        out = orbits(g, kind, size)
-    except (ValueError, BudgetError) as exc:
-        _fail(2 if isinstance(exc, ValueError) else 3, str(exc))
     rows = []
-    for orbit in out:
+    for orbit in orbits(build_config(**cfg), kind, size):
         rep = orbit.representative
         rep_text = str(rep) if not hasattr(rep, "labels") else "{" + ",".join(rep.labels()) + "}"
         rows.append({"representative": rep_text, "size": orbit.size, "stabilizer_order": orbit.stabilizer_order})

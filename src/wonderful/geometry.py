@@ -135,11 +135,13 @@ def config_from_json_dict(data: dict) -> GeometryConfig:
 
 
 def load_config(path: str) -> GeometryConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError("invalid JSON in %s: %s" % (path, exc)) from None
+    except OSError as exc:
+        raise ConfigError(str(exc)) from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError("invalid JSON in %s: %s" % (path, exc)) from None
     return config_from_json_dict(data)
 
 

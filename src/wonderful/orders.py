@@ -176,6 +176,25 @@ def validate_building_set_order(seq: BlowupSequence) -> bool:
     return is_building_order(seq.geometry, seq.centers)
 
 
+def check_order(seq: BlowupSequence, scheme: str) -> str | None:
+    """Why ``seq``, the order generated for ``scheme``, fails the check that
+    justifies the scheme, or None when it passes.  Past
+    ``nested.ORDER_CHECK_BOUND`` steps each check raises ``BudgetError``.
+
+    * ``inclusion``: the containment rule, ``validate_inclusion_order``;
+    * ``reshuffled``: every prefix is a building set, ``validate_building_set_order``;
+    * ``interleaved``: certified swaps reach it from the two-block order, ``swap_rewrite``.
+    """
+    if scheme == "inclusion":
+        return None if validate_inclusion_order(seq).ok else "generated inclusion order failed validation"
+    if scheme == "reshuffled":
+        return None if validate_building_set_order(seq) else (
+            "generated reshuffled order failed validation: a prefix is not a building set")
+    res = swap_rewrite(two_block_order(seq.geometry), seq)
+    return None if res.ok else ("generated interleaved order failed validation: %s and %s do not commute"
+                                " on the way from the two-block order" % res.blocking)
+
+
 class SwapStep(NamedTuple):
     position: int
     left: str
@@ -284,6 +303,7 @@ __all__ = [
     "InclusionReport",
     "RewriteResult",
     "SwapStep",
+    "check_order",
     "generate_order",
     "inclusion_key",
     "swap_certificate",

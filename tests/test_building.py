@@ -218,6 +218,20 @@ def test_is_building_set_d_family_whole():
         assert is_building_set(g, first.members)
 
 
+def test_the_union_of_both_stages_is_a_building_set_unless_a_component_has_positive_dimension():
+    # every space, dim X <= 3, k <= 2 with every choice of component dimensions
+    # below dim X, n <= 3; at n = 1 there is no diagonal, so stage one is all
+    configs = [GeometryConfig(n, d, (), Space.FM) for d in (1, 2, 3) for n in (1, 2, 3)]
+    configs += [GeometryConfig(n, d, tuple(Component("c%d" % (i + 1), c) for i, c in enumerate(dims)), space)
+                for space in (Space.XD_BRACKET, Space.XD_UPPER) for d in (1, 2, 3)
+                for k in (0, 1, 2) for dims in itertools.product(range(d), repeat=k) for n in (1, 2, 3)]
+    assert len(configs) == 147
+    for g in configs:
+        positive = any(c.dim for c in g.components)
+        expected = not (g.space is Space.XD_BRACKET and g.n >= 2 and positive)
+        assert is_building_set(g, nested.divisors_for(g)) is expected, g
+
+
 def test_transform_stage_rejects_d_members():
     g = point_components(1, n=2)
     with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ import click
 import pytest
 from click.testing import CliRunner
 
-from wonderful import certify, cli, nested
+from wonderful import certify, cli, nested, orders
 from wonderful.cli import main
 from wonderful.geometry import GeometryConfig, Space, point_components
 from wonderful.loci import Diagonal, parse_center
@@ -544,8 +544,8 @@ def test_order_check_validates_every_scheme(runner, monkeypatch, scheme, compone
     plain = runner.invoke(main, argv)
     checked = runner.invoke(main, argv + ["--check"])
     assert checked.exit_code == 0 and checked.output == plain.output
-    monkeypatch.setattr(cli, "validate_building_set_order", lambda seq: False)
-    monkeypatch.setattr(cli, "swap_rewrite", lambda seq, target: RewriteResult(False, (), ("D:c1:{1}", "Delta:{1,2}")))
+    monkeypatch.setattr(orders, "validate_building_set_order", lambda seq: False)
+    monkeypatch.setattr(orders, "swap_rewrite", lambda seq, target: RewriteResult(False, (), ("D:c1:{1}", "Delta:{1,2}")))
     message = _json_error(runner.invoke(main, argv + ["--check"]), 1)
     assert message.startswith("generated %s order failed validation" % scheme)
     if scheme == "interleaved":

@@ -280,6 +280,32 @@ def test_f_vector_identities_up_to_thirty_points():
             assert sum(fm[n]) == 2 * sum(bracket[3, n - 2])  # M_{0,n+1}
 
 
+def _reduced_rank(g):
+    """The rank of the one reduced homology group of the boundary complex at
+    dim X = 1, in degree n - 1: (k-1)^n in XD_upper, (n+k-2)!/(k-2)! in
+    XD_bracket with k >= 2, and 0 otherwise."""
+    n, k = g.n, g.n_components
+    if g.space is Space.XD_UPPER:
+        return (k - 1) ** n
+    return factorial(n + k - 2) // factorial(k - 2) if g.space is Space.XD_BRACKET and k >= 2 else 0
+
+
+def test_reduced_euler_characteristic_of_the_boundary_complex():
+    # the reduced Euler characteristic is -F(-1), F the face polynomial
+    rows = [GeometryConfig(n, 1, (), Space.FM) for n in range(2, 41)]
+    rows += [point_components(k, n=n, space=space) for space in (Space.XD_BRACKET, Space.XD_UPPER)
+             for k in range(6) for n in range(2, 41)]
+    assert len(rows) == 507
+    for g in rows:
+        euler = -nested._fiber_tree_count(g, -1)
+        assert euler == (-1) ** (g.n - 1) * _reduced_rank(g), g
+        if g.n <= 8:
+            assert euler == _reduced_euler(f_vector(g)), g
+    # one point and no divisor: the complex holds only the empty face
+    for g in (GeometryConfig(1, 1, (), Space.FM), point_components(0, n=1)):
+        assert f_vector(g) == (1,) and -nested._fiber_tree_count(g, -1) == -1
+
+
 def test_every_divisor_is_compatible_with_itself():
     for g in SMALL_COMPLEXES:
         for d in divisors_for(g):
