@@ -46,9 +46,9 @@ from .loci import (Center, Diagonal, DLocus, Locus, PairPosition, _intersect, _p
 from .nested import (NestedSet, _compatibility_rows, _f_vector_by_walk, count_divisors,
                      divisor_sort_key, divisors_for, enumerate_nested_sets, f_vector, is_nested,
                      maximal_nested_sets, pair_compatible)
-from .orders import (BlowupSequence, InclusionReport, check_order, generate_order, swap_rewrite,
-                     two_block_order, validate_building_set_order, validate_inclusion_order)
-from .symmetry import Orbit, act, all_permutations, orbits
+from .orders import (BlowupSequence, InclusionReport, check_order, generate_order, stages_form_one_building_set,
+                     swap_rewrite, two_block_order, validate_building_set_order, validate_inclusion_order)
+from .symmetry import Orbit, act, all_permutations, orbits, stabilizer
 from .trees import DegenerationTree, Vertex, VertexKind, fiber_tree, is_stable
 
 
@@ -400,10 +400,19 @@ def _collections(items) -> list[tuple]:
     return [sub for r in range(len(items) + 1) for sub in itertools.combinations(items, r)]
 
 
+def _divisors_and_facets(g: GeometryConfig) -> list:
+    return [("divisors", count_divisors(g)), ("facets", len(maximal_nested_sets(g)))]
+
+
 def _moduli_closed_forms(g: GeometryConfig) -> list:
     """2^(N-1) - N - 1 divisors and (2N-5)!! facets of M_{0,N}, N = n + 3."""
     marked = g.n + 3
     return [("divisors", 2 ** (marked - 1) - marked - 1), ("facets", math.prod(range(2 * marked - 5, 0, -2)))]
+
+
+def _fm_closed_forms(g: GeometryConfig) -> list:
+    """2^n - n - 1 divisors and (2n-3)!! facets of FM(X)[n]."""
+    return [("divisors", 2 ** g.n - g.n - 1), ("facets", math.prod(range(2 * g.n - 3, 0, -2)))]
 
 
 def _f_vectors(g: GeometryConfig, whole, upto, cut) -> list:
@@ -628,8 +637,9 @@ ROWS = (
         lambda g: [("divisors", count_divisors(g))],
         lambda g: [("divisors", len(enumerate_nested_sets(g, max_size=1)) - 1)]),
     Row("moduli-anchors", tuple(point_components(3, n=n) for n in range(1, 6)),  # M_{0,4..8}
-        lambda g: [("divisors", count_divisors(g)), ("facets", len(maximal_nested_sets(g)))],
-        _moduli_closed_forms),
+        _divisors_and_facets, _moduli_closed_forms),
+    Row("fm-anchors", tuple(GeometryConfig(n, 2, (), Space.FM) for n in range(1, 7)),
+        _divisors_and_facets, _fm_closed_forms),
     Row("f-vector",  # every space, k = 0..3, n <= 6 but M_{0,9} (k=3 n=6), and mixed components
         tuple(g for g in _every_space(6) if g != point_components(3, n=6))
         + tuple(_config(n, (1, 0), 3, space) for n in (3, 4) for space in (Space.XD_BRACKET, Space.XD_UPPER)),
@@ -680,9 +690,16 @@ ROWS = (
     Row("inclusion-order", _mixed_components((2,), 4),
         lambda g: _inclusion_items(g, validate_inclusion_order),
         lambda g: _inclusion_items(g, inclusion_by_pairs)),
+    Row("stages-building-set", _mixed_components((2, 3), 4),
+        lambda g: [("one building set", stages_form_one_building_set(g))],
+        lambda g: [("one building set", is_building_set(g, divisors_for(g)))]),
     Row("orbits", _every_space(5),
         lambda g: _orbit_items(g, orbits),
         lambda g: _orbit_items(g, orbits_by_brute_force)),
+    Row("stabilizer-order", _every_space(4),  # the closed form n!/|orbit| against the n! scan
+        lambda g: _orbit_items(g, lambda g, kind, size: [o.stabilizer_order for o in orbits(g, kind, size)]),
+        lambda g: _orbit_items(g, lambda g, kind, size: [len(stabilizer(g, o.representative))
+                                                      for o in orbits(g, kind, size)])),
     Row("fiber-tree", _every_space(4),
         lambda g: _fiber_trees(g, fiber_tree),
         lambda g: _fiber_trees(g, fiber_tree_by_placement)),

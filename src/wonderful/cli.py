@@ -14,7 +14,8 @@ contract of every command:
 
 Every other non-zero exit prints nothing on stdout and one
 ``{"error": ...}`` line on stderr.  Commands raise; ``_JsonErrors.main``
-alone turns exceptions into exit codes.
+alone turns exceptions into exit codes, so exits 2 and 3 come only through
+it, and ``order --check`` is the one command that calls ``_fail`` itself.
 """
 
 from __future__ import annotations
@@ -161,7 +162,7 @@ def divisors(fmt, **cfg):
 def nested(max_size, want_fvector, fmt, **cfg):
     """Enumerate nested sets (the boundary stratification poset)."""
     if fmt == "csv" and not want_fvector:
-        _fail(2, "--format csv prints face counts only; add --fvector")
+        raise ValueError("--format csv prints face counts only; add --fvector")
     g = build_config(**cfg)
     if want_fvector:
         _render_fvector(f_vector(g, max_size=max_size), fmt)
@@ -284,13 +285,7 @@ def rewrite(source, target, **cfg):
 def fiber(nested_literal, fmt, **cfg):
     """Dual graph of the universal-family fiber over a boundary stratum."""
     g = build_config(**cfg)
-    seen = set()
-    for text in _parse_label_array(nested_literal):
-        d = parse_center(text, g.n)
-        if d in seen:
-            raise ValueError("repeated divisor %s in nested set" % d)
-        seen.add(d)
-    ns = make_nested_set(g, seen)
+    ns = make_nested_set(g, (parse_center(text, g.n) for text in _parse_label_array(nested_literal)))
     tree = fiber_tree(g, ns)
     if fmt == "dot":
         click.echo(to_dot(tree), nl=False)
@@ -316,7 +311,7 @@ def fiber(nested_literal, fmt, **cfg):
 def orbits_cmd(kind, size, fmt, **cfg):
     """Orbits of the symmetric-group action."""
     if kind == "divisors" and size is not None:
-        _fail(2, "--size applies to --kind nested only")
+        raise ValueError("--size applies to --kind nested only")
     rows = []
     for orbit in orbits(build_config(**cfg), kind, size):
         rep = orbit.representative

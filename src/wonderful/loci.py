@@ -37,9 +37,10 @@ Intersections are memoised per geometry on the pair of codes; the memo hangs
 off the ``GeometryConfig`` because merging depends on component dimensions.
 A miss merges canonical blocks: starting from the blocks and pins of one
 locus, each block of the other that has two points or a pin is OR'd with the
-blocks it meets.  Two pins on one block give the empty locus, a
-point-component pin that arrives this way also takes in the block already
-pinned to that point, and the code is built once at the end.
+blocks it meets, in one scan.  A block pinned to a point component first
+takes in the block already pinned to that point, so the scan merges that
+block too.  Two pins on one block give the empty locus, and the code is
+built once at the end.
 
 Every pair of simple centers (D-loci and simple diagonals) is simultaneously
 linearizable, so ``pair_position`` reads their position off the index sets
@@ -315,15 +316,21 @@ def intersect(g: GeometryConfig, a: Locus, b: Locus) -> Locus:
 
 def _intersect(g: GeometryConfig, a: Locus, b: Locus) -> Locus:
     """Fold the canonical blocks of b into those of a (see the module
-    docstring).  A merged block takes the slot of the first block it meets,
-    or of the pulled-in block when that comes earlier, so the blocks stay
+    docstring).  A block of b pinned to a point component first takes in
+    the block already pinned there, so one scan merges every block it meets.
+    The merged block takes the slot of the first of them, so the blocks stay
     sorted by least element; merged-away slots are cleared and dropped at
     the end, where the code is built once."""
     blocks, pins = list(a.blocks), list(a.pins)
     for bb, pb in zip(b.blocks, b.pins):
-        if pb is None and not bb & (bb - 1):
-            continue  # a free singleton constrains nothing
-        first, merged, pin = -1, bb, None
+        if pb is None:
+            if not bb & (bb - 1):
+                continue  # a free singleton constrains nothing
+        elif pb in pins:
+            held = blocks[pins.index(pb)]
+            if not held & bb and g.component_dim(pb) == 0:
+                bb |= held  # both blocks equal the point D_pb
+        first, merged, pin = -1, bb, pb
         for k, m in enumerate(blocks):
             if m & bb:
                 p = pins[k]
@@ -337,19 +344,6 @@ def _intersect(g: GeometryConfig, a: Locus, b: Locus) -> Locus:
                     first = k
                 else:
                     blocks[k], pins[k] = 0, None
-        if pb is not None:
-            if pin is None:
-                pin = pb
-                if g.component_dim(pb) == 0:
-                    for k, p in enumerate(pins):
-                        if p == pb:
-                            merged |= blocks[k]
-                            blocks[k], pins[k] = 0, None
-                            if k < first:
-                                blocks[first], first = 0, k
-                            break
-            elif pin != pb:
-                return Locus.empty(g.n)
         blocks[first], pins[first] = merged, pin
     return _locus_of(g.n, zip(blocks, pins))
 

@@ -261,7 +261,13 @@ _set_divisors = NestedSet.divisors.__set__
 
 
 def make_nested_set(g: GeometryConfig, divisors) -> NestedSet:
-    return NestedSet(g, tuple(sorted(set(divisors), key=divisor_sort_key)))
+    """Read in order, so a repeat is refused before later divisors are read."""
+    seen = set()
+    for d in divisors:
+        if d in seen:
+            raise ValueError("repeated divisor %s in nested set" % d)
+        seen.add(d)
+    return NestedSet(g, tuple(sorted(seen, key=divisor_sort_key)))
 
 
 def _subset_tables(n: int, divisors) -> dict[int, tuple[list[int], list[int]]]:

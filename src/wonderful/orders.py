@@ -6,7 +6,9 @@ holds the centers with max(S) = k, the index set's largest point.
 
 * ``inclusion``  -- every divisor by ``inclusion_key``: bigger index
   sets first, D-loci before diagonals at equal size (which matters once a
-  point component makes D_{c,S} a subvariety of a diagonal).
+  point component makes D_{c,S} a subvariety of a diagonal).  Where the
+  two stages do not form one building set (below), stage by stage: the
+  D-divisors by ``inclusion_key``, then the diagonals by it.
 * ``reshuffled`` -- the D-divisors by round; every prefix of this order is
   itself a building set.
 * ``interleaved`` -- for the space of distinct points: every divisor by
@@ -16,6 +18,16 @@ holds the centers with max(S) = k, the index set's largest point.
 rearranged from: the reshuffled D-divisors, then the diagonals by round.
 Inside a round ``_round_key`` orders by decreasing size, then lexicographic
 index set, then component.
+
+An order by inclusion builds the model of G when G is a building set (Li,
+math/0611412).  The D-divisors and the diagonals together form one, except
+in the space of distinct points with n >= 2 and a component D_c of positive
+dimension e < d = dim X: there D_{c,{1,2}} and Delta_{12} meet in the
+points x_1 = x_2 on D_c, of codimension d + (d - e), not the sum
+2(d - e) + d, and neither contains the other (a point component puts
+D_{c,{1,2}} inside Delta_{12}).  ``stages_form_one_building_set`` is that
+closed form; where it is False, ``check_order`` also asks every D-locus to
+come before every diagonal.
 
 Two adjacent centers may swap when their blowups commute.  That holds when
 they are disjoint or transversal in the ambient product (all these centers
@@ -97,12 +109,20 @@ def inclusion_key(c: Center) -> tuple:
     return (-s.bit_count(), 1, (-(s & -s), elements(s)), 0)
 
 
+def stages_form_one_building_set(g: GeometryConfig) -> bool:
+    """Do the D-divisors and the diagonals of g form one building set of X^n?
+    They do not in ``XD_bracket`` with n >= 2 and a component of positive
+    dimension (module docstring)."""
+    return not (g.space is Space.XD_BRACKET and g.n >= 2 and any(c.dim for c in g.components))
+
+
 def generate_order(g: GeometryConfig, scheme: str) -> BlowupSequence:
     """``divisors_for(g)``, or its D-divisors for ``reshuffled``, sorted by
     the scheme's key; see the module docstring."""
     divisors = nested.divisors_for(g)
     if scheme == "inclusion":
-        return BlowupSequence(g, tuple(sorted(divisors, key=inclusion_key)))
+        key = inclusion_key if stages_form_one_building_set(g) else lambda c: (not c.component, inclusion_key(c))
+        return BlowupSequence(g, tuple(sorted(divisors, key=key)))
     if scheme == "reshuffled":
         if g.space is Space.FM:
             raise ValueError("the reshuffled scheme orders D-centers; space FM has none")
@@ -181,11 +201,18 @@ def check_order(seq: BlowupSequence, scheme: str) -> str | None:
     justifies the scheme, or None when it passes.  Past
     ``nested.ORDER_CHECK_BOUND`` steps each check raises ``BudgetError``.
 
-    * ``inclusion``: the containment rule, ``validate_inclusion_order``;
+    * ``inclusion``: where the stages do not form one building set, no
+      D-locus after a diagonal; then the containment rule,
+      ``validate_inclusion_order``;
     * ``reshuffled``: every prefix is a building set, ``validate_building_set_order``;
     * ``interleaved``: certified swaps reach it from the two-block order, ``swap_rewrite``.
     """
     if scheme == "inclusion":
+        diagonal = [] if stages_form_one_building_set(seq.geometry) else [not c.component for c in seq.centers]
+        if diagonal != sorted(diagonal):  # a D-locus after a diagonal
+            i = diagonal.index(True)
+            return ("generated inclusion order failed validation: %s comes after %s, but the two stages"
+                    " do not form one building set" % (seq.centers[diagonal.index(False, i)], seq.centers[i]))
         return None if validate_inclusion_order(seq).ok else "generated inclusion order failed validation"
     if scheme == "reshuffled":
         return None if validate_building_set_order(seq) else (
@@ -306,6 +333,7 @@ __all__ = [
     "check_order",
     "generate_order",
     "inclusion_key",
+    "stages_form_one_building_set",
     "swap_certificate",
     "swap_rewrite",
     "two_block_order",

@@ -588,3 +588,10 @@ def test_nested_fvector_honours_max_size(runner, n, max_size, expected):
     result = runner.invoke(main, argv)
     assert result.exit_code == 0
     assert result.output == expected + "\n"
+
+
+def test_inclusion_check_on_a_curve_component_orders_stage_by_stage(runner):
+    result = runner.invoke(main, ["order", "--scheme", "inclusion", "--check", "--n", "2", "--dim-x", "3",
+                                  "--component", "L:1"])
+    assert result.exit_code == 0
+    assert result.output == '["D:c1:{1,2}","D:c1:{1}","D:c1:{2}","Delta:{1,2}"]\n'

@@ -1,6 +1,9 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wonderful import loci
 from wonderful.building import _intersection_closure, building_set_for
@@ -21,7 +24,7 @@ from wonderful.loci import (
     pair_position,
     parse_center,
 )
-from wonderful.certify import GridModel
+from wonderful.certify import GridModel, intersect_by_union_find
 
 
 def bracket(n, comps, dim_x=2):
@@ -361,3 +364,61 @@ def test_population_cap_enforced_at_config():
     with pytest.raises(ValueError):
         GeometryConfig(65, 1)
     assert point_components(1, n=64).n == 64
+
+
+def _center(rng, g):
+    """A D-locus, on a set biased small so that two of them can miss each
+    other, or a diagonal whose blocks come from spreading the points over 2n
+    labels: a polydiagonal when two blocks merge, a random pair when none does."""
+    n = g.n
+    if g.n_components and (n < 2 or rng.random() < 0.7):
+        points = rng.sample(range(n), min(rng.randint(1, n), rng.randint(1, n)))
+        return DLocus(n, rng.randint(1, g.n_components), sum(1 << i for i in points))
+    blocks = {}
+    for i in range(n):
+        label = rng.randrange(2 * n)
+        blocks[label] = blocks.get(label, 0) | 1 << i
+    merged = sorted((m for m in blocks.values() if m & (m - 1)), key=lambda m: m & -m)
+    return Diagonal(n, tuple(merged)) if merged else Diagonal.simple(n, sum(1 << i for i in rng.sample(range(n), 2)))
+
+
+def _meet(rng, g):
+    """The meet of one to three random centers, by the union-find route; a
+    center that would empty it is skipped."""
+    lo = center_to_locus(g, _center(rng, g))
+    for _ in range(rng.randint(0, 2)):
+        met = intersect_by_union_find(g, lo, center_to_locus(g, _center(rng, g)))
+        lo = lo if met.is_empty else met
+    return lo
+
+
+@st.composite
+def kernel_cases(draw):
+    """dim X in {2, 3}, any space, up to three components (at least half of
+    them points), n <= 6, and two meets.  Hypothesis draws one seed per case,
+    so 500 cases take well under a second."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    dim_x, space = rng.choice((2, 3)), rng.choice(list(Space))
+    dims = () if space is Space.FM else [rng.choice((0, rng.randrange(dim_x))) for _ in range(rng.randint(0, 3))]
+    n = rng.randint(1 if dims else 2, 6)  # with no component a center needs two points
+    g = GeometryConfig(n, dim_x, tuple(Component("c%d" % (i + 1), d) for i, d in enumerate(dims)), space)
+    return g, _meet(rng, g), _meet(rng, g)
+
+
+def _d_loci(n, *subsets):
+    g = point_components(1, n=n)
+    return (g,) + tuple(center_to_locus(g, DLocus(n, 1, s)) for s in subsets)
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(case=kernel_cases())
+@example(case=_d_loci(3, 0b001, 0b110))  # a's block on the point lies before the blocks b's block meets
+@example(case=_d_loci(3, 0b100, 0b001))  # and after them
+def test_intersect_kernel_equals_union_find_in_either_order(case):
+    # certify's intersect-kernel row samples five divisors per configuration;
+    # this draws polydiagonals and meets of several centers as well
+    g, a, b = case
+    want = intersect_by_union_find(g, a, b)
+    for x, y in ((a, b), (b, a)):
+        got = loci._intersect(g, x, y)
+        assert (got.is_empty, got.code, got.blocks, got.pins) == (want.is_empty, want.code, want.blocks, want.pins)

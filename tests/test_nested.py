@@ -398,3 +398,10 @@ def test_mixed_pair_certificates_found_and_checked():
                         cert = SeparationCertificate(DLocus(4, c, s), Diagonal.simple(4, i), DLocus(4, c, s | i))
                         assert check_separation(g, cert)
                         assert cert.center in stage_one
+
+
+def test_make_nested_set_refuses_a_repeated_divisor():
+    g = point_components(1, n=3)
+    d, e = DLocus(3, 1, 0b011), Diagonal.simple(3, 0b011)
+    with pytest.raises(ValueError, match=r"repeated divisor D:c1:\{1,2\}"):
+        make_nested_set(g, [d, e, d])

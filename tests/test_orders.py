@@ -359,3 +359,19 @@ def test_rewrite_swaps_are_ambient_or_staged():
     kinds = {s.certificate.split()[0] for s in res.swaps}
     assert "ambient-transversal" in kinds
     assert any(k.startswith("transform-transversal") for k in kinds)
+
+
+def test_inclusion_goes_stage_by_stage_where_the_stages_are_not_one_building_set():
+    # P^3 with a line at n = 2: D_{c,{1,2}} and Delta_{12} overlap without
+    # meeting transversally, so every D-locus comes first
+    g = GeometryConfig(2, 3, (Component("L", 1),), Space.XD_BRACKET)
+    assert not orders.stages_form_one_building_set(g)
+    assert generate_order(g, "inclusion").labels() == ["D:c1:{1,2}", "D:c1:{1}", "D:c1:{2}", "Delta:{1,2}"]
+    union = BlowupSequence(g, tuple(parse_center(t, 2) for t in ["D:c1:{1,2}", "Delta:{1,2}", "D:c1:{1}", "D:c1:{2}"]))
+    assert validate_inclusion_order(union).ok  # the containment rule alone accepts it
+    assert "D:c1:{1} comes after Delta:{1,2}" in orders.check_order(union, "inclusion")
+    # a point component keeps the one-stage order
+    point = point_components(1, n=2)
+    assert orders.stages_form_one_building_set(point)
+    assert generate_order(point, "inclusion").centers == tuple(
+        sorted(nested.divisors_for(point), key=orders.inclusion_key))
