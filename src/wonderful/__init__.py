@@ -21,7 +21,6 @@ from .loci import (
 )
 from .building import (
     BuildingSet,
-    Stage,
     building_set_for,
     g_factors,
     is_nested_flag_oracle,

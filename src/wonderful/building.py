@@ -5,9 +5,11 @@ Stage one lives in X^n and consists of all the D_{c,S}; stage two consists
 of the proper transforms of the simple diagonals inside the blowup along
 stage one.  Transforms of polydiagonals intersect in the transform of the
 meet of their partitions, and containment and codimension match the ambient
-diagonals, so both stages share the one locus calculus; the stage tag
-records which space the members live in.  (With no components the stage-two
-family is just the Fulton-MacPherson diagonal building set in X^n itself.)
+diagonals, so both stages share the one locus calculus.  A member's stage is
+read off its component, 0 exactly for a diagonal; ``building_set_for``
+returns the two stages as a pair, and no tag records them.  (With no
+components the stage-two family is just the Fulton-MacPherson diagonal
+building set in X^n itself.)
 
 A collection G is a building set when (1) its members pairwise intersect
 cleanly and (2) for every sub-collection with nonempty intersection W, the
@@ -48,7 +50,6 @@ order check's slow route in ``certify``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 
 from . import nested
@@ -56,7 +57,6 @@ from .geometry import GeometryConfig
 from .labels import elements
 from .loci import (
     Center,
-    Diagonal,
     Locus,
     center_to_locus,
     codimension,
@@ -67,16 +67,10 @@ from .loci import (
 )
 
 
-class Stage(Enum):
-    AMBIENT = "ambient"
-    TRANSFORM = "second-stage"
-
-
 @dataclass(frozen=True)
 class BuildingSet:
     geometry: GeometryConfig
     members: tuple[Center, ...]
-    stage: Stage
 
     def __post_init__(self):
         seen = set()
@@ -85,8 +79,6 @@ class BuildingSet:
             if m in seen:
                 raise ValueError("duplicate building-set member %s" % m)
             seen.add(m)
-            if self.stage is Stage.TRANSFORM and not isinstance(m, Diagonal):
-                raise ValueError("second-stage members are diagonal transforms only")
 
     @cached_property
     def _table(self) -> "_MemberTable":
@@ -161,8 +153,8 @@ def building_set_for(g: GeometryConfig) -> tuple[BuildingSet, BuildingSet]:
     """
     divisors = nested.divisors_for(g)
     return (
-        BuildingSet(g, tuple(c for c in divisors if c.component), Stage.AMBIENT),
-        BuildingSet(g, tuple(c for c in divisors if not c.component), Stage.TRANSFORM),
+        BuildingSet(g, tuple(c for c in divisors if c.component)),
+        BuildingSet(g, tuple(c for c in divisors if not c.component)),
     )
 
 
@@ -268,7 +260,6 @@ def is_nested_flag_oracle(bs: BuildingSet, sub) -> bool:
     want = (1 << len(sub)) - 1
     bits = [(k, 1 << i) for i, k in enumerate(sub)]
     cover = {}
-    reachable = 0
     for lo in candidates:
         factors = table.factor_mask(lo)
         mask = 0
@@ -276,9 +267,6 @@ def is_nested_flag_oracle(bs: BuildingSet, sub) -> bool:
             if factors >> k & 1:
                 mask |= bit
         cover[lo.code] = mask
-        reachable |= mask
-    if reachable != want:
-        return False
 
     # flags climb from smaller loci to bigger ones, and a strictly smaller
     # locus has strictly more constraint bits; every candidate is nonempty,
@@ -344,7 +332,6 @@ def is_building_order(g: GeometryConfig, members) -> bool:
 
 __all__ = [
     "BuildingSet",
-    "Stage",
     "building_set_for",
     "factors_of_locus",
     "g_factors",

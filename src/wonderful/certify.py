@@ -22,9 +22,9 @@ pairwise criterion as first written), the facet rescan, the orbit brute
 force over all n! relabelings, the per-prefix building-order rule, the
 rewrite bubble on plain lists with the swap-certificate rules as first
 written, and the pairwise inclusion scan.  ``partitions_of`` lives here
-too: only the ``partitions`` row and the tests list partitions.
-``loci._pair_position_by_loci`` and ``nested._f_vector_by_walk`` stay
-beside the fast routes that call them.
+too: only the ``partitions`` row and the tests list partitions.  So does
+``_f_vector_by_walk``, the recursion's oracle, which no fast route calls.
+``loci._pair_position_by_loci`` stays beside the fast route that calls it.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import itertools
 import math
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -43,7 +44,7 @@ from .labels import Partition, SubsetRelation, check_population, elements, join_
 from .loci import (Center, Diagonal, DLocus, Locus, PairPosition, _intersect, _pair_position_by_loci,
                    center_to_locus, contains, contains_locus, dimension, intersect, intersect_all, make_locus,
                    pair_position, parse_center)
-from .nested import (NestedSet, _compatibility_rows, _f_vector_by_walk, count_divisors,
+from .nested import (NestedSet, _compatibility_rows, _faces, count_divisors,
                      divisor_sort_key, divisors_for, enumerate_nested_sets, f_vector, is_nested,
                      maximal_nested_sets, pair_compatible)
 from .orders import (BlowupSequence, InclusionReport, check_order, generate_order, stages_form_one_building_set,
@@ -426,6 +427,13 @@ def _f_vectors(g: GeometryConfig, whole, upto, cut) -> list:
 def _f_vector_fast(g: GeometryConfig) -> list:
     upto = lambda s: f_vector(g, max_size=s)  # noqa: E731
     return _f_vectors(g, f_vector(g), upto, upto)
+
+
+def _f_vector_by_walk(g: GeometryConfig, max_size: int | None = None) -> tuple[int, ...]:
+    """The f-vector counted face by face on the clique walk, with no budget:
+    the oracle of ``nested.f_vector``."""
+    sizes = Counter(_faces(g, max_size, False, None, lambda _, face: len(face), None))
+    return tuple(sizes[s] for s in range(len(sizes)))  # downward closed: sizes 0.. all occur
 
 
 def _f_vector_slow(g: GeometryConfig) -> list:

@@ -145,8 +145,7 @@ def load_config(path: str) -> GeometryConfig:
     return config_from_json_dict(data)
 
 
-def point_components(k: int, dim_x: int = 1, space: Space = Space.XD_BRACKET,
-                     n: int = 1) -> GeometryConfig:
-    """Convenience: n points in a dim_x ambient with k point components c1..ck."""
+def point_components(k: int, n: int, space: Space = Space.XD_BRACKET) -> GeometryConfig:
+    """Convenience: n points on a curve X with k point components c1..ck."""
     comps = tuple(Component("c%d" % (i + 1), 0) for i in range(k))
-    return GeometryConfig(n, dim_x, comps, space)
+    return GeometryConfig(n, 1, comps, space)

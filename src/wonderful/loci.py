@@ -198,7 +198,7 @@ def parse_center(text: str, n: int) -> Center:
 def validate_center(g: GeometryConfig, c: Center) -> Center:
     if c.n != g.n:
         raise ValueError("center population %d does not match configuration n=%d" % (c.n, g.n))
-    if isinstance(c, DLocus) and not 1 <= c.component <= g.n_components:
+    if c.component > g.n_components:  # a diagonal has 0; a D-locus refuses any below 1
         raise ValueError("center %s references a missing component" % c)
     return c
 
@@ -286,7 +286,7 @@ def everything_locus(g: GeometryConfig) -> Locus:
 @lru_cache(maxsize=1 << 16)
 def center_to_locus(g: GeometryConfig, c: Center) -> Locus:
     validate_center(g, c)
-    if isinstance(c, DLocus):
+    if c.component:
         bps = []
         for i in range(1, g.n + 1):
             bit = 1 << (i - 1)

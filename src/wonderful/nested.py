@@ -106,8 +106,8 @@ faces, which bounds every coefficient, so with 2^w above that number the
 base-2^w digits of the value at y = 2^w are the face counts.  The count
 needs only (n, k, space), because ``pair_compatible`` reads the components
 and index sets of the divisors and nothing else (FM has k = 0; the
-colliding-points space has no diagonals).  ``_f_vector_by_walk`` counts the
-walked faces by size; it is the oracle of the recursion.
+colliding-points space has no diagonals).  ``certify`` counts the walked
+faces by size; that count is the oracle of the recursion.
 
 The walk has three public consumers.  ``enumerate_nested_sets`` and
 ``maximal_nested_sets`` wrap each face in a ``NestedSet``.  ``face_rows``
@@ -132,7 +132,6 @@ out one and the same stratum is left open here, deliberately.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
@@ -168,7 +167,7 @@ def validate_divisor(g: GeometryConfig, d: Center) -> Center:
     """A center of ``g`` that covers a boundary divisor: any D_{c,S}, or a
     simple diagonal outside the colliding-points space."""
     validate_center(g, d)
-    if isinstance(d, Diagonal):
+    if not d.component:
         if not d.is_simple:
             raise ValueError("%s is a polydiagonal, not a boundary divisor" % d)
         if g.space is Space.XD_UPPER:
@@ -433,8 +432,8 @@ def f_vector(
     (n, number of components, space) only: ``pair_compatible`` reads
     components and index sets, never dimensions.  The counts are read off
     as the base-2^w digits of the recursion's value at y = 2^w, where 2^w
-    exceeds its value at y = 1, the number of faces; ``_f_vector_by_walk``
-    is the oracle."""
+    exceeds its value at y = 1, the number of faces; ``certify``'s count of
+    the walked faces is the oracle."""
     if max_size is not None and max_size < 0:
         raise ValueError("max_size must be >= 0, got %d" % max_size)
     w = _fiber_tree_count(g, 1).bit_length()
@@ -465,13 +464,6 @@ def _fiber_tree_count(g: GeometryConfig, y: int) -> int:
         G.append(k * L[1] * G[m] + sum(
             [comb(m, j) * (k * L[j + 1] * G[m - j] + L[j] * G[m + 1 - j]) for j in range(1, m + 1)]))
     return sum([comb(n, j) * B[j] * G[n - j] for j in range(n + 1)])
-
-
-def _f_vector_by_walk(g: GeometryConfig, max_size: int | None = None) -> tuple[int, ...]:
-    """The f-vector counted face by face on the clique walk, with no budget:
-    the oracle of ``f_vector``."""
-    sizes = Counter(_faces(g, max_size, False, None, lambda _, face: len(face), None))
-    return tuple(sizes[s] for s in range(len(sizes)))  # downward closed: sizes 0.. all occur
 
 
 __all__ = [

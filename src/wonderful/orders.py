@@ -65,8 +65,6 @@ from .geometry import GeometryConfig, Space
 from .labels import elements, subset_key
 from .loci import (
     Center,
-    Diagonal,
-    DLocus,
     PairPosition,
     _position,
     center_to_locus,
@@ -189,7 +187,7 @@ def validate_building_set_order(seq: BlowupSequence) -> bool:
     diagonals is a ValueError, and interleaved mixed orders are justified
     by ``swap_rewrite`` instead.
     """
-    if {type(c) for c in seq.centers} == {DLocus, Diagonal}:
+    if len({not c.component for c in seq.centers}) > 1:
         raise ValueError(
             "mixed-stage sequence; validate per stage or justify via swap_rewrite"
         )
@@ -213,7 +211,8 @@ def check_order(seq: BlowupSequence, scheme: str) -> str | None:
             i = diagonal.index(True)
             return ("generated inclusion order failed validation: %s comes after %s, but the two stages"
                     " do not form one building set" % (seq.centers[diagonal.index(False, i)], seq.centers[i]))
-        return None if validate_inclusion_order(seq).ok else "generated inclusion order failed validation"
+        report = validate_inclusion_order(seq)
+        return None if report.ok else "generated inclusion order failed validation: " + report.violation[2]
     if scheme == "reshuffled":
         return None if validate_building_set_order(seq) else (
             "generated reshuffled order failed validation: a prefix is not a building set")

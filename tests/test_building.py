@@ -5,9 +5,7 @@ import pytest
 
 from wonderful import building, nested
 from wonderful.building import (
-    BuildingSet,
     _intersection_closure,
-    Stage,
     building_set_for,
     factors_of_locus,
     g_factors,
@@ -230,9 +228,3 @@ def test_the_union_of_both_stages_is_a_building_set_unless_a_component_has_posit
         positive = any(c.dim for c in g.components)
         expected = not (g.space is Space.XD_BRACKET and g.n >= 2 and positive)
         assert is_building_set(g, nested.divisors_for(g)) is expected, g
-
-
-def test_transform_stage_rejects_d_members():
-    g = point_components(1, n=2)
-    with pytest.raises(ValueError):
-        BuildingSet(g, (DLocus(2, 1, 0b01),), Stage.TRANSFORM)

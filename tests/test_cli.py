@@ -553,6 +553,15 @@ def test_order_check_validates_every_scheme(runner, monkeypatch, scheme, compone
     assert runner.invoke(main, argv).output == plain.output
 
 
+def test_order_check_names_the_inclusion_pair(runner, monkeypatch):
+    witness = "D:c1:{1,2} is strictly contained in D:c1:{1} but comes later"
+    monkeypatch.setattr(orders, "validate_inclusion_order",
+                        lambda seq: orders.InclusionReport(False, (0, 1, witness)))
+    argv = ["order", "--scheme", "inclusion", "--n", "3", "--components", "1", "--check"]
+    message = _json_error(runner.invoke(main, argv), 1)
+    assert message == "generated inclusion order failed validation: " + witness
+
+
 @pytest.mark.parametrize(
     "scheme, unit", [("reshuffled", "steps"), ("interleaved", "swaps"), ("inclusion", "containment tests")]
 )
