@@ -36,7 +36,9 @@ in prefix k are the minimal ones among the first k members containing w,
 so member k changes them only for the w that lie inside V_k, and those are
 exactly the elements w cap V_k that its step yields.  Only they are checked
 again; ``is_building_set`` stays the check of one whole collection.  Only
-the order check is budgeted, always, by ``nested.ORDER_CHECK_BOUND``.
+the order check is budgeted, always, by ``nested.ORDER_CHECK_BOUND``.  It
+checks stage-two orders; stage-one orders go by the union-closure rule in
+``orders``, and this check is that rule's oracle.
 
 The order check decides condition (2) by arithmetic, on two facts.  At an
 element w of the closure the G-factors always cut out w: w is the meet of

@@ -38,7 +38,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
-from .building import _intersection_closure, building_set_for, is_building_set, is_nested_flag_oracle
+from .building import (_intersection_closure, building_set_for, is_building_order, is_building_set,
+                       is_nested_flag_oracle)
 from .geometry import Component, GeometryConfig, Space, point_components
 from .labels import Partition, SubsetRelation, check_population, elements, join_blocks, subset_relation
 from .loci import (Center, Diagonal, DLocus, Locus, PairPosition, _intersect, _pair_position_by_loci,
@@ -490,6 +491,23 @@ def _orders_to_check(g: GeometryConfig) -> list[BlowupSequence]:
     return out
 
 
+def _stage_one_orders(g: GeometryConfig) -> list[tuple[str, BlowupSequence]]:
+    """The reshuffled order, four seeded one-swap mutants of it, and four
+    seeded prefixes of 2..12 shuffled stage-one members."""
+    rng = random.Random(g.dumps())
+    seq = generate_order(g, "reshuffled")
+    centers = list(seq.centers)
+    out = [("reshuffled", seq)]
+    for i in sorted(rng.sample(range(len(centers) - 1), min(4, len(centers) - 1))):
+        mutant = centers[:i] + [centers[i + 1], centers[i]] + centers[i + 2:]
+        out.append(("reshuffled, swap at %d" % i, BlowupSequence(g, tuple(mutant))))
+    for _ in range(4):
+        rng.shuffle(centers)
+        prefix = tuple(centers[:rng.randint(2, min(12, len(centers)))])
+        out.append((_text(prefix), BlowupSequence(g, prefix)))
+    return out
+
+
 def _generated_orders(g: GeometryConfig) -> list:
     """(item name, scheme) of each generated order of g that must pass
     ``check_order``: inclusion always; on up to four points and two
@@ -682,6 +700,10 @@ ROWS = (
         + (_config(2, (1, 0)), _config(3, (1, 0))),
         lambda g: [(_text(seq.centers), validate_building_set_order(seq)) for seq in _orders_to_check(g)],
         lambda g: [(_text(seq.centers), building_order_by_prefixes(g, seq.centers)) for seq in _orders_to_check(g)]),
+    Row("union-closure",  # both spaces, k = 1..3 components of dims 0 and 1 both ways round, n = 2..4
+        tuple(g for g in _mixed_components((2,), 4) if g.n_components and g.n > 1),
+        lambda g: [(name, validate_building_set_order(seq)) for name, seq in _stage_one_orders(g)],
+        lambda g: [(name, is_building_order(g, seq.centers)) for name, seq in _stage_one_orders(g)]),
     Row("generated-orders",
         tuple(_config(n, dims, 2 if any(dims) else 1) for n in (2, 3, 4, 5)
               for dims in ((0,), (0, 0), (0, 0, 0), (1,), (1, 0)))

@@ -148,9 +148,9 @@ FACE_BOUND = 1 << 18
 # Steps an order check may spend, read by ``orders`` and ``building`` at
 # call time; times for one thread of a 2-vCPU Xeon.  Inclusion: one mask
 # test per pair of centers; k=3 n=6 takes 30 135 and ~3 ms, k=2 n=9
-# 1 160 526.  Reshuffled: containment tests between the centers, then
-# intersections; k=2 n=6 takes 45 404 steps and ~0.8 s, k=3 n=6 217 719.
-# Swaps from the two-block order: k=1 n=8 takes 20 052 and ~40 ms.
+# 1 160 526.  Reshuffled: one pair test per two centers of a component;
+# k=2 n=7 takes 16 002 and ~1 ms, k=2 n=8 64 770 and ~4 ms, k=1 n=9
+# 130 305.  Swaps from the two-block order: k=1 n=8 takes 20 052 and ~40 ms.
 ORDER_CHECK_BOUND = 1 << 16
 
 

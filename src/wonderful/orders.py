@@ -29,6 +29,20 @@ D_{c,{1,2}} inside Delta_{12}).  ``stages_form_one_building_set`` is that
 closed form; where it is False, ``check_order`` also asks every D-locus to
 come before every diagonal.
 
+A stage-one order is checked by the union-closure rule.  Within a component
+D_{c,S} cap D_{c,T} = D_{c,S cup T}, a Boolean lattice, and D-loci of two
+components are disjoint or transversal.  So a family of D-loci is a building
+set exactly when any two members of one component whose index sets overlap
+without nesting have D_{c,S cup T} in it (Postnikov, math/0507163), and
+every prefix of an order is one when each center finds that union with each
+such earlier partner before itself.  The rule fails for diagonals, whose
+lattice is the partition lattice: {Delta_12, Delta_13} is a building set
+(they meet transversally in Delta_123), {Delta_12, Delta_13, Delta_23}, also
+meeting in Delta_123, is not.  It fails for mixed families too: at n = 2,
+D_{c,{1}} and D_{c,{2}} of a point component meet inside Delta_12.  Stage
+two keeps the intersection closure, ``building.is_building_order``, which
+is also the rule's slow route in ``certify``.
+
 Two adjacent centers may swap when their blowups commute.  That holds when
 they are disjoint or transversal in the ambient product (all these centers
 are simultaneously linearizable, so the ambient classification survives the
@@ -56,6 +70,7 @@ Each check refuses past ``nested.ORDER_CHECK_BOUND`` steps, read when called.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -86,6 +101,14 @@ class BlowupSequence:
             if c in seen:
                 raise ValueError("repeated center %s in blowup sequence" % c)
             seen.add(c)
+
+    @staticmethod
+    def _generated(g: GeometryConfig, centers: tuple[Center, ...]) -> "BlowupSequence":
+        """A sort of ``divisors_for(g)``: valid, distinct centers, so unchecked."""
+        seq = object.__new__(BlowupSequence)
+        object.__setattr__(seq, "geometry", g)
+        object.__setattr__(seq, "centers", centers)
+        return seq
 
     def labels(self) -> list[str]:
         return [str(c) for c in self.centers]
@@ -120,15 +143,15 @@ def generate_order(g: GeometryConfig, scheme: str) -> BlowupSequence:
     divisors = nested.divisors_for(g)
     if scheme == "inclusion":
         key = inclusion_key if stages_form_one_building_set(g) else lambda c: (not c.component, inclusion_key(c))
-        return BlowupSequence(g, tuple(sorted(divisors, key=key)))
+        return BlowupSequence._generated(g, tuple(sorted(divisors, key=key)))
     if scheme == "reshuffled":
         if g.space is Space.FM:
             raise ValueError("the reshuffled scheme orders D-centers; space FM has none")
-        return BlowupSequence(g, tuple(sorted((c for c in divisors if c.component), key=_round_key)))
+        return BlowupSequence._generated(g, tuple(sorted((c for c in divisors if c.component), key=_round_key)))
     if scheme == "interleaved":
         if g.space is not Space.XD_BRACKET:
             raise ValueError("the interleaved scheme requires the space of distinct points")
-        return BlowupSequence(g, tuple(sorted(divisors, key=_round_key)))
+        return BlowupSequence._generated(g, tuple(sorted(divisors, key=_round_key)))
     raise ValueError("unknown scheme %r; expected one of %s" % (scheme, ", ".join(SCHEMES)))
 
 
@@ -137,7 +160,8 @@ def two_block_order(g: GeometryConfig) -> BlowupSequence:
     the order the interleaved sequence is reachable from by commuting swaps."""
     if g.space is not Space.XD_BRACKET:
         raise ValueError("the two-block order requires the space of distinct points")
-    return BlowupSequence(g, tuple(sorted(nested.divisors_for(g), key=lambda c: (not c.component, _round_key(c)))))
+    return BlowupSequence._generated(
+        g, tuple(sorted(nested.divisors_for(g), key=lambda c: (not c.component, _round_key(c)))))
 
 
 @dataclass(frozen=True)
@@ -178,20 +202,37 @@ def validate_inclusion_order(seq: BlowupSequence) -> InclusionReport:
 def validate_building_set_order(seq: BlowupSequence) -> bool:
     """Is every prefix of the sequence a building set?
 
-    One pass over the order (``building.is_building_order``): a new center
-    re-checks only the intersections that lie inside it.  Past
-    ``nested.ORDER_CHECK_BOUND`` steps (containment tests, then
-    intersections) it raises ``BudgetError``.  Only single-stage sequences
-    are meaningful here (the D-family in the ambient product, or the
-    diagonal transforms of stage two); a sequence holding both D-loci and
-    diagonals is a ValueError, and interleaved mixed orders are justified
-    by ``swap_rewrite`` instead.
+    D-loci (stage one) go by the union-closure rule (module docstring): each
+    center is tested once against each earlier center of its component, and
+    builds no locus.  Past ``nested.ORDER_CHECK_BOUND`` pair tests,
+    sum_c m_c(m_c - 1)/2 with m_c the centers of component c, it raises
+    ``BudgetError`` before the first.  Diagonals (stage two) go to the
+    budgeted closure check, ``building.is_building_order``.  A sequence
+    holding both is a ValueError; interleaved mixed orders are justified by
+    ``swap_rewrite`` instead.
     """
-    if len({not c.component for c in seq.centers}) > 1:
+    centers = seq.centers
+    if len({not c.component for c in centers}) > 1:
         raise ValueError(
             "mixed-stage sequence; validate per stage or justify via swap_rewrite"
         )
-    return is_building_order(seq.geometry, seq.centers)
+    if centers and not centers[0].component:
+        return is_building_order(seq.geometry, centers)
+    bound = nested.ORDER_CHECK_BOUND
+    tests = sum(m * (m - 1) // 2 for m in Counter(c.component for c in centers).values())
+    if tests > bound:
+        raise nested.BudgetError("refusing a building-set check of more than %d steps (%d D-loci need %d pair tests)"
+                                 % (bound, len(centers), tests))
+    earlier: dict[int, set[int]] = {}  # component -> index sets blown up so far
+    for c in centers:
+        s = c.subset
+        seen = earlier.setdefault(c.component, set())
+        for t in seen:
+            union = s | t
+            if s & t and union != s and union != t and union not in seen:
+                return False
+        seen.add(s)
+    return True
 
 
 def check_order(seq: BlowupSequence, scheme: str) -> str | None:

@@ -566,8 +566,8 @@ def test_order_check_names_the_inclusion_pair(runner, monkeypatch):
     "scheme, unit", [("reshuffled", "steps"), ("interleaved", "swaps"), ("inclusion", "containment tests")]
 )
 def test_order_check_budget_exits_3(runner, monkeypatch, scheme, unit):
-    # k=1 n=3: 7 reshuffled centers (49 containment tests); 4 swaps; 11
-    # inclusion centers (55 containment tests)
+    # k=1 n=3: 7 reshuffled centers (21 pair tests); 4 swaps; 11 inclusion
+    # centers (55 containment tests)
     monkeypatch.setattr(nested, "ORDER_CHECK_BOUND", 3)
     argv = ["order", "--scheme", scheme, "--check", "--n", "3", "--components", "1"]
     message = _json_error(runner.invoke(main, argv), 3)

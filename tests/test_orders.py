@@ -1,10 +1,15 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wonderful import building, certify, loci, nested, orders
 from wonderful.geometry import Component, GeometryConfig, Space, point_components
 from wonderful.loci import Diagonal, DLocus, parse_center
 from wonderful.nested import BudgetError
 from wonderful.orders import (
+    SCHEMES,
     BlowupSequence,
     generate_order,
     swap_certificate,
@@ -107,6 +112,52 @@ def test_building_set_order_rejects_mixed_stage():
         validate_building_set_order(seq)
 
 
+def test_generated_orders_pass_the_checked_constructor():
+    # generate_order and two_block_order build their sequences unchecked
+    for g in certify._every_space(5) + certify._mixed_components((2, 3), 5):
+        for scheme in SCHEMES + ("two_block",):
+            try:
+                seq = two_block_order(g) if scheme == "two_block" else generate_order(g, scheme)
+            except ValueError:
+                continue
+            assert seq == BlowupSequence(g, seq.centers)
+
+
+@st.composite
+def d_orders(draw):
+    """dim X <= 3, one to three components of any dimension below it, n <= 4,
+    and a family of D-loci: half the time closed under the unions of
+    overlapping pairs, half the time ordered by decreasing index set size."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    dim_x = rng.randint(1, 3)
+    dims = [rng.choice((0, rng.randrange(dim_x))) for _ in range(rng.randint(1, 3))]
+    g = GeometryConfig(rng.randint(1, 4), dim_x, tuple(Component("c%d" % (i + 1), d) for i, d in enumerate(dims)),
+                       rng.choice((Space.XD_BRACKET, Space.XD_UPPER)))
+    stage_one = building.building_set_for(g)[0].members
+    family = set(rng.sample(stage_one, rng.randint(1, min(8, len(stage_one)))))
+    if rng.random() < 0.5:
+        family = {DLocus(g.n, c.component, c.subset | d.subset) for c in family for d in family
+                  if c.component == d.component and c.subset & d.subset} | family
+    centers = sorted(family, key=str)
+    rng.shuffle(centers)
+    if rng.random() < 0.5:
+        centers.sort(key=lambda c: -c.subset.bit_count())
+    return BlowupSequence(g, tuple(centers))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(seq=d_orders())
+def test_union_closure_rule_equals_the_closure_check(seq):
+    # the rule reads index sets only; the closure check intersects the loci
+    assert validate_building_set_order(seq) == building.is_building_order(seq.geometry, seq.centers)
+
+
+def test_union_closure_row_meets_both_answers():
+    row = next(r for r in certify.ROWS if r.name == "union-closure")
+    answers = [answer for g in row.configs for _, answer in row.fast(g)]
+    assert 0 < answers.count(False) < len(answers)
+
+
 def test_building_order_row_meets_both_answers():
     # the orders that certify's building-order row compares hold building
     # orders and orders that are not
@@ -142,24 +193,37 @@ def test_building_set_order_builds_one_table(monkeypatch):
 
     monkeypatch.setattr(building, "_MemberTable", Counted)
     monkeypatch.setattr(building, "is_building_set", refuse)
+    # stage one goes by the union-closure rule and builds no table
     for k, n in ((1, 2), (2, 3), (1, 5)):
         g = point_components(k, n=n, space=Space.XD_UPPER)
-        tables.clear()
         assert validate_building_set_order(generate_order(g, "reshuffled"))
+        assert not tables
+    # stage two goes by the closure check, which builds one
+    for n in (2, 3, 4):
+        tables.clear()
+        assert validate_building_set_order(generate_order(GeometryConfig(n, 2, (), Space.FM), "inclusion"))
         assert len(tables) == 1
 
 
 def test_order_checks_refuse_past_their_bound(monkeypatch):
     g = point_components(2, n=4, space=Space.XD_UPPER)
     seq = generate_order(g, "reshuffled")
-    monkeypatch.setattr(nested, "ORDER_CHECK_BOUND", len(seq.centers) ** 2 + 3036)
+    # the union-closure rule: two components of 15 centers, 2 * 105 pair tests
+    monkeypatch.setattr(nested, "ORDER_CHECK_BOUND", 210)
     assert validate_building_set_order(seq)
+    monkeypatch.setattr(nested, "ORDER_CHECK_BOUND", 209)
+    with pytest.raises(BudgetError) as refused:
+        validate_building_set_order(seq)
+    assert str(refused.value) == "refusing a building-set check of more than 209 steps (30 D-loci need 210 pair tests)"
+    # the closure check on the same order
+    monkeypatch.setattr(nested, "ORDER_CHECK_BOUND", len(seq.centers) ** 2 + 3036)
+    assert building.is_building_order(g, seq.centers)
     monkeypatch.setattr(nested, "ORDER_CHECK_BOUND", 1000)
     with pytest.raises(BudgetError, match="more than 1000 steps"):
-        validate_building_set_order(seq)
+        building.is_building_order(g, seq.centers)
     monkeypatch.setattr(nested, "ORDER_CHECK_BOUND", 899)
     with pytest.raises(BudgetError, match="more than 899 steps"):
-        validate_building_set_order(seq)  # 30 centers: 900 containment tests
+        building.is_building_order(g, seq.centers)  # 30 centers: 900 containment tests
     g = point_components(1, n=3)
     source, target = two_block_order(g), generate_order(g, "interleaved")
     swaps = len(swap_rewrite(source, target).swaps)
@@ -180,16 +244,21 @@ def test_plain_library_order_checks_refuse_past_the_check_bound():
         validate_inclusion_order(seq)
     assert str(refused.value) == ("refusing an inclusion check of more than 65536 containment tests"
                                   " (1524 centers need 1160526)")
-    # k=2 n=7: 254 centers, 64 516 containment tests, refused among the intersections;
-    # k=3 n=7: 381 centers, refused before the first intersection
+    # k=2 n=7: 254 centers, 64 516 containment tests, refused by the closure
+    # check among the intersections; k=3 n=7: 381 centers, refused before the
+    # first intersection.  The union-closure rule answers both: 16 002 and
+    # 24 003 pair tests
     for k in (2, 3):
         seq = generate_order(point_components(k, n=7, space=Space.XD_UPPER), "reshuffled")
-        with pytest.raises(BudgetError) as refused:
-            validate_building_set_order(seq)
-        assert str(refused.value) == steps
+        assert validate_building_set_order(seq)
         with pytest.raises(BudgetError) as refused:
             building.is_building_order(seq.geometry, seq.centers)
         assert str(refused.value) == steps
+    seq = generate_order(point_components(1, n=9, space=Space.XD_UPPER), "reshuffled")
+    with pytest.raises(BudgetError) as refused:
+        validate_building_set_order(seq)
+    assert str(refused.value) == ("refusing a building-set check of more than 65536 steps"
+                                  " (511 D-loci need 130305 pair tests)")
     g = point_components(1, n=9)
     with pytest.raises(BudgetError) as refused:
         swap_rewrite(two_block_order(g), generate_order(g, "interleaved"))
