@@ -481,9 +481,9 @@ def _laminar(_, sub) -> bool:
 
 def _orders_to_check(g: GeometryConfig) -> list[BlowupSequence]:
     """Seeded prefixes of 2..8 members of shuffled building-set stages, and
-    the reshuffled order outside FM on up to three points."""
+    the reshuffled order on up to three points."""
     rng = random.Random(g.dumps())
-    out = [generate_order(g, "reshuffled")] if g.space is not Space.FM and g.n <= 3 else []
+    out = [generate_order(g, "reshuffled")] if g.n <= 3 else []
     for members in (list(stage.members) for stage in building_set_for(g) if len(stage.members) >= 2):
         for _ in range(9):
             rng.shuffle(members)
@@ -511,13 +511,13 @@ def _stage_one_orders(g: GeometryConfig) -> list[tuple[str, BlowupSequence]]:
 def _generated_orders(g: GeometryConfig) -> list:
     """(item name, scheme) of each generated order of g that must pass
     ``check_order``: inclusion always; on up to four points and two
-    components also the reshuffled order outside FM and, in XD_bracket, the
-    interleaved one, reached from the two-block order."""
+    components also the reshuffled order and, where points are distinct,
+    the interleaved one, reached from the two-block order."""
     small = g.n <= 4 and g.n_components <= 2
     out = [("inclusion", "inclusion")]
-    if small and g.space is not Space.FM:
+    if small:
         out.append(("reshuffled", "reshuffled"))
-    if small and g.space is Space.XD_BRACKET:
+    if small and g.space is not Space.XD_UPPER:
         out.append(("two_block -> interleaved", "interleaved"))
     return out
 
@@ -525,20 +525,21 @@ def _generated_orders(g: GeometryConfig) -> list:
 def _rewrites(g: GeometryConfig) -> list:
     """The rewrites the ``rewrite-replay`` row runs: the inclusion order into
     the one with each run of equal-size centers reversed, where overlapping
-    centers swap once their union is blown up; in XD_bracket the inclusion
-    order into the one with all D-loci first, the two-block order into the
-    interleaved one, and the interleaved into the inclusion order, which
-    blocks; in FM on four points two sequences with a polydiagonal."""
+    centers swap once their union is blown up; where points are distinct
+    the inclusion order into the one with all D-loci first, the two-block
+    order into the interleaved one, and the interleaved into the inclusion
+    order, which blocks; in FM on four points also two sequences with a
+    polydiagonal."""
     inclusion = generate_order(g, "inclusion")
     ties = sorted(inclusion.centers[::-1], key=lambda c: -c.subset.bit_count())
     out = [("inclusion -> ties reversed", inclusion, BlowupSequence(g, tuple(ties)))]
-    if g.space is Space.XD_BRACKET:
+    if g.space is not Space.XD_UPPER:
         inter = generate_order(g, "interleaved")
         d_first = sorted(inclusion.centers, key=lambda c: not c.component)
         out += [("inclusion -> D-loci first", inclusion, BlowupSequence(g, tuple(d_first))),
                 ("two_block -> interleaved", two_block_order(g), inter),
                 ("interleaved -> inclusion", inter, inclusion)]
-    elif g.space is Space.FM and g.n == 4:
+    if g.space is Space.FM and g.n == 4:
         fm4 = lambda labels: BlowupSequence(g, tuple(parse_center(t, g.n) for t in labels))  # noqa: E731
         first = ["Delta:{{1,2},{3,4}}", "Delta:{3,4}", "Delta:{1,2,3,4}", "Delta:{1,2}"]
         second = ["Delta:{1,2,3,4}", "Delta:{1,2,3}", "Delta:{{1,2},{3,4}}", "Delta:{2,3,4}", "Delta:{1,4}"]
@@ -707,7 +708,8 @@ ROWS = (
     Row("generated-orders",
         tuple(_config(n, dims, 2 if any(dims) else 1) for n in (2, 3, 4, 5)
               for dims in ((0,), (0, 0), (0, 0, 0), (1,), (1, 0)))
-        + tuple(point_components(k, n=n, space=Space.XD_UPPER) for k in (1, 2) for n in (2, 3, 4)),
+        + tuple(point_components(k, n=n, space=Space.XD_UPPER) for k in (1, 2) for n in (2, 3, 4))
+        + tuple(GeometryConfig(n, 2, (), Space.FM) for n in (2, 3, 4, 5)),
         lambda g: [(name, check_order(generate_order(g, scheme), scheme) is None)
                    for name, scheme in _generated_orders(g)],
         lambda g: [(name, True) for name, _ in _generated_orders(g)]),

@@ -315,7 +315,7 @@ def orbits_cmd(kind, size, fmt, **cfg):
     rows = []
     for orbit in orbits(build_config(**cfg), kind, size):
         rep = orbit.representative
-        rep_text = str(rep) if not hasattr(rep, "labels") else "{" + ",".join(rep.labels()) + "}"
+        rep_text = str(rep) if kind == "divisors" else "{" + ",".join(rep.labels()) + "}"
         rows.append({"representative": rep_text, "size": orbit.size, "stabilizer_order": orbit.stabilizer_order})
     if fmt == "json":
         _echo_json(rows)

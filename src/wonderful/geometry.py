@@ -3,13 +3,10 @@
 A configuration fixes the number of labeled points n, the dimension of the
 ambient nonsingular variety X, the list of irreducible components D_c of the
 nonsingular subvariety D (each of dimension strictly below dim X, hence
-pairwise disjoint), and which space is meant:
-
-* ``XD_upper``   -- points may collide but must stay off D,
-* ``XD_bracket`` -- points distinct and off D,
-* ``FM``         -- D empty, the Fulton-MacPherson space X[n].
-
-Only the integers matter downstream; no coordinates are ever computed.
+pairwise disjoint), and which ``Space`` is meant.  FM is ``XD_bracket``
+with D empty, so past the checks of ``GeometryConfig`` the library asks a
+space one question: may the points collide?  Only the integers matter
+downstream; no coordinates are ever computed.
 """
 
 from __future__ import annotations
@@ -31,6 +28,10 @@ def _is_int(x) -> bool:
 
 
 class Space(Enum):
+    """``XD_upper``: points may collide, off D; ``XD_bracket``: points distinct
+    and off D; ``FM``: Fulton-MacPherson's X[n], ``XD_bracket`` with D empty.
+    The library asks only whether points may collide; FM is kept as stored."""
+
     XD_UPPER = "XD_upper"
     XD_BRACKET = "XD_bracket"
     FM = "FM"

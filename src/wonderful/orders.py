@@ -10,14 +10,15 @@ holds the centers with max(S) = k, the index set's largest point.
   two stages do not form one building set (below), stage by stage: the
   D-divisors by ``inclusion_key``, then the diagonals by it.
 * ``reshuffled`` -- the D-divisors by round; every prefix of this order is
-  itself a building set.
-* ``interleaved`` -- for the space of distinct points: every divisor by
-  round, each round listing its D-divisors and then its diagonals.
+  itself a building set.  Without components it is the empty order.
+* ``interleaved`` -- where points are distinct (``XD_bracket``, and FM, which
+  is ``XD_bracket`` with D empty): every divisor by round, each round
+  listing its D-divisors and then its diagonals.
 
 ``two_block_order`` is the concatenation that the interleaved order is
-rearranged from: the reshuffled D-divisors, then the diagonals by round.
-Inside a round ``_round_key`` orders by decreasing size, then lexicographic
-index set, then component.
+rearranged from, and runs where it does: the reshuffled D-divisors, then
+the diagonals by round.  Inside a round ``_round_key`` orders by decreasing
+size, then lexicographic index set, then component.
 
 An order by inclusion builds the model of G when G is a building set (Li,
 math/0611412).  The D-divisors and the diagonals together form one, except
@@ -132,9 +133,9 @@ def inclusion_key(c: Center) -> tuple:
 
 def stages_form_one_building_set(g: GeometryConfig) -> bool:
     """Do the D-divisors and the diagonals of g form one building set of X^n?
-    They do not in ``XD_bracket`` with n >= 2 and a component of positive
-    dimension (module docstring)."""
-    return not (g.space is Space.XD_BRACKET and g.n >= 2 and any(c.dim for c in g.components))
+    They do not where points are distinct, n >= 2 and a component has
+    positive dimension (module docstring)."""
+    return g.space is Space.XD_UPPER or g.n < 2 or not any(c.dim for c in g.components)
 
 
 def generate_order(g: GeometryConfig, scheme: str) -> BlowupSequence:
@@ -145,11 +146,9 @@ def generate_order(g: GeometryConfig, scheme: str) -> BlowupSequence:
         key = inclusion_key if stages_form_one_building_set(g) else lambda c: (not c.component, inclusion_key(c))
         return BlowupSequence._generated(g, tuple(sorted(divisors, key=key)))
     if scheme == "reshuffled":
-        if g.space is Space.FM:
-            raise ValueError("the reshuffled scheme orders D-centers; space FM has none")
         return BlowupSequence._generated(g, tuple(sorted((c for c in divisors if c.component), key=_round_key)))
     if scheme == "interleaved":
-        if g.space is not Space.XD_BRACKET:
+        if g.space is Space.XD_UPPER:
             raise ValueError("the interleaved scheme requires the space of distinct points")
         return BlowupSequence._generated(g, tuple(sorted(divisors, key=_round_key)))
     raise ValueError("unknown scheme %r; expected one of %s" % (scheme, ", ".join(SCHEMES)))
@@ -158,7 +157,7 @@ def generate_order(g: GeometryConfig, scheme: str) -> BlowupSequence:
 def two_block_order(g: GeometryConfig) -> BlowupSequence:
     """``divisors_for(g)``, D-divisors first, each block by the round key:
     the order the interleaved sequence is reachable from by commuting swaps."""
-    if g.space is not Space.XD_BRACKET:
+    if g.space is Space.XD_UPPER:
         raise ValueError("the two-block order requires the space of distinct points")
     return BlowupSequence._generated(
         g, tuple(sorted(nested.divisors_for(g), key=lambda c: (not c.component, _round_key(c)))))

@@ -604,3 +604,28 @@ def test_inclusion_check_on_a_curve_component_orders_stage_by_stage(runner):
                                   "--component", "L:1"])
     assert result.exit_code == 0
     assert result.output == '["D:c1:{1,2}","D:c1:{1}","D:c1:{2}","Delta:{1,2}"]\n'
+
+
+def _commands_without_components():
+    """Every command, with the orders' and rewrites' every scheme, on n = 1..5
+    points and dim X = 1, 2, with no space and no components given."""
+    commands = [["divisors"], ["nested", "--max-size", "2"], ["fvector"], ["facets"], ["orbits"]]
+    commands += [["orbits", "--kind", "nested", "--size", str(size)] for size in range(4)]
+    commands += [["order", "--scheme", scheme, *check] for scheme in orders.SCHEMES for check in ([], ["--check"])]
+    commands += [["rewrite", "--source", source, "--target", target]
+                 for source in cli.ORDER_SOURCES for target in cli.ORDER_SOURCES]
+    commands += [["fiber", "--nested", face] for face in ("[]", "[Delta:{1,2}]")]
+    return [command + ["--n", str(n), "--dim-x", str(dim_x)]
+            for n in range(1, 6) for dim_x in (1, 2) for command in commands]
+
+
+def test_fm_answers_as_the_space_without_components(runner):
+    """FM is XD_bracket with D empty: every command answers the same on both."""
+    def answer(argv):
+        result = runner.invoke(main, argv)
+        return result.exit_code, result.stdout, result.stderr
+
+    argvs = _commands_without_components()
+    assert len(argvs) == 330
+    differ = [" ".join(argv) for argv in argvs if answer(argv + ["--space", "FM"]) != answer(argv)]
+    assert differ == []

@@ -6,7 +6,15 @@ left for a later simplification to mistake for dead code."""
 import pytest
 
 from wonderful.building import BuildingSet, building_set_for, factors_of_locus
-from wonderful.geometry import Component, ConfigError, GeometryConfig, Space, config_from_json_dict, load_config
+from wonderful.geometry import (
+    Component,
+    ConfigError,
+    GeometryConfig,
+    Space,
+    config_from_json_dict,
+    load_config,
+    point_components,
+)
 from wonderful.labels import parse_blocks, split_top_level
 from wonderful.loci import Diagonal, DLocus, Locus, parse_center
 from wonderful.orders import BlowupSequence, two_block_order
@@ -76,7 +84,7 @@ CASES = {
         lambda _: BlowupSequence(G2, (DLocus(2, 1, 1), DLocus(2, 1, 1))),
         ValueError, "repeated center D:c1:{1} in blowup sequence"),
     "two-block-space": (
-        lambda _: two_block_order(GeometryConfig(2, 1, (), Space.FM)),
+        lambda _: two_block_order(point_components(1, n=2, space=Space.XD_UPPER)),
         ValueError, "the two-block order requires the space of distinct points"),
     "permutation-bijection": (
         lambda _: Permutation((1, 1)), ValueError, "are not a bijection of {1..2}"),
