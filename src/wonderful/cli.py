@@ -8,8 +8,10 @@ contract of every command:
 
 * 0: an answer, on stdout;
 * 1: a failed check: ``order --check``, or ``certify`` and a blocked
-  ``rewrite``, whose report on stdout is their answer;
-* 2: a ``ValueError`` (``ConfigError`` among them) or a click usage error;
+  ``rewrite``, whose report on stdout is their answer; an interrupt
+  (Ctrl-C); or a stdout pipe closed by its reader, after what it read;
+* 2: a ``ValueError`` (``ConfigError`` among them) or a usage error, in
+  argparse's words;
 * 3: a ``BudgetError``, an enumeration or check refused past its budget.
 
 Every other non-zero exit prints nothing on stdout and one
@@ -20,10 +22,10 @@ it, and ``order --check`` is the one command that calls ``_fail`` itself.
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
 import sys
-
-import click
 
 from .geometry import Component, ConfigError, GeometryConfig, Space, load_config
 from .labels import split_top_level
@@ -45,37 +47,52 @@ ORDER_SOURCES = SCHEMES + ("two_block",)
 # may list, judged by the divisor count (it bounds every scheme): k=1 n=14
 # (32 752) prints in ~0.7 s.
 ORDER_CENTER_BOUND = 1 << 15
+# PIPE_BUF on Linux: a pipe takes a write this long whole or not at all, so a closed pipe
+# raises even in unbuffered stdout (``-u``), which drops what a longer write leaves over.
+PIECE = 4096
 
 
 def _dump(data) -> str:
     return json.dumps(data, separators=(",", ":"))
 
 
-def _echo_json(data):
-    click.echo(_dump(data))
+def _echo(*lines):
+    """Write the lines to stdout, each ending in a newline, in pieces of PIECE characters."""
+    text = "".join([line + "\n" for line in lines])
+    for start in range(0, len(text), PIECE):
+        sys.stdout.write(text[start:start + PIECE])
 
 
 def _fail(code: int, message: str):
-    click.echo(_dump({"error": message}), err=True)
+    sys.stderr.write(_dump({"error": message}) + "\n")
     sys.exit(code)
 
 
-config_options = [
-    click.option("--config", "config_path", type=click.Path(), default=None, help="Configuration JSON file."),
-    click.option("--n", "n_points", type=int, default=None, help="Number of labeled points."),
-    click.option("--dim-x", type=int, default=None, help="Dimension of the ambient variety."),
-    click.option("--components", "n_point_components", type=click.IntRange(min=0), default=None,
-                 help="Shorthand: this many point components c1, c2, ..."),
-    click.option("--component", "component_specs", multiple=True,
-                 help="One component as name:dim; repeatable."),
-    click.option("--space", type=click.Choice([s.value for s in Space]), default=None),
-]
+class _Parser(argparse.ArgumentParser):
+    def format_help(self):
+        return "U" + super().format_help()[1:]  # every help page opens "Usage:"
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
 
 
-def with_config(fn):
-    for opt in reversed(config_options):
-        fn = opt(fn)
-    return fn
+def count(text: str) -> int:
+    """A nonnegative integer; argparse names this type when the text is not one."""
+    if int(text) < 0:
+        raise ValueError(text)
+    return int(text)
+
+
+CONFIG_OPTIONS = (
+    ("--config", dict(dest="config_path", metavar="PATH", help="Configuration JSON file.")),
+    ("--n", dict(dest="n_points", metavar="N", type=int, help="Number of labeled points.")),
+    ("--dim-x", dict(type=int, help="Dimension of the ambient variety.")),
+    ("--components", dict(dest="n_point_components", metavar="K", type=count,
+                          help="Shorthand: this many point components c1, c2, ...")),
+    ("--component", dict(dest="component_specs", metavar="NAME:DIM", action="append",
+                         help="One component as name:dim; repeatable.")),
+    ("--space", dict(choices=[s.value for s in Space])),
+)
 
 
 def build_config(config_path, n_points, dim_x, n_point_components, component_specs, space) -> GeometryConfig:
@@ -107,58 +124,86 @@ def build_config(config_path, n_points, dim_x, n_point_components, component_spe
     return GeometryConfig(n, d, comps, sp)
 
 
-class _JsonErrors(click.Group):
-    """The one owner of the exit-code contract (module docstring): a
-    ``BudgetError`` exits 3 and a ``ValueError`` (``ConfigError`` among
-    them) exits 2, and each, like click's own exceptions, prints one JSON
-    line on stderr.  A caller that passes ``standalone_mode=False`` gets the
-    library's errors as the same ``SystemExit``, and click's own exceptions
-    raised unchanged, to handle itself."""
+PARSER = _Parser(prog="wonderful", allow_abbrev=False, description="Combinatorics of wonderful compactifications of "
+                 "configuration spaces relative to a subvariety.")
+_subcommands = PARSER.add_subparsers(prog="wonderful", metavar="command", required=True)
+COMMANDS = _subcommands.choices  # command name -> its parser, filled in by @_command
 
-    def main(self, *args, standalone_mode=True, **kwargs):
+
+def _command(*options, config=True):
+    """Register the function as the command of its name, less ``_cmd``: its
+    options, (flag, keywords) pairs after CONFIG_OPTIONS unless ``config`` is
+    false, fill its parameters.  With ``prog`` given, no usage is formatted."""
+    def register(fn):
+        name = fn.__name__.removesuffix("_cmd")
+        parser = _subcommands.add_parser(name, prog="wonderful " + name, allow_abbrev=False, help=fn.__doc__,
+                                         description=fn.__doc__)
+        for flag, kwargs in (CONFIG_OPTIONS if config else ()) + options:
+            parser.add_argument(flag, **kwargs)
+        parser.set_defaults(run=fn)
+        return fn
+    return register
+
+
+def _format(*choices, default="table"):
+    return "--format", dict(dest="fmt", choices=choices, default=default)
+
+
+class _JsonErrors:
+    """The one owner of the exit-code contract (module docstring).  With
+    ``standalone_mode=False`` a usage error (``argparse.ArgumentError``) or
+    ``KeyboardInterrupt`` is raised to the caller.  ``main(args, prog_name,
+    standalone_mode)`` is the call of ``click.testing.CliRunner``; usage text
+    names ``wonderful`` whatever ``prog_name`` says.  ``main()`` parses ``sys.argv``."""
+
+    name = "wonderful"
+
+    def __call__(self):
+        return self.main()
+
+    def main(self, args=None, prog_name=None, standalone_mode=True):
         try:
-            return super().main(*args, standalone_mode=False, **kwargs)
+            options = vars(PARSER.parse_args(args))
+            try:
+                options.pop("run")(**options)
+            finally:
+                sys.stdout.flush()
         except BudgetError as exc:
             _fail(3, str(exc))
         except ValueError as exc:
             _fail(2, str(exc))
-        except click.ClickException as exc:
+        except argparse.ArgumentError as exc:
             if not standalone_mode:
                 raise
-            _fail(exc.exit_code, exc.format_message())
-        except click.Abort:
+            _fail(2, str(exc))
+        except KeyboardInterrupt:
             if not standalone_mode:
                 raise
             _fail(1, "aborted")
+        except BrokenPipeError:
+            # as the Python docs' note on SIGPIPE does: the flush at exit goes to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            _fail(1, "stdout closed")
 
 
-@click.group(cls=_JsonErrors)
-def main():
-    """Combinatorics of wonderful compactifications of configuration spaces
-    relative to a subvariety."""
+main = _JsonErrors()
 
 
-@main.command()
-@with_config
-@click.option("--format", "fmt", type=click.Choice(["table", "json"]), default="table")
+@_command(_format("table", "json"))
 def divisors(fmt, **cfg):
     """List the boundary divisors."""
     g = build_config(**cfg)
     _refuse_past_center_bound(g)
     ds = divisors_for(g)
     if fmt == "json":
-        _echo_json({"count": count_divisors(g), "divisors": [str(d) for d in ds]})
+        _echo(_dump({"count": count_divisors(g), "divisors": [str(d) for d in ds]}))
     else:
-        for d in ds:
-            click.echo(str(d))
-        click.echo("total %d" % count_divisors(g))
+        _echo(*map(str, ds), "total %d" % count_divisors(g))
 
 
-@main.command()
-@with_config
-@click.option("--max-size", type=click.IntRange(min=0), default=None)
-@click.option("--fvector", "want_fvector", is_flag=True, help="Print only the face counts.")
-@click.option("--format", "fmt", type=click.Choice(["table", "json", "csv"]), default="table")
+@_command(("--max-size", dict(type=count)),
+          ("--fvector", dict(dest="want_fvector", action="store_true", help="Print only the face counts.")),
+          _format("table", "json", "csv"))
 def nested(max_size, want_fvector, fmt, **cfg):
     """Enumerate nested sets (the boundary stratification poset)."""
     if fmt == "csv" and not want_fvector:
@@ -175,42 +220,36 @@ def _echo_faces(g, fmt, key, **walk):
     quotes each label once, tables print them bare, one face per line."""
     rows = face_rows(g, json.dumps if fmt == "json" else str, **walk)
     if fmt == "json":
-        click.echo('{"count":%d,"%s":[[' % (len(rows), key) + "],[".join(rows) + "]]}")
+        _echo('{"count":%d,"%s":[[' % (len(rows), key) + "],[".join(rows) + "]]}")
     else:
-        click.echo("".join(["{%s}\n" % r for r in rows]) + "total %d" % len(rows))
+        _echo("".join(["{%s}\n" % r for r in rows]) + "total %d" % len(rows))
 
 
 def _render_fvector(fv, fmt):
     if fmt == "json":
-        _echo_json({"fvector": list(fv)})
+        _echo(_dump({"fvector": list(fv)}))
     elif fmt == "csv":
-        click.echo(",".join("f%d" % i for i in range(len(fv))))
-        click.echo(",".join(str(v) for v in fv))
+        _echo(",".join("f%d" % i for i in range(len(fv))), ",".join(str(v) for v in fv))
     else:
-        click.echo(",".join(str(v) for v in fv))
+        _echo(",".join(str(v) for v in fv))
 
 
-@main.command()
-@with_config
-@click.option("--format", "fmt", type=click.Choice(["table", "json", "csv"]), default="table")
+@_command(_format("table", "json", "csv"))
 def fvector(fmt, **cfg):
     """Face counts of the nested-set complex."""
     _render_fvector(f_vector(build_config(**cfg)), fmt)
 
 
-@main.command()
-@with_config
-@click.option("--format", "fmt", type=click.Choice(["table", "json"]), default="table")
+@_command(_format("table", "json"))
 def facets(fmt, **cfg):
     """Maximal nested sets (deepest strata)."""
     _echo_faces(build_config(**cfg), fmt, "facets", maximal=True)
 
 
-@main.command()
-@with_config
-@click.option("--scheme", type=click.Choice(list(SCHEMES)), required=True)
-@click.option("--check/--no-check", default=False, help="Also validate the generated order.")
-@click.option("--format", "fmt", type=click.Choice(["json", "table"]), default="json")
+@_command(("--scheme", dict(choices=SCHEMES, required=True)),
+          ("--check", dict(action=argparse.BooleanOptionalAction, default=False,
+                           help="Also validate the generated order.")),
+          _format("json", "table", default="json"))
 def order(scheme, check, fmt, **cfg):
     """Generate a blowup order."""
     seq = _generate(build_config(**cfg), scheme)
@@ -218,10 +257,9 @@ def order(scheme, check, fmt, **cfg):
     if failure:
         _fail(1, failure)
     if fmt == "json":
-        _echo_json(seq.labels())
+        _echo(_dump(seq.labels()))
     else:
-        for label in seq.labels():
-            click.echo(label)
+        _echo(*seq.labels())
 
 
 def _refuse_past_center_bound(g):
@@ -259,10 +297,9 @@ def _parse_label_array(text: str) -> list[str]:
     return [item.strip('"') for item in split_top_level(body)] if body else []
 
 
-@main.command()
-@with_config
-@click.option("--source", required=True, help="Scheme name (%s) or JSON array of labels." % "|".join(ORDER_SOURCES))
-@click.option("--target", required=True, help="Scheme name or JSON array of labels.")
+@_command(("--source", dict(required=True,
+                            help="Scheme name (%s) or JSON array of labels." % "|".join(ORDER_SOURCES))),
+          ("--target", dict(required=True, help="Scheme name or JSON array of labels.")))
 def rewrite(source, target, **cfg):
     """Rewrite one blowup order into another by certified adjacent swaps."""
     g = build_config(**cfg)
@@ -273,24 +310,23 @@ def rewrite(source, target, **cfg):
     swaps = ",".join([f'{{"position":{p},"left":{q[a]},"right":{q[b]},"certificate":{q[c]}}}'
                       for p, a, b, c in result.swaps])
     blocking = "" if result.ok else ',"blocking":[%s,%s]' % tuple(map(q.get, result.blocking))
-    click.echo('{"ok":%s,"swaps":[%s]%s}' % (_dump(result.ok), swaps, blocking))
+    _echo('{"ok":%s,"swaps":[%s]%s}' % (_dump(result.ok), swaps, blocking))
     if not result.ok:
         sys.exit(1)
 
 
-@main.command()
-@with_config
-@click.option("--nested", "nested_literal", required=True, help="Nested set as an array of divisor labels.")
-@click.option("--format", "fmt", type=click.Choice(["dot", "json"]), default="json")
+@_command(("--nested", dict(dest="nested_literal", metavar="LABELS", required=True,
+                            help="Nested set as an array of divisor labels.")),
+          _format("dot", "json", default="json"))
 def fiber(nested_literal, fmt, **cfg):
     """Dual graph of the universal-family fiber over a boundary stratum."""
     g = build_config(**cfg)
     ns = make_nested_set(g, (parse_center(text, g.n) for text in _parse_label_array(nested_literal)))
     tree = fiber_tree(g, ns)
     if fmt == "dot":
-        click.echo(to_dot(tree), nl=False)
+        _echo(to_dot(tree).removesuffix("\n"))
     else:
-        _echo_json(
+        _echo(_dump(
             {
                 "vertices": [
                     {"id": v.vid, "label": v.label(), "marks": list(tree.marks_on(v.vid))}
@@ -300,14 +336,12 @@ def fiber(nested_literal, fmt, **cfg):
                 "stable": is_stable(tree).ok,
                 "nested": list(ns.labels()),
             }
-        )
+        ))
 
 
-@main.command("orbits")
-@with_config
-@click.option("--kind", type=click.Choice(["divisors", "nested"]), default="divisors")
-@click.option("--size", type=click.IntRange(min=0), default=None, help="Cardinality for kind=nested.")
-@click.option("--format", "fmt", type=click.Choice(["table", "json"]), default="table")
+@_command(("--kind", dict(choices=("divisors", "nested"), default="divisors")),
+          ("--size", dict(type=count, help="Cardinality for kind=nested.")),
+          _format("table", "json"))
 def orbits_cmd(kind, size, fmt, **cfg):
     """Orbits of the symmetric-group action."""
     if kind == "divisors" and size is not None:
@@ -318,25 +352,22 @@ def orbits_cmd(kind, size, fmt, **cfg):
         rep_text = str(rep) if kind == "divisors" else "{" + ",".join(rep.labels()) + "}"
         rows.append({"representative": rep_text, "size": orbit.size, "stabilizer_order": orbit.stabilizer_order})
     if fmt == "json":
-        _echo_json(rows)
+        _echo(_dump(rows))
     else:
-        for row in rows:
-            click.echo("%s size=%d stabilizer=%d" % (row["representative"], row["size"], row["stabilizer_order"]))
-        click.echo("orbits %d" % len(rows))
+        _echo(*["%s size=%d stabilizer=%d" % (row["representative"], row["size"], row["stabilizer_order"])
+                for row in rows], "orbits %d" % len(rows))
 
 
-@main.command("certify")
-@click.option("--format", "fmt", type=click.Choice(["table", "json"]), default="table")
+@_command(_format("table", "json"), config=False)
 def certify_cmd(fmt):
     """Run the cross-validation suite and report each check."""
     from .certify import run_all  # imported here: no other command needs the cross-checks
 
     results = run_all()
     if fmt == "json":
-        _echo_json([{"name": r.name, "ok": r.ok, "detail": r.detail} for r in results])
+        _echo(_dump([{"name": r.name, "ok": r.ok, "detail": r.detail} for r in results]))
     else:
-        for r in results:
-            click.echo("%s %s: %s" % ("ok  " if r.ok else "FAIL", r.name, r.detail))
+        _echo(*["%s %s: %s" % ("ok  " if r.ok else "FAIL", r.name, r.detail) for r in results])
     if not all(r.ok for r in results):
         sys.exit(1)
 

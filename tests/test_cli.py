@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -9,7 +10,6 @@ import time
 from contextlib import redirect_stdout
 from pathlib import Path
 
-import click
 import pytest
 from click.testing import CliRunner
 
@@ -311,7 +311,7 @@ def test_help_still_exits_0(runner):
 
 
 def test_usage_errors_raise_without_standalone_mode():
-    with pytest.raises(click.UsageError):
+    with pytest.raises(argparse.ArgumentError):
         main.main(args=["divisors", "--n", "abc"], prog_name="wonderful", standalone_mode=False)
     assert main.main(args=["divisors", "--n", "1", "--format", "json"], prog_name="wonderful",
                      standalone_mode=False) is None
@@ -413,6 +413,38 @@ def test_cli_import_leaves_certify_unloaded():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "False\n"
+
+
+def test_cli_import_leaves_click_unloaded():
+    # the parser is the standard library's: no cold start pays for click
+    code = "import sys, wonderful, wonderful.cli; print('click' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
+
+
+def test_interrupt_exits_1_with_one_json_line(runner, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "face_rows", interrupted)
+    result = runner.invoke(main, ["nested", "--n", "17", "--components", "1", "--max-size", "1"])
+    assert _json_error(result, 1) == "aborted"
+    assert result.stderr == '{"error":"aborted"}\n'
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_pipe_exits_1_with_one_json_line(unbuffered):
+    # the table is ~340 KB, more than a pipe holds: the reader takes one line and goes
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]), PYTHONUNBUFFERED=unbuffered)
+    argv = [sys.executable, "-m", "wonderful.cli", "divisors", "--n", "12", "--components", "3"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as listing:
+        assert listing.stdout.readline() == b"D:c1:{1}\n"
+        listing.stdout.close()
+        assert listing.wait(timeout=10) == 1
+        # nothing more: no "Exception ignored" from the flush at exit
+        assert listing.stderr.read() == b'{"error":"stdout closed"}\n'
 
 
 def test_outputs_byte_identical_across_runs_and_workers(runner, m0n5_config):

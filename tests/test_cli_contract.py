@@ -15,7 +15,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from wonderful.cli import ORDER_SOURCES, main
+from wonderful.cli import COMMANDS as PARSERS, ORDER_SOURCES, main
 
 # The slowest answers the budgets admit take about 3 s on a 2-vCPU Xeon (a
 # size <= 1 listing at k=1 n=17, 262 125 divisors, just under the face
@@ -29,12 +29,12 @@ CALL_SECONDS = 10
 # the size <= 1 listing at k=1 n=17.  An answer past 32 MiB did not stop at
 # its budget.
 OUTPUT_CAP = 32 << 20
-COMMANDS = sorted(set(main.commands) - {"certify"})
+COMMANDS = sorted(set(PARSERS) - {"certify"})
 
 
 def _choices(command, name):
-    """The values click accepts for one option of a command, if it has the option."""
-    return [c for p in main.commands[command].params if p.name == name for c in p.type.choices]
+    """The values the parser accepts for one option of a command, if it has the option."""
+    return [c for a in PARSERS[command]._actions if a.dest == name for c in a.choices]
 
 
 class _Overtime(BaseException):
