@@ -45,7 +45,7 @@ from .labels import Partition, SubsetRelation, check_population, elements, join_
 from .loci import (Center, Diagonal, DLocus, Locus, PairPosition, _intersect, _pair_position_by_loci,
                    center_to_locus, contains, contains_locus, dimension, intersect, intersect_all, make_locus,
                    pair_position, parse_center)
-from .nested import (NestedSet, _compatibility_rows, _faces, count_divisors,
+from .nested import (NestedSet, _compatibility_rows, _faces, _singletons, count_divisors,
                      divisor_sort_key, divisors_for, enumerate_nested_sets, f_vector, is_nested,
                      maximal_nested_sets, pair_compatible)
 from .orders import (BlowupSequence, InclusionReport, check_order, generate_order, stages_form_one_building_set,
@@ -433,7 +433,7 @@ def _f_vector_fast(g: GeometryConfig) -> list:
 def _f_vector_by_walk(g: GeometryConfig, max_size: int | None = None) -> tuple[int, ...]:
     """The f-vector counted face by face on the clique walk, with no budget:
     the oracle of ``nested.f_vector``."""
-    sizes = Counter(_faces(g, max_size, False, None, lambda _, face: len(face), None))
+    sizes = Counter(map(len, _faces(g, max_size, False, None, (), _singletons)))
     return tuple(sizes[s] for s in range(len(sizes)))  # downward closed: sizes 0.. all occur
 
 

@@ -85,8 +85,8 @@ class GeometryConfig:
 
     @cached_property
     def divisor_graph(self) -> dict:
-        """Memo of ``nested.divisors_for`` ("divisors") and of the
-        compatibility rows over them ("rows").  Not a field either."""
+        """Memo of ``nested.divisor_keys`` ("keys"), the compatibility rows over
+        them ("rows") and ``nested.divisors_for`` ("divisors").  Not a field either."""
         return {}
 
     def component_dim(self, c: int) -> int:

@@ -109,10 +109,9 @@ def parse_subset(text: str) -> int:
 
 def subsets(n: int, min_size: int = 0):
     """All subsets of {1,...,n} of at least ``min_size`` elements, canonically ordered."""
-    check_population(n)
+    bits = [1 << i for i in range(check_population(n))]
     for k in range(min_size, n + 1):
-        for combo in itertools.combinations(range(1, n + 1), k):
-            yield mask_of(combo)
+        yield from map(sum, itertools.combinations(bits, k))
 
 
 def subset_relation(a: int, b: int) -> SubsetRelation:

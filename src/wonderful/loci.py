@@ -103,7 +103,7 @@ class DLocus:
 
     @cached_property
     def label(self) -> str:
-        return "D:c%d:%s" % (self.component, format_subset(self.subset))
+        return divisor_labels([(self.component, self.subset)])[0]
 
     def __str__(self) -> str:
         return self.label
@@ -162,7 +162,7 @@ class Diagonal:
     @cached_property
     def label(self) -> str:
         if self.is_simple:
-            return "Delta:" + format_subset(self.subset)
+            return divisor_labels([(0, self.subset)])[0]
         return "Delta:{" + ",".join(map(format_subset, self.blocks)) + "}"
 
     def __str__(self) -> str:
@@ -170,6 +170,23 @@ class Diagonal:
 
 
 Center = DLocus | Diagonal
+
+
+def divisor_labels(keys) -> list[str]:
+    """The label of each (component, index set) key, "D:c1:{1,3}", or
+    "Delta:{1,3}" for component 0: the one source of divisor label text.
+    Each index set's text is made once, from that of the set without its
+    top element."""
+    texts: dict[int, str] = {}
+
+    def text(s: int) -> str:
+        top = s.bit_length()
+        rest = s ^ 1 << top - 1
+        t = texts[s] = (texts.get(rest) or text(rest)) + "," + str(top) if rest else str(top)
+        return t
+
+    heads = {c: "D:c%d:{" % c if c else "Delta:{" for c in {c for c, _ in keys}}
+    return [heads[c] + (texts.get(s) or text(s)) + "}" for c, s in keys]
 
 
 def parse_center(text: str, n: int) -> Center:
@@ -277,6 +294,13 @@ def _locus_of(n: int, block_pins) -> Locus:
             if p is not None:
                 code |= m << (n * (n + p - 1))
     return Locus(n, tuple(out_blocks), tuple(out_pins), code)
+
+
+def _containment_bits(n: int) -> int:
+    """The code bits that decide containment between nonempty loci: the pins
+    and the equalities of points i < j (equality bits are symmetric and set
+    on the diagonal)."""
+    return sum(1 << i * n + j for i in range(n) for j in range(i + 1, n)) | -1 << n * n
 
 
 def everything_locus(g: GeometryConfig) -> Locus:
@@ -507,6 +531,7 @@ __all__ = [
     "contains",
     "contains_locus",
     "dimension",
+    "divisor_labels",
     "everything_locus",
     "intersect",
     "intersect_all",

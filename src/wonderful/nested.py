@@ -43,17 +43,15 @@ the rules above turn into unions of table entries:
 Every divisor is compatible with itself, so each union holds its own bit;
 the row clears it, so the candidates below a face are the divisors outside
 it compatible with all of it.  ``pair_compatible`` stays the one pairwise
-rule (``is_nested`` uses it; the rows are checked against it).  Divisors
-and rows are built once per geometry, in ``GeometryConfig.divisor_graph``.
+rule (``is_nested`` uses it; the rows are checked against it).  The rows
+read only the divisors' (component, index set) keys; keys, rows and
+divisors are built once per geometry, in ``GeometryConfig.divisor_graph``.
 
 A face the walk reports is a clique by construction: every chosen index is
 drawn, in increasing order, from the candidates compatible with all earlier
-ones, over the canonically sorted ``divisors_for(g)``.  So walked faces are
-built without re-sorting and without re-running ``is_nested``; the public
-``NestedSet`` constructor, which takes outside input, still checks both.
-``NestedSet`` keeps its two fields in slots, and ``NestedSet._walked``
-fills them through the slots' member descriptors: a walked face costs one
-tuple, one bare object and two slot stores, and carries no ``__dict__``.
+ones, over the canonically sorted keys.  So walked faces need no sort and no
+``is_nested``; the public ``NestedSet`` constructor, which takes outside
+input, still checks both.
 
 The complex is pure: every maximal nested set has the top size, n when
 there are D-divisors and n - 1 when there are only diagonals (0 when there
@@ -109,23 +107,24 @@ and index sets of the divisors and nothing else (FM has k = 0; the
 colliding-points space has no diagonals).  ``certify`` counts the walked
 faces by size; that count is the oracle of the recursion.
 
-The walk has three public consumers.  ``enumerate_nested_sets`` and
-``maximal_nested_sets`` wrap each face in a ``NestedSet``.  ``face_rows``
-walks over the divisors' labels, each quoted once, and returns every face
-as its joined label string, which is all the command line prints; it
-builds no ``NestedSet``.  The three share one helper, ``_faces``, so the
-budget, ``max_size``, the top size and the empty face are handled once.
-A listing capped at size 0 is the empty face alone and builds no divisor.
+The walk has three public consumers, and a face grows by one
+concatenation per divisor, ``chosen + name[i]``.  ``enumerate_nested_sets``
+and ``maximal_nested_sets`` name divisor i by the one-tuple (d,) and wrap
+each face in a ``NestedSet``.  ``face_rows`` names it by its quoted label,
+","-led past the first, so a face is the row the command line prints; the
+labels come from the keys, so it builds no divisor.  The three share
+``_faces``, so the budget, ``max_size``, the top size and the empty face
+are handled once.  A size-0 listing is the empty face and builds nothing.
 Any other walks at most ``FACE_BOUND`` = 2^18 nested sets: past that many,
 counted as ``sum(f_vector(g, max_size=top))`` with ``top`` the size cap or
 the facet size (then it is every face: the recursion at y = 1 alone), it
 raises ``BudgetError`` naming both before building a divisor.  The binomial
 sum of the divisor count up to ``top`` bounds the count, so while that sum
 is within the bound the recursion (20-55 us at n <= 6, against 1-2 us) is
-skipped.  At 2^18 the largest admitted listings take ~3 s on a 2-vCPU Xeon
-(size <= 1 at k=1 n=17; size-2 orbits at k=1 n=10); 2^20 admits size <= 1
-at n=19 (11.7 s, 37 MB).  ``ORDER_CHECK_BOUND`` = 2^16 is the one budget of
-the order checks in ``orders`` and ``building``.
+skipped.  At 2^18 the largest admitted listings, on one thread of a 2-vCPU
+Xeon, are size <= 1 at k=1 n=17 (0.27 s) and size-2 orbits at k=1 n=10
+(1.5 s).  ``ORDER_CHECK_BOUND`` = 2^16 is the one budget of the order
+checks in ``orders`` and ``building``.
 Counting functions count nested sets; whether distinct nested sets can cut
 out one and the same stratum is left open here, deliberately.
 """
@@ -141,16 +140,18 @@ from .loci import (
     Center,
     Diagonal,
     DLocus,
+    divisor_labels,
     validate_center,
 )
 
 FACE_BOUND = 1 << 18
 # Steps an order check may spend, read by ``orders`` and ``building`` at
-# call time; times for one thread of a 2-vCPU Xeon.  Inclusion: one mask
-# test per pair of centers; k=3 n=6 takes 30 135 and ~3 ms, k=2 n=9
-# 1 160 526.  Reshuffled: one pair test per two centers of a component;
-# k=2 n=7 takes 16 002 and ~1 ms, k=2 n=8 64 770 and ~4 ms, k=1 n=9
-# 130 305.  Swaps from the two-block order: k=1 n=8 takes 20 052 and ~40 ms.
+# call time; times for one thread of a 2-vCPU Xeon.  Inclusion: charged a
+# mask test per pair of centers, though its column check does far less; k=3
+# n=6 is charged 30 135 and takes ~0.7 ms, k=2 n=9 1 160 526.  Reshuffled:
+# one pair test per two centers of a component; k=2 n=7 takes 16 002 and
+# ~1 ms, k=2 n=8 64 770 and ~4 ms, k=1 n=9 130 305.  Swaps from the
+# two-block order: k=1 n=8 takes 20 052 and ~40 ms.
 ORDER_CHECK_BOUND = 1 << 16
 
 
@@ -175,17 +176,27 @@ def validate_divisor(g: GeometryConfig, d: Center) -> Center:
     return d
 
 
+def divisor_keys(g: GeometryConfig) -> tuple[tuple[int, int], ...]:
+    """(component, index set) of every boundary divisor, 0 for a diagonal,
+    canonically ordered (``subsets`` lists the index sets by ``subset_key``);
+    memoised on ``g``."""
+    memo = g.divisor_graph
+    if "keys" not in memo:
+        masks = list(subsets(g.n, min_size=1))
+        diagonals = [] if g.space is Space.XD_UPPER else [(0, s) for s in masks if s & (s - 1)]
+        memo["keys"] = tuple([(c, s) for c in range(1, g.n_components + 1) for s in masks] + diagonals)
+    return memo["keys"]
+
+
 def divisors_for(g: GeometryConfig) -> tuple[Center, ...]:
-    """All boundary divisors of the configured space, canonically ordered:
-    ``subsets`` lists the index sets by ``subset_key``; memoised on ``g``."""
+    """The divisor of each of ``divisor_keys(g)``, in its order, its cached
+    label filled from one ``divisor_labels`` pass; memoised on ``g``."""
     memo = g.divisor_graph
     if "divisors" not in memo:
-        out: list[Center] = []
-        for c in range(1, g.n_components + 1):
-            out.extend(DLocus(g.n, c, mask) for mask in subsets(g.n, min_size=1))
-        if g.space is not Space.XD_UPPER:
-            out.extend(Diagonal.simple(g.n, mask) for mask in subsets(g.n, min_size=2))
-        memo["divisors"] = tuple(out)
+        n, keys = g.n, divisor_keys(g)
+        memo["divisors"] = tuple(DLocus(n, c, s) if c else Diagonal.simple(n, s) for c, s in keys)
+        for d, label in zip(memo["divisors"], divisor_labels(keys)):
+            object.__setattr__(d, "label", label)  # the cached_property's slot, past the frozen setattr
     return memo["divisors"]
 
 
@@ -260,25 +271,28 @@ _set_divisors = NestedSet.divisors.__set__
 
 
 def make_nested_set(g: GeometryConfig, divisors) -> NestedSet:
-    """Read in order, so a repeat is refused before later divisors are read."""
+    """Read in order, so a repeat is refused before later divisors are read; sorted and checked once."""
     seen = set()
     for d in divisors:
         if d in seen:
             raise ValueError("repeated divisor %s in nested set" % d)
         seen.add(d)
-    return NestedSet(g, tuple(sorted(seen, key=divisor_sort_key)))
+    ordered = tuple(sorted(seen, key=divisor_sort_key))
+    if not is_nested(g, ordered):
+        raise ValueError("collection is not nested")
+    return NestedSet._walked(g, ordered)
 
 
-def _subset_tables(n: int, divisors) -> dict[int, tuple[list[int], list[int]]]:
+def _subset_tables(n: int, keys) -> dict[int, tuple[list[int], list[int]]]:
     """For each family of divisors (a component c, or 0 for the diagonals)
-    the tables (sub, sup), bitmasks over positions in ``divisors``: sub[S]
+    the tables (sub, sup), bitmasks over positions in ``keys``: sub[S]
     holds the family's divisors whose index set lies inside S, sup[S] those
     whose index set contains S.  A zeta transform over the subset lattice
     fills each table with n * 2^n ORs."""
     size = 1 << n
     exact: dict[int, list[int]] = {}
-    for j, d in enumerate(divisors):
-        exact.setdefault(d.component, [0] * size)[d.subset] |= 1 << j
+    for j, (c, s) in enumerate(keys):
+        exact.setdefault(c, [0] * size)[s] |= 1 << j
     tables = {}
     for c, sub in exact.items():
         sup = sub[:]
@@ -294,27 +308,26 @@ def _subset_tables(n: int, divisors) -> dict[int, tuple[list[int], list[int]]]:
 
 def _compatibility_rows(g: GeometryConfig) -> list[int]:
     """Row j is the bitmask of the divisors compatible with divisor j of
-    ``divisors_for(g)``, its own bit cleared, memoised beside them; rows equal
-    ``pair_compatible`` on every pair, each read as a union of a few
+    ``divisor_keys(g)``, its own bit cleared, memoised beside them; rows
+    equal ``pair_compatible`` on every pair, each read as a union of a few
     subset-table entries (see the module docstring)."""
     memo = g.divisor_graph
     if "rows" in memo:
         return memo["rows"]
-    n, divisors = g.n, divisors_for(g)
-    tables = _subset_tables(n, divisors)
+    n, keys = g.n, divisor_keys(g)
+    tables = _subset_tables(n, keys)
     empty = [0] * (1 << n)
     sub_delta, sup_delta = tables.pop(0, (empty, empty))
     full = (1 << n) - 1
     rows = []
-    for j, d in enumerate(divisors):
-        s = d.subset
+    for j, (comp, s) in enumerate(keys):
         rest = full ^ s
         row = sub_delta[s] | sub_delta[rest]
-        if d.component:
-            sub, sup = tables[d.component]
+        if comp:
+            sub, sup = tables[comp]
             row |= sub[s] | sup[s]
             for c, (other, _) in tables.items():
-                if c != d.component:
+                if c != comp:
                     row |= other[rest]
         else:
             row |= sup_delta[s]
@@ -325,27 +338,26 @@ def _compatibility_rows(g: GeometryConfig) -> list[int]:
     return rows
 
 
-def _walk(rows, names, low: int, high: int, emit, arg, append) -> None:
-    """``append(emit(arg, face))`` for every nested set of ``low`` to ``high``
-    divisors (at least one), each before its extensions: ``face`` holds the
-    ``names`` of its divisors in the order of the rows.  A branch is cut
-    where the face and all its candidates together fall short of ``low``."""
+def _walk(rows, empty, first, names, low: int, high: int, append) -> None:
+    """``append(face)`` for every nested set of ``low`` to ``high`` divisors
+    (at least one), each before its extensions: a face is ``empty +
+    first[i]`` and then ``+ names[j]`` per further divisor, in row order.  A
+    branch stops where no candidate is left or too few to reach ``low``."""
 
-    def extend(chosen, cand):
-        depth = len(chosen) + 1
+    def extend(chosen, cand, depth, names_here):
         while cand:
             bit = cand & -cand
             cand ^= bit
             i = bit.bit_length() - 1
-            face = chosen + (names[i],)
+            face = chosen + names_here[i]
             if depth >= low:
-                append(emit(arg, face))
+                append(face)
             if depth < high:
                 nxt = cand & rows[i]
-                if depth + nxt.bit_count() >= low:
-                    extend(face, nxt)
+                if nxt and depth + nxt.bit_count() >= low:
+                    extend(face, nxt, depth + 1, names)
 
-    extend((), (1 << len(names)) - 1)
+    extend(empty, (1 << len(first)) - 1, 1, first)
 
 
 def _facet_size(g: GeometryConfig) -> int:
@@ -353,25 +365,23 @@ def _facet_size(g: GeometryConfig) -> int:
     return g.n if g.n_components else 0 if g.space is Space.XD_UPPER else g.n - 1
 
 
-def _faces(g: GeometryConfig, max_size, maximal, bound, emit, arg, quote=None) -> tuple:
+def _faces(g: GeometryConfig, max_size, maximal, bound, empty, names) -> list:
     """Every nested set of at most ``max_size`` divisors, the empty one
     included, or with ``maximal`` only those of the top size, which are the
     maximal ones as the complex is pure (module docstring); in walk order.
-    Each face is the tuple of its divisors, or of their labels through
-    ``quote`` when one is given (each label is quoted once, before the
-    walk), and goes out as ``emit(arg, face)``: ``NestedSet._walked`` with
-    the geometry, or ``str.join`` with a comma.  Both are called directly; a
-    ``functools.partial`` per face cost 3-4% on small enumerations.  The
-    size-0 listing and the ``bound`` are as in the module docstring."""
+    ``names(g)``, called past the ``bound``, gives the (first, rest) names
+    of the divisors that ``_walk`` builds each face from, which starts as
+    ``empty`` (module docstring).  Faces come out bare.  The size-0 listing
+    and the ``bound`` are as in the module docstring."""
     if max_size is not None and max_size < 0:
         raise ValueError("max_size must be >= 0, got %d" % max_size)
     low, high = 0, max_size
     if maximal:
         low = high = _facet_size(g)
         if max_size is not None and max_size < low:
-            return ()
+            return []
     if high == 0:
-        return (emit(arg, ()),)
+        return [empty]
     if bound is not None:
         top = _facet_size(g) if high is None else min(high, _facet_size(g))
         count = count_divisors(g)
@@ -379,14 +389,19 @@ def _faces(g: GeometryConfig, max_size, maximal, bound, emit, arg, quote=None) -
             predicted = _fiber_tree_count(g, 1) if top == _facet_size(g) else sum(f_vector(g, max_size=top))
             if predicted > bound:
                 raise BudgetError("refusing to walk %d nested sets (bound %d)" % (predicted, bound))
-    divisors = divisors_for(g)
-    names = divisors if quote is None else [quote(d.label) for d in divisors]
-    out = [emit(arg, ())] if low == 0 else []
+    first, rest = names(g)
+    out = [empty] if low == 0 else []
     if high is None or high > 1:
-        _walk(_compatibility_rows(g), names, low, len(names) if high is None else high, emit, arg, out.append)
+        _walk(_compatibility_rows(g), empty, first, rest, low, len(first) if high is None else high, out.append)
     else:
-        out += [emit(arg, (x,)) for x in names]
-    return tuple(out)
+        out += first
+    return out
+
+
+def _singletons(g: GeometryConfig) -> tuple[list, list]:
+    """Names for ``_faces`` that make a face the tuple of its divisors."""
+    ones = [(d,) for d in divisors_for(g)]
+    return ones, ones
 
 
 def enumerate_nested_sets(
@@ -401,22 +416,29 @@ def enumerate_nested_sets(
     ValueError.  Past ``FACE_BOUND`` nested sets, as ``f_vector`` predicts
     them, it raises ``BudgetError``; ``divisor_bound`` is ignored.
     """
-    return _faces(g, max_size, False, FACE_BOUND, NestedSet._walked, g)
+    walked = NestedSet._walked
+    return tuple([walked(g, face) for face in _faces(g, max_size, False, FACE_BOUND, (), _singletons)])
 
 
 def maximal_nested_sets(g: GeometryConfig, divisor_bound: int | None = None) -> tuple[NestedSet, ...]:
     """Nested sets maximal under inclusion: the complex is pure, so they are
     the faces of the top size (module docstring), listed in walk order, under
     ``FACE_BOUND`` on all faces; ``divisor_bound`` is ignored."""
-    return _faces(g, None, True, FACE_BOUND, NestedSet._walked, g)
+    walked = NestedSet._walked
+    return tuple([walked(g, face) for face in _faces(g, None, True, FACE_BOUND, (), _singletons)])
 
 
 def face_rows(g: GeometryConfig, quote, max_size: int | None = None, maximal: bool = False) -> tuple[str, ...]:
     """The faces of ``enumerate_nested_sets`` (of ``maximal_nested_sets``
     when ``maximal`` is set), in the same order and under the same
     ``FACE_BOUND``, each as the labels of its divisors passed through
-    ``quote`` and joined by commas; no ``NestedSet`` is built."""
-    return _faces(g, max_size, maximal, FACE_BOUND, str.join, ",", quote)
+    ``quote`` (once each) and joined by commas; no divisor is built."""
+
+    def quoted(g):
+        first = [quote(t) for t in divisor_labels(divisor_keys(g))]
+        return first, ["," + t for t in first]
+
+    return tuple(_faces(g, max_size, maximal, FACE_BOUND, "", quoted))
 
 
 def f_vector(
@@ -472,6 +494,7 @@ __all__ = [
     "NestedSet",
     "ORDER_CHECK_BOUND",
     "count_divisors",
+    "divisor_keys",
     "divisor_sort_key",
     "divisors_for",
     "enumerate_nested_sets",

@@ -82,6 +82,7 @@ from .labels import elements, subset_key
 from .loci import (
     Center,
     PairPosition,
+    _containment_bits,
     _position,
     center_to_locus,
     validate_center,
@@ -175,10 +176,15 @@ def validate_inclusion_order(seq: BlowupSequence) -> InclusionReport:
     Containment is decided on the locus codes, so point components
     contribute the extra constraints D_{c,S} before Delta_I for I inside S.
     A center's locus is never empty, so center j lies strictly inside center
-    i when every constraint of i holds on j and the codes differ.  The first
-    violating pair (i, j) is reported.  The check makes at most N(N-1)/2
-    containment tests on N centers; when that is more than
-    ``nested.ORDER_CHECK_BOUND`` it raises ``BudgetError`` before testing any.
+    i when every constraint of i holds on j and the codes differ.  Column b
+    is the bitmask of the centers whose code has bit b, so the centers
+    inside center i are the AND of the columns of i's bits (those that
+    decide containment, ``loci._containment_bits``); distinct centers
+    have distinct codes, so those after i are the violations.  The first
+    violating pair (i, j), smallest i and then smallest j, is reported.  It
+    is charged the N(N-1)/2 containment tests of a pairwise scan of N
+    centers, and past ``nested.ORDER_CHECK_BOUND`` raises ``BudgetError``
+    before any work.
     """
     g = seq.geometry
     bound = nested.ORDER_CHECK_BOUND
@@ -188,13 +194,20 @@ def validate_inclusion_order(seq: BlowupSequence) -> InclusionReport:
             "refusing an inclusion check of more than %d containment tests"
             " (%d centers need %d)" % (bound, len(seq.centers), tests)
         )
-    codes = [center_to_locus(g, c).code for c in seq.centers]
-    lacks = [~code for code in codes]  # the constraints each locus lacks
-    for i, outer in enumerate(codes):
-        for j in range(i + 1, len(codes)):
-            if not outer & lacks[j] and outer != codes[j]:
-                witness = "%s is strictly contained in %s but comes later" % (seq.centers[j], seq.centers[i])
-                return InclusionReport(False, (i, j, witness))
+    kept = _containment_bits(g.n)
+    bits = [elements(center_to_locus(g, c).code & kept) for c in seq.centers]
+    columns: dict[int, int] = {}  # a constraint bit -> the centers whose code has it
+    for j, held in enumerate(bits):
+        for b in held:
+            columns[b] = columns.get(b, 0) | 1 << j
+    for i, held in enumerate(bits):
+        inside = -1 << i + 1  # the centers after i
+        for b in held:
+            inside &= columns[b]
+        if inside:
+            j = (inside & -inside).bit_length() - 1
+            witness = "%s is strictly contained in %s but comes later" % (seq.centers[j], seq.centers[i])
+            return InclusionReport(False, (i, j, witness))
     return InclusionReport(True)
 
 

@@ -16,7 +16,7 @@ from click.testing import CliRunner
 from wonderful import certify, cli, nested, orders
 from wonderful.cli import main
 from wonderful.geometry import GeometryConfig, Space, point_components
-from wonderful.loci import Diagonal, parse_center
+from wonderful.loci import Diagonal, DLocus, parse_center
 from wonderful.nested import (
     BudgetError,
     count_divisors,
@@ -530,6 +530,24 @@ def test_face_rows_render_like_nested_sets(runner):
             result = runner.invoke(main, ["facets", *argv, "--format", fmt])
             assert result.exit_code == 0
             assert result.stdout == _old_rendering(sets, "facets", fmt), (argv, fmt)
+
+
+def test_listings_build_no_divisor(runner, monkeypatch):
+    # labels and face rows come from (component, index set) keys alone
+    argvs = [[*command, *argv, "--format", fmt] for argv, _ in _geometries(3) for fmt in ("json", "table")
+             for command in (["divisors"], ["nested", "--max-size", "2"], ["facets"])]
+    want = [runner.invoke(main, argv).stdout for argv in argvs]
+
+    def refuse(self):
+        raise AssertionError("a listing built %s" % type(self).__name__)
+
+    monkeypatch.setattr(DLocus, "__post_init__", refuse)
+    monkeypatch.setattr(Diagonal, "__post_init__", refuse)
+    for argv, stdout in zip(argvs, want):
+        result = runner.invoke(main, argv)
+        assert (result.exit_code, result.stdout) == (0, stdout), argv
+    with pytest.raises(AssertionError, match="built DLocus"):
+        divisors_for(point_components(1, n=2))
 
 
 def test_face_budget_refusals_keep_their_message(runner):

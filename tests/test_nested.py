@@ -9,7 +9,7 @@ from wonderful import nested
 from wonderful.building import building_set_for
 from wonderful.geometry import Component, GeometryConfig, Space, point_components
 from wonderful.labels import subsets
-from wonderful.loci import Diagonal, DLocus, SeparationCertificate, check_separation, parse_center
+from wonderful.loci import Diagonal, DLocus, SeparationCertificate, check_separation, divisor_labels, parse_center
 from wonderful.nested import (
     BudgetError,
     NestedSet,
@@ -77,12 +77,25 @@ def test_divisor_graph_is_memoised_per_geometry():
     g = point_components(2, n=3)
     before = (hash(g), g.dumps())
     copy = dataclasses.replace(g)
+    face_rows(g, str, max_size=2)  # keys and rows, built without a divisor
+    assert set(g.divisor_graph) == {"keys", "rows"}
     assert divisors_for(g) is divisors_for(g)
-    enumerate_nested_sets(g)  # fills the compatibility rows too
-    assert set(g.divisor_graph) == {"divisors", "rows"}
+    assert set(g.divisor_graph) == {"keys", "rows", "divisors"}
     assert copy.divisor_graph == {}  # a copy builds its own memo
     assert divisors_for(copy) is not divisors_for(g) and divisors_for(copy) == divisors_for(g)
     assert g == copy and (hash(g), g.dumps()) == before
+
+
+def test_key_labels_are_the_divisor_labels():
+    # every space, k <= 3, n <= 8: one formatter, from the keys alone
+    for n in range(1, 9):
+        spaces = [GeometryConfig(n, 2, (), Space.FM)]
+        for k in range(1, 4):
+            spaces += [point_components(k, n=n), point_components(k, n=n, space=Space.XD_UPPER)]
+        for g in spaces:
+            divisors = divisors_for(g)
+            assert nested.divisor_keys(g) == tuple((d.component, d.subset) for d in divisors)
+            assert divisor_labels(nested.divisor_keys(g)) == [str(d) for d in divisors], g
 
 
 def test_five_point_moduli_complex():

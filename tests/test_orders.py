@@ -444,3 +444,46 @@ def test_inclusion_goes_stage_by_stage_where_the_stages_are_not_one_building_set
     assert orders.stages_form_one_building_set(point)
     assert generate_order(point, "inclusion").centers == tuple(
         sorted(nested.divisors_for(point), key=orders.inclusion_key))
+
+
+def _inclusion_by_pairs(seq):
+    """The pairwise scan the column check replaced: the first (i, j), i < j,
+    with center j strictly inside center i."""
+    codes = [loci.center_to_locus(seq.geometry, c).code for c in seq.centers]
+    for i, outer in enumerate(codes):
+        for j in range(i + 1, len(codes)):
+            if not outer & ~codes[j] and outer != codes[j]:
+                witness = "%s is strictly contained in %s but comes later" % (seq.centers[j], seq.centers[i])
+                return orders.InclusionReport(False, (i, j, witness))
+    return orders.InclusionReport(True)
+
+
+def test_column_inclusion_check_equals_the_pairwise_scan():
+    # every space with k <= 3 components of dims 0 and 1 (n <= 4 at k = 3, else
+    # n <= 5), a polydiagonal added, on shuffles and one-swap mutants of the
+    # inclusion order
+    rng = random.Random(37)
+    failing = 0
+    for space in (Space.XD_BRACKET, Space.XD_UPPER):
+        for k in range(4):
+            for n in range(1, 5 if k == 3 else 6):
+                comps = tuple(Component("c%d" % (c + 1), c % 2) for c in range(k))
+                g = GeometryConfig(n, 2, comps, space)
+                centers = list(generate_order(g, "inclusion").centers)
+                if not centers:
+                    continue
+                if n >= 4:
+                    centers.insert(rng.randrange(len(centers) + 1), Diagonal(n, (0b0011, 0b1100)))
+                mutants = [centers]
+                for _ in range(4):
+                    mutants.append(rng.sample(centers, len(centers)))
+                    swapped = centers[:]
+                    i, j = rng.randrange(len(centers)), rng.randrange(len(centers))
+                    swapped[i], swapped[j] = swapped[j], swapped[i]
+                    mutants.append(swapped)
+                for mutant in mutants:
+                    seq = BlowupSequence(g, tuple(mutant))
+                    report = validate_inclusion_order(seq)
+                    assert report == _inclusion_by_pairs(seq), (g, mutant)
+                    failing += not report.ok
+    assert failing > 100
