@@ -175,7 +175,7 @@ def orbits_by_brute_force(g: GeometryConfig, kind: str, size: int | None = None)
     return tuple(out)
 
 
-def fiber_tree_by_placement(g: GeometryConfig, ns: NestedSet) -> DegenerationTree:
+def fiber_tree_by_placement(ns: NestedSet) -> DegenerationTree:
     """``trees.fiber_tree`` by the placement rules as first written, one
     scan per kind of vertex and per point.
 
@@ -187,8 +187,7 @@ def fiber_tree_by_placement(g: GeometryConfig, ns: NestedSet) -> DegenerationTre
     the root), nested index sets giving nested screens, and each marking
     moves to its minimal screen.
     """
-    if ns.geometry != g:
-        raise ValueError("nested set belongs to a different configuration")
+    g = ns.geometry
     d_sets: dict[int, list[int]] = {}
     delta_sets: list[int] = []
     for d in ns.divisors:
@@ -589,7 +588,7 @@ def _fiber_trees(g: GeometryConfig, route) -> list:
     """Every face of g, the empty one included, and the vertices, parents
     and markings of its fiber tree by ``route``."""
     return [(_text(ns.divisors), (t.vertices, t.parents, t.markings))
-            for ns in enumerate_nested_sets(g) for t in [route(g, ns)]]
+            for ns in enumerate_nested_sets(g) for t in [route(ns)]]
 
 
 def _containments(g: GeometryConfig, route) -> list:

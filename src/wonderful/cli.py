@@ -27,7 +27,7 @@ import json
 import os
 import sys
 
-from .geometry import Component, ConfigError, GeometryConfig, Space, load_config
+from .geometry import MAX_COMPONENTS, Component, ConfigError, GeometryConfig, Space, load_config
 from .labels import split_top_level
 from .loci import divisor_labels, parse_center
 from .nested import (
@@ -109,6 +109,8 @@ def build_config(config_path, n_points, dim_x, n_point_components, component_spe
         d = dim_x if dim_x is not None else 1
         comps = ()
         sp = Space(space) if space else Space.XD_BRACKET
+    if component_specs and n_point_components is not None:
+        raise ConfigError("--components and --component exclude each other")
     if component_specs:
         parsed = []
         for spec in component_specs:
@@ -120,7 +122,8 @@ def build_config(config_path, n_points, dim_x, n_point_components, component_spe
             parsed.append(Component(name, dim))
         comps = tuple(parsed)
     elif n_point_components is not None:
-        comps = tuple(Component("c%d" % (i + 1), 0) for i in range(n_point_components))
+        # one past the cap is as refused as a million
+        comps = tuple(Component("c%d" % (i + 1), 0) for i in range(min(n_point_components, MAX_COMPONENTS + 1)))
     return GeometryConfig(n, d, comps, sp)
 
 
@@ -249,8 +252,7 @@ def facets(fmt, **cfg):
 
 
 @_command(("--scheme", dict(choices=SCHEMES, required=True)),
-          ("--check", dict(action=argparse.BooleanOptionalAction, default=False,
-                           help="Also validate the generated order.")),
+          ("--check", dict(action="store_true", help="Also validate the generated order.")),
           _format("json", "table", default="json"))
 def order(scheme, check, fmt, **cfg):
     """Generate a blowup order."""
@@ -324,7 +326,7 @@ def fiber(nested_literal, fmt, **cfg):
     """Dual graph of the universal-family fiber over a boundary stratum."""
     g = build_config(**cfg)
     ns = make_nested_set(g, (parse_center(text, g.n) for text in _parse_label_array(nested_literal)))
-    tree = fiber_tree(g, ns)
+    tree = fiber_tree(ns)
     if fmt == "dot":
         _echo(to_dot(tree).removesuffix("\n"))
     else:

@@ -19,6 +19,12 @@ from functools import cached_property
 from .labels import MAX_POINTS
 
 
+# Components are built one by one before any budget is read, and ``orbits
+# --kind divisors``, which has no budget, prints n rows per component; as
+# ``labels.MAX_POINTS`` caps n, this cap keeps both small.
+MAX_COMPONENTS = 64
+
+
 class ConfigError(ValueError):
     """A configuration violating the geometric preconditions."""
 
@@ -55,6 +61,8 @@ class GeometryConfig:
             raise ConfigError("n must be an integer in [1, %d], got %r" % (MAX_POINTS, self.n))
         if not _is_int(self.dim_x) or self.dim_x < 1:
             raise ConfigError("dim_X must be a positive integer, got %r" % (self.dim_x,))
+        if len(self.components) > MAX_COMPONENTS:
+            raise ConfigError("a configuration has at most %d components" % MAX_COMPONENTS)
         names = set()
         for comp in self.components:
             if not isinstance(comp.name, str) or not comp.name:

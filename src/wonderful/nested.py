@@ -1,10 +1,10 @@
 """Boundary divisors, the closed-form nestedness criterion, and the
 nested-set complex.
 
-The boundary of the compactified space is a union of divisors: a transform
-of D_{c,S} for every component c and nonempty S, plus (in the space of
-distinct points) a transform of every simple diagonal, |I| >= 2.  Each
-divisor is named by the center it covers: a ``DLocus`` or a simple
+The boundary of the compactified space is a union of divisors, in the
+families of ``divisor_families``: the transforms of D_{c,S}, S nonempty, per
+component c, then (with distinct points) of the simple diagonals, |I| >= 2.
+Each divisor is named by the center it covers: a ``DLocus`` or a simple
 ``Diagonal``, whose labels and index sets it shares.  A collection of
 boundary divisors has nonempty intersection exactly when it is nested, and
 nestedness is a pairwise condition:
@@ -44,8 +44,8 @@ Every divisor is compatible with itself, so each union holds its own bit;
 the row clears it, so the candidates below a face are the divisors outside
 it compatible with all of it.  ``pair_compatible`` stays the one pairwise
 rule (``is_nested`` uses it; the rows are checked against it).  The rows
-read only the divisors' (component, index set) keys; keys, rows and
-divisors are built once per geometry, in ``GeometryConfig.divisor_graph``.
+read only the divisors' (component, index set) keys, listed family by family;
+keys, rows and divisors are built once per geometry, in ``divisor_graph``.
 
 A face the walk reports is a clique by construction: every chosen index is
 drawn, in increasing order, from the candidates compatible with all earlier
@@ -114,7 +114,8 @@ each face in a ``NestedSet``.  ``face_rows`` names it by its quoted label,
 ","-led past the first, so a face is the row the command line prints; the
 labels come from the keys, so it builds no divisor.  The three share
 ``_faces``, so the budget, ``max_size``, the top size and the empty face
-are handled once.  A size-0 listing is the empty face and builds nothing.
+are handled once.  A size-0 listing, and any listing without divisors
+(the facet size is 0), is the empty face and builds nothing.
 Any other walks at most ``FACE_BOUND`` = 2^18 nested sets: past that many,
 counted as ``sum(f_vector(g, max_size=top))`` with ``top`` the size cap or
 the facet size (then it is every face: the recursion at y = 1 alone), it
@@ -176,15 +177,23 @@ def validate_divisor(g: GeometryConfig, d: Center) -> Center:
     return d
 
 
+def divisor_families(g: GeometryConfig) -> tuple[tuple[int, int], ...]:
+    """(component, least index-set size) of each family of boundary divisors in
+    canonical order: (c, 1) per component, then (0, 2) unless points may collide."""
+    diagonals = () if g.space is Space.XD_UPPER else ((0, 2),)
+    return tuple([(c, 1) for c in range(1, g.n_components + 1)]) + diagonals
+
+
 def divisor_keys(g: GeometryConfig) -> tuple[tuple[int, int], ...]:
-    """(component, index set) of every boundary divisor, 0 for a diagonal,
-    canonically ordered (``subsets`` lists the index sets by ``subset_key``);
-    memoised on ``g``."""
+    """(component, index set) of every boundary divisor, 0 for a diagonal:
+    per family of ``divisor_families(g)`` the index sets of its least size
+    or more, from one ``subsets`` list (canonical, the n singletons first,
+    and none without a family); memoised on ``g``."""
     memo = g.divisor_graph
     if "keys" not in memo:
-        masks = list(subsets(g.n, min_size=1))
-        diagonals = [] if g.space is Space.XD_UPPER else [(0, s) for s in masks if s & (s - 1)]
-        memo["keys"] = tuple([(c, s) for c in range(1, g.n_components + 1) for s in masks] + diagonals)
+        families = divisor_families(g)
+        masks = list(subsets(g.n, min_size=1)) if families else []
+        memo["keys"] = tuple([(c, s) for c, least in families for s in masks[(least - 1) * g.n:]])
     return memo["keys"]
 
 
@@ -371,28 +380,27 @@ def _faces(g: GeometryConfig, max_size, maximal, bound, empty, names) -> list:
     maximal ones as the complex is pure (module docstring); in walk order.
     ``names(g)``, called past the ``bound``, gives the (first, rest) names
     of the divisors that ``_walk`` builds each face from, which starts as
-    ``empty`` (module docstring).  Faces come out bare.  The size-0 listing
+    ``empty`` (module docstring).  Faces come out bare.  The empty listing
     and the ``bound`` are as in the module docstring."""
     if max_size is not None and max_size < 0:
         raise ValueError("max_size must be >= 0, got %d" % max_size)
-    low, high = 0, max_size
-    if maximal:
-        low = high = _facet_size(g)
-        if max_size is not None and max_size < low:
-            return []
+    top = _facet_size(g)
+    high = top if max_size is None else min(max_size, top)
+    low = top if maximal else 0
+    if high < low:
+        return []
     if high == 0:
         return [empty]
     if bound is not None:
-        top = _facet_size(g) if high is None else min(high, _facet_size(g))
         count = count_divisors(g)
-        if sum([comb(count, s) for s in range(top + 1)]) > bound:
-            predicted = _fiber_tree_count(g, 1) if top == _facet_size(g) else sum(f_vector(g, max_size=top))
+        if sum([comb(count, s) for s in range(high + 1)]) > bound:
+            predicted = _fiber_tree_count(g, 1) if high == top else sum(f_vector(g, max_size=high))
             if predicted > bound:
                 raise BudgetError("refusing to walk %d nested sets (bound %d)" % (predicted, bound))
     first, rest = names(g)
     out = [empty] if low == 0 else []
-    if high is None or high > 1:
-        _walk(_compatibility_rows(g), empty, first, rest, low, len(first) if high is None else high, out.append)
+    if high > 1:
+        _walk(_compatibility_rows(g), empty, first, rest, low, high, out.append)
     else:
         out += first
     return out
@@ -494,6 +502,7 @@ __all__ = [
     "NestedSet",
     "ORDER_CHECK_BOUND",
     "count_divisors",
+    "divisor_families",
     "divisor_keys",
     "divisor_sort_key",
     "divisors_for",

@@ -319,11 +319,10 @@ def swap_rewrite(seq: BlowupSequence, target: BlowupSequence) -> RewriteResult:
     and a blocked mandatory swap names the offending pair.  A rewrite that
     needs more than ``nested.ORDER_CHECK_BOUND`` swaps raises ``BudgetError``.
     """
-    labels, wanted = seq.labels(), target.labels()
-    if sorted(labels) != sorted(wanted):
+    index = {c: i for i, c in enumerate(seq.centers)}  # both hold distinct centers
+    if len(target.centers) != len(index) or not all(c in index for c in target.centers):
         raise ValueError("sequences do not hold the same centers")
-    index = {t: i for i, t in enumerate(labels)}  # a label names one center
-    return _rewrite(seq, [index[t] for t in wanted])
+    return _rewrite(seq, [index[c] for c in target.centers])
 
 
 def _rewrite(seq: BlowupSequence, goal: list[int]) -> RewriteResult:

@@ -29,9 +29,9 @@ relabeling, so an orbit is exactly the nested sets that share a code: its
 size is their number, and the stabilizer order is n! over it.
 
 A divisor is the one-node forest, with code (c, |S|) (c = 0 for Delta_S).
-So the divisor orbits are listed without listing the divisors: per
-component D_{c,[s]} for s = 1..n, then Delta_{[s]} for s = 2..n, where
-[s] = {1..s} is the least index set of its size; each orbit has C(n, s)
+So the divisor orbits are listed without listing the divisors: for each
+family (c, l) of ``nested.divisor_families``, the divisor on [s] = {1..s},
+the least index set of its size, for s = l..n; each orbit has C(n, s)
 members and a stabilizer of order s!(n - s)!.
 """
 
@@ -41,10 +41,10 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 
-from .geometry import GeometryConfig, Space
+from .geometry import GeometryConfig
 from .labels import elements
 from .loci import Diagonal, DLocus
-from .nested import NestedSet, enumerate_nested_sets, make_nested_set
+from .nested import NestedSet, divisor_families, enumerate_nested_sets, make_nested_set
 from .trees import DegenerationTree, face_forest
 
 
@@ -136,12 +136,10 @@ def orbits(g: GeometryConfig, kind: str, size: int | None = None) -> tuple[Orbit
     """
     n = g.n
     if kind == "divisors":
-        families = [(c, 1) for c in range(1, g.n_components + 1)]
-        families += [] if g.space is Space.XD_UPPER else [(0, 2)]
         return tuple(
             Orbit(DLocus(n, c, (1 << s) - 1) if c else Diagonal.simple(n, (1 << s) - 1),
                   math.comb(n, s), math.factorial(s) * math.factorial(n - s))
-            for c, least in families for s in range(least, n + 1))
+            for c, least in divisor_families(g) for s in range(least, n + 1))
     if kind == "nested":
         if size is None:
             raise ValueError("orbit kind 'nested' needs a size")

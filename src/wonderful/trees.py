@@ -162,15 +162,15 @@ def face_forest(n: int, divisors) -> tuple[list[Center], list[int | None], list[
     return order, parents, owner
 
 
-def fiber_tree(g: GeometryConfig, ns: NestedSet) -> DegenerationTree:
-    """The dual graph of the fiber over the stratum cut out by ``ns``.
+def fiber_tree(ns: NestedSet) -> DegenerationTree:
+    """The dual graph of the fiber over the stratum cut out by ``ns``, in
+    its geometry.
 
     Vertices, parents and markings are those of ``face_forest``, placed by
     its one rule: a D-divisor is an expansion level, its depth counted down
     its component's chain from the root, and a diagonal is a screen.
     """
-    if ns.geometry != g:
-        raise ValueError("nested set belongs to a different configuration")
+    g = ns.geometry
     order, parents, points = face_forest(g.n, ns.divisors)
     vertices = [Vertex(0, VertexKind.ROOT)]
     depth: dict[int, int] = {}

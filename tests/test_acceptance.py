@@ -241,17 +241,17 @@ def test_criterion_08_degeneration_fibers():
     ]
     for g in batteries:
         for ns in enumerate_nested_sets(g, divisor_bound=64):
-            t = fiber_tree(g, ns)
+            t = fiber_tree(ns)
             assert is_stable(t).ok
             assert tree_to_nested(t) == ns
             assert sorted(i for v in t.vertices for i in t.marks_on(v.vid)) == list(range(1, g.n + 1))
     # the two displayed generic fibers
     g = point_components(1, n=3)
-    t = fiber_tree(g, make_nested_set(g, [DLocus(3, 1, 0b011)]))
+    t = fiber_tree(make_nested_set(g, [DLocus(3, 1, 0b011)]))
     assert [v.kind for v in t.vertices] == [VertexKind.ROOT, VertexKind.DLEVEL]
     assert t.marks_on(1) == (1, 2) and t.marks_on(0) == (3,)
     g_fm = GeometryConfig(3, 2, (), Space.FM)
-    t2 = fiber_tree(g_fm, make_nested_set(g_fm, [Diagonal.simple(3, 0b011)]))
+    t2 = fiber_tree(make_nested_set(g_fm, [Diagonal.simple(3, 0b011)]))
     assert [v.kind for v in t2.vertices] == [VertexKind.ROOT, VertexKind.SCREEN]
     assert t2.marks_on(1) == (1, 2) and t2.marks_on(0) == (3,)
     _ok(8, "fiber trees stable and round-tripping over every nested set, n <= 4")

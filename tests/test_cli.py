@@ -295,9 +295,15 @@ def _json_error(result, code=2) -> str:
         (["order", "--n", "3"], "--scheme"),
         (["orbits", "--kind", "divisors", "--size", "2", "--n", "3"], "--size"),
         (["orbits", "--kind", "nested", "--size", "-1", "--n", "2", "--components", "1"], "--size"),
+        (["divisors", "--n", "1", "--dim-x", "2", "--components", "2", "--component", "L:0"], "--component"),
+        (["order", "--scheme", "inclusion", "--no-check", "--n", "2", "--components", "1"], "--no-check"),
+        # past the cap nothing is built: a million components once took 2 s and 230 MB to count two faces
+        (["fvector", "--n", "2", "--components", "1000000"], "at most 64 components"),
+        (["divisors", "--n", "1", "--components", "65"], "a configuration has at most 64 components"),
     ],
     ids=["not-an-int", "bad-choice", "out-of-range", "negative-components", "unknown-option", "missing-option",
-         "size-of-divisors", "negative-size"],
+         "size-of-divisors", "negative-size", "components-and-component", "no-check", "a-million-components",
+         "past-the-component-cap"],
 )
 def test_usage_errors_print_json(runner, argv, names):
     assert names in _json_error(runner.invoke(main, argv))
@@ -378,6 +384,27 @@ def test_small_sizes_answer_at_large_n(argv, expected):
                             text=True, timeout=10)
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == expected
+
+
+@pytest.mark.parametrize(
+    "argv, answer",
+    [
+        ("divisors", "total 0\n"),
+        ("nested", "{}\ntotal 1\n"),
+        ("order --scheme inclusion --check", "[]\n"),
+        ("rewrite --source inclusion --target inclusion", '{"ok":true,"swaps":[]}\n'),
+        ("orbits --kind nested --size 2", "orbits 0\n"),
+    ],
+    ids=["divisors", "nested", "order-check", "rewrite", "orbits-size-2"],
+)
+def test_no_divisors_answer_at_n_64_at_once(runner, argv, answer):
+    # colliding points and D empty: no divisor, so no list or table of 2^n entries;
+    # at n = 21 these once took 0.4 s and 109 MB, and larger n ran out of memory
+    start = time.perf_counter()
+    result = runner.invoke(main, argv.split() + ["--n", "64", "--space", "XD_upper"])
+    elapsed = time.perf_counter() - start
+    assert (result.exit_code, result.stdout, result.stderr) == (0, answer, "")
+    assert elapsed < 0.05
 
 
 # sum(f_vector(point_components(4, n=64))), written out: the recursion takes ~0.35 s at n = 64 on a 2-vCPU Xeon

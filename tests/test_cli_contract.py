@@ -134,6 +134,12 @@ def _is_blocked_rewrite(argv, result) -> bool:
 @example(argv=["orbits", "--kind", "nested", "--size", "0", "--n", "40", "--components", "1"])
 @example(argv=["orbits", "--kind", "nested", "--size", "1", "--n", "30", "--components", "1"])
 @example(argv=["orbits", "--kind", "nested", "--size", "2", "--n", "20", "--components", "1"])
+# no divisor at all, where a table of 2^n entries once ran out of memory
+@example(argv=["divisors", "--n", "64", "--space", "XD_upper"])
+@example(argv=["nested", "--n", "64", "--space", "XD_upper"])
+@example(argv=["order", "--scheme", "inclusion", "--check", "--n", "64", "--space", "XD_upper"])
+@example(argv=["rewrite", "--source", "inclusion", "--target", "inclusion", "--n", "64", "--space", "XD_upper"])
+@example(argv=["orbits", "--kind", "nested", "--size", "2", "--n", "64", "--space", "XD_upper"])
 # the failed check that answers on stdout
 @example(argv=["rewrite", "--source", "interleaved", "--target", "inclusion", "--n", "3", "--components", "1"])
 @settings(max_examples=300, derandomize=True, database=None, deadline=None,

@@ -98,6 +98,18 @@ def test_key_labels_are_the_divisor_labels():
             assert divisor_labels(nested.divisor_keys(g)) == [str(d) for d in divisors], g
 
 
+def test_a_configuration_without_divisors_builds_nothing(monkeypatch):
+    # at n = 64 a subset table, or a list of the index sets, of 2^n entries cannot be built
+    monkeypatch.setattr(nested, "subsets", None)
+    monkeypatch.setattr(nested, "_compatibility_rows", None)
+    g = GeometryConfig(64, 1, (), Space.XD_UPPER)
+    assert nested.divisor_families(g) == () and nested.divisor_keys(g) == () and divisors_for(g) == ()
+    assert enumerate_nested_sets(g) == enumerate_nested_sets(g, max_size=2) == maximal_nested_sets(g)
+    assert [ns.divisors for ns in maximal_nested_sets(g)] == [()]
+    assert face_rows(g, str) == face_rows(g, str, max_size=3) == face_rows(g, str, maximal=True) == ("",)
+    assert f_vector(g) == (1,) and count_divisors(g) == 0
+
+
 def test_five_point_moduli_complex():
     g = point_components(3, n=2)
     assert f_vector(g) == (1, 10, 15)

@@ -446,18 +446,6 @@ def test_inclusion_goes_stage_by_stage_where_the_stages_are_not_one_building_set
         sorted(nested.divisors_for(point), key=orders.inclusion_key))
 
 
-def _inclusion_by_pairs(seq):
-    """The pairwise scan the column check replaced: the first (i, j), i < j,
-    with center j strictly inside center i."""
-    codes = [loci.center_to_locus(seq.geometry, c).code for c in seq.centers]
-    for i, outer in enumerate(codes):
-        for j in range(i + 1, len(codes)):
-            if not outer & ~codes[j] and outer != codes[j]:
-                witness = "%s is strictly contained in %s but comes later" % (seq.centers[j], seq.centers[i])
-                return orders.InclusionReport(False, (i, j, witness))
-    return orders.InclusionReport(True)
-
-
 def test_column_inclusion_check_equals_the_pairwise_scan():
     # every space with k <= 3 components of dims 0 and 1 (n <= 4 at k = 3, else
     # n <= 5), a polydiagonal added, on shuffles and one-swap mutants of the
@@ -484,6 +472,6 @@ def test_column_inclusion_check_equals_the_pairwise_scan():
                 for mutant in mutants:
                     seq = BlowupSequence(g, tuple(mutant))
                     report = validate_inclusion_order(seq)
-                    assert report == _inclusion_by_pairs(seq), (g, mutant)
+                    assert report == certify.inclusion_by_pairs(seq), (g, mutant)
                     failing += not report.ok
     assert failing > 100

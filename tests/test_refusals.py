@@ -61,6 +61,10 @@ CASES = {
     "config-component-entry": (
         lambda _: config_from_json_dict({"n": 2, "dim_X": 1, "components": [{"name": "a", "dim": 0, "x": 1}]}),
         ConfigError, "component entries must be {name, dim} objects"),
+    "config-component-count": (
+        lambda _: config_from_json_dict({"n": 1, "dim_X": 1, "components": [{"name": "c%d" % i, "dim": 0}
+                                                                            for i in range(65)]}),
+        ConfigError, "a configuration has at most 64 components"),
     "config-space": (
         lambda _: config_from_json_dict({"n": 2, "dim_X": 1, "space": "XD"}),
         ConfigError, "space must be one of XD_upper, XD_bracket, FM"),

@@ -78,7 +78,7 @@ def test_nestedness_equivariance_exhaustive():
 def test_tree_action_permutes_markings():
     g = point_components(1, n=3)
     ns = make_nested_set(g, [DLocus(3, 1, 0b011)])
-    t = fiber_tree(g, ns)
+    t = fiber_tree(ns)
     p = Permutation((3, 2, 1))  # (1 3)
     t2 = act(p, t)
     assert t2.marks_on(1) == (2, 3)  # the level now carries {2,3}

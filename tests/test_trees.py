@@ -19,7 +19,7 @@ from wonderful.trees import (
 
 def test_generic_fiber_over_d_stratum():
     g = point_components(1, n=3)
-    t = fiber_tree(g, make_nested_set(g, [DLocus(3, 1, 0b011)]))
+    t = fiber_tree(make_nested_set(g, [DLocus(3, 1, 0b011)]))
     assert [v.kind for v in t.vertices] == [VertexKind.ROOT, VertexKind.DLEVEL]
     assert t.marks_on(0) == (3,)
     assert t.marks_on(1) == (1, 2)
@@ -27,14 +27,14 @@ def test_generic_fiber_over_d_stratum():
 
 def test_generic_fiber_with_screen():
     g = GeometryConfig(3, 2, (), Space.FM)
-    t = fiber_tree(g, make_nested_set(g, [Diagonal.simple(3, 0b011)]))
+    t = fiber_tree(make_nested_set(g, [Diagonal.simple(3, 0b011)]))
     assert [v.kind for v in t.vertices] == [VertexKind.ROOT, VertexKind.SCREEN]
     assert t.marks_on(0) == (3,) and t.marks_on(1) == (1, 2)
 
 
 def test_screen_hangs_off_expansion_level():
     g = point_components(1, n=3)
-    t = fiber_tree(g, make_nested_set(g, [DLocus(3, 1, 0b111), Diagonal.simple(3, 0b011)]))
+    t = fiber_tree(make_nested_set(g, [DLocus(3, 1, 0b111), Diagonal.simple(3, 0b011)]))
     root, level, screen = t.vertices
     assert level.kind is VertexKind.DLEVEL and screen.kind is VertexKind.SCREEN
     assert t.parents[screen.vid] == level.vid
@@ -51,7 +51,7 @@ def test_diagonal_on_its_own_set_hangs_under_the_level():
     order, parents, points = face_forest(3, ns.divisors)
     assert order == [DLocus(3, 1, 0b111), Diagonal.simple(3, 0b111), Diagonal.simple(3, 0b011)]
     assert parents == [None, 0, 1, 2] and points == [3, 3, 2]
-    t = fiber_tree(g, ns)
+    t = fiber_tree(ns)
     kinds = [v.kind for v in t.vertices]
     assert kinds == [VertexKind.ROOT, VertexKind.DLEVEL, VertexKind.SCREEN, VertexKind.SCREEN]
     assert t.parents == (None, 0, 1, 2) and t.markings == (3, 3, 2)
@@ -61,7 +61,7 @@ def test_diagonal_on_its_own_set_hangs_under_the_level():
 def test_chain_depths_and_marking_placement():
     g = point_components(1, n=4, space=Space.XD_UPPER)
     ns = make_nested_set(g, [DLocus(4, 1, 0b0001), DLocus(4, 1, 0b0111)])
-    t = fiber_tree(g, ns)
+    t = fiber_tree(ns)
     levels = {(v.component, v.depth): v.vid for v in t.vertices if v.kind is VertexKind.DLEVEL}
     assert set(levels) == {(1, 1), (1, 2)}
     # the larger chain set sits at depth 1, the smaller deepest
@@ -73,7 +73,7 @@ def test_chain_depths_and_marking_placement():
 def test_nested_screens():
     g = GeometryConfig(4, 2, (), Space.FM)
     ns = make_nested_set(g, [Diagonal.simple(4, 0b0111), Diagonal.simple(4, 0b0011)])
-    t = fiber_tree(g, ns)
+    t = fiber_tree(ns)
     outer = next(v.vid for v in t.vertices if v.kind is VertexKind.SCREEN and t.parents[v.vid] == 0)
     inner = next(v.vid for v in t.vertices if v.kind is VertexKind.SCREEN and v.vid != outer)
     assert t.parents[inner] == outer
@@ -130,8 +130,6 @@ def test_structural_validation():
             (None, 0),
             (0, 0),
         )
-    with pytest.raises(ValueError):
-        fiber_tree(g, make_nested_set(point_components(1, n=3), [DLocus(3, 1, 0b011)]))
     with pytest.raises(ValueError, match="parent table size mismatch"):
         DegenerationTree(point_components(1, n=1), (Vertex(0, VertexKind.ROOT),), (), (0,))
 
@@ -146,7 +144,7 @@ def test_round_trip_exhaustive():
     ]
     for g in battery:
         for ns in enumerate_nested_sets(g):
-            t = fiber_tree(g, ns)
+            t = fiber_tree(ns)
             assert is_stable(t).ok
             assert tree_to_nested(t) == ns
             placed = sorted(i for v in t.vertices for i in t.marks_on(v.vid))
@@ -155,7 +153,7 @@ def test_round_trip_exhaustive():
 
 def test_dot_output_stable():
     g = point_components(1, n=3)
-    t = fiber_tree(g, make_nested_set(g, [DLocus(3, 1, 0b011)]))
+    t = fiber_tree(make_nested_set(g, [DLocus(3, 1, 0b011)]))
     assert to_dot(t) == (
         "digraph fiber {\n"
         '  v0 [label="Root marks={3}"];\n'
