@@ -51,12 +51,11 @@ order check's slow route in ``certify``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import nested
 from .geometry import GeometryConfig
-from .labels import elements
+from .labels import Frozen, elements
 from .loci import (
     Center,
     Locus,
@@ -69,18 +68,24 @@ from .loci import (
 )
 
 
-@dataclass(frozen=True)
-class BuildingSet:
-    geometry: GeometryConfig
-    members: tuple[Center, ...]
+class BuildingSet(Frozen):
+    _fields = ("geometry", "members")
 
-    def __post_init__(self):
+    def __init__(self, geometry: GeometryConfig, members: tuple[Center, ...]):
         seen = set()
-        for m in self.members:
-            validate_center(self.geometry, m)
+        for m in members:
+            validate_center(geometry, m)
             if m in seen:
                 raise ValueError("duplicate building-set member %s" % m)
             seen.add(m)
+        self.__dict__.update(geometry=geometry, members=members)
+
+    def __eq__(self, other):
+        return ((self.geometry, self.members) == (other.geometry, other.members)
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self):
+        return hash((self.geometry, self.members))
 
     @cached_property
     def _table(self) -> "_MemberTable":

@@ -34,9 +34,8 @@ import math
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .building import (_intersection_closure, building_set_for, is_building_order, is_building_set,
                        is_nested_flag_oracle)
@@ -341,15 +340,13 @@ def bell_numbers(up_to: int) -> list[int]:
     return bell
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
     name: str
     configs: tuple
     fast: Callable

@@ -12,11 +12,11 @@ downstream; no coordinates are ever computed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
-from .labels import MAX_POINTS
+from .labels import MAX_POINTS, Frozen
 
 
 # Components are built one by one before any budget is read, and ``orbits
@@ -43,40 +43,44 @@ class Space(Enum):
     FM = "FM"
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     name: str
     dim: int
 
 
-@dataclass(frozen=True)
-class GeometryConfig:
-    n: int
-    dim_x: int
-    components: tuple[Component, ...] = ()
-    space: Space = Space.XD_BRACKET
+class GeometryConfig(Frozen):
+    _fields = ("n", "dim_x", "components", "space")
 
-    def __post_init__(self):
-        if not _is_int(self.n) or not 1 <= self.n <= MAX_POINTS:
-            raise ConfigError("n must be an integer in [1, %d], got %r" % (MAX_POINTS, self.n))
-        if not _is_int(self.dim_x) or self.dim_x < 1:
-            raise ConfigError("dim_X must be a positive integer, got %r" % (self.dim_x,))
-        if len(self.components) > MAX_COMPONENTS:
+    def __init__(self, n: int, dim_x: int, components: tuple[Component, ...] = (), space: Space = Space.XD_BRACKET):
+        if not _is_int(n) or not 1 <= n <= MAX_POINTS:
+            raise ConfigError("n must be an integer in [1, %d], got %r" % (MAX_POINTS, n))
+        if not _is_int(dim_x) or dim_x < 1:
+            raise ConfigError("dim_X must be a positive integer, got %r" % (dim_x,))
+        if len(components) > MAX_COMPONENTS:
             raise ConfigError("a configuration has at most %d components" % MAX_COMPONENTS)
         names = set()
-        for comp in self.components:
+        for comp in components:
             if not isinstance(comp.name, str) or not comp.name:
                 raise ConfigError("component names must be nonempty strings")
             if comp.name in names:
                 raise ConfigError("duplicate component name %r" % comp.name)
             names.add(comp.name)
-            if not _is_int(comp.dim) or not 0 <= comp.dim < self.dim_x:
+            if not _is_int(comp.dim) or not 0 <= comp.dim < dim_x:
                 raise ConfigError(
                     "component %r must satisfy 0 <= dim < dim_X = %d, got %r"
-                    % (comp.name, self.dim_x, comp.dim)
+                    % (comp.name, dim_x, comp.dim)
                 )
-        if self.space is Space.FM and self.components:
+        if space is Space.FM and components:
             raise ConfigError("space FM admits no components")
+        self.__dict__.update(n=n, dim_x=dim_x, components=components, space=space)
+
+    def __eq__(self, other):
+        return ((self.n, self.dim_x, self.components, self.space)
+                == (other.n, other.dim_x, other.components, other.space)
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self):
+        return hash((self.n, self.dim_x, self.components, self.space))
 
     @property
     def n_components(self) -> int:

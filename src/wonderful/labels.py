@@ -9,13 +9,12 @@ Text forms: "{1,3}" for a subset; "{{1,2},{4,5}}", singletons optional, for
 the merged blocks a ``loci.Diagonal`` keeps.  ``split_top_level`` splits
 that literal and the command line's label arrays.  ``Partition`` (every
 block, singletons included) stays only for ``meet``, which the benchmark's
-tracer names.
+tracer names.  ``Frozen`` is the base of the validated value classes.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 
 # Masks are Python ints and could hold any n; the limit stays because every
@@ -160,19 +159,38 @@ def join_blocks(n: int, blocks) -> list[int]:
     return list(groups.values())
 
 
-@dataclass(frozen=True)
-class Partition:
+class Frozen:
+    """Base of the validated value classes.  Assigning or deleting an
+    attribute raises, so a subclass's ``__init__`` stores its fields, named
+    in ``_fields``, in the instance ``__dict__`` or through its slots; each
+    subclass writes out its own ``__eq__`` and ``__hash__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__qualname__, ", ".join("%s=%r" % (f, getattr(self, f)) for f in self._fields))
+
+    def __reduce__(self):  # pickle and copy rebuild through the constructor
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+
+class Partition(Frozen):
     """A partition of {1,...,n}: disjoint nonempty blocks covering everything,
     singletons included, sorted by least element."""
 
-    n: int
-    blocks: tuple[int, ...]
+    _fields = ("n", "blocks")
 
-    def __post_init__(self):
-        check_population(self.n)
+    def __init__(self, n: int, blocks: tuple[int, ...]):
+        check_population(n)
         seen = 0
         prev_low = 0
-        for b in self.blocks:
+        for b in blocks:
             if b <= 0:
                 raise ValueError("empty block in partition")
             if b & seen:
@@ -182,8 +200,16 @@ class Partition:
                 raise ValueError("blocks must be sorted by least element")
             prev_low = low
             seen |= b
-        if seen != full_mask(self.n):
-            raise ValueError("blocks do not cover {1..%d}" % self.n)
+        if seen != full_mask(n):
+            raise ValueError("blocks do not cover {1..%d}" % n)
+        self.__dict__.update(n=n, blocks=blocks)
+
+    def __eq__(self, other):
+        return ((self.n, self.blocks) == (other.n, other.blocks)
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self):
+        return hash((self.n, self.blocks))
 
     def meet(self, other: "Partition") -> "Partition":
         """The partition I^J whose polydiagonal is the intersection of the two

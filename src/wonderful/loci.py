@@ -66,12 +66,12 @@ geometry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .geometry import GeometryConfig
-from .labels import check_population, format_subset, full_mask, parse_blocks, parse_subset
+from .labels import Frozen, check_population, format_subset, full_mask, parse_blocks, parse_subset
 
 # Distinct intersections one geometry remembers before its memo starts over:
 # about 2 MB at ~500 bytes an entry (n=7).  The flag oracle on the stage-one
@@ -81,25 +81,31 @@ from .labels import check_population, format_subset, full_mask, parse_blocks, pa
 INTERSECT_MEMO_LIMIT = 1 << 12
 
 _NO_MERGED_BLOCK = "a diagonal needs at least one block of size >= 2"
+_set = object.__setattr__  # stores a slot past the frozen ``__setattr__``
 
 
-@dataclass(frozen=True)
-class DLocus:
+class DLocus(Frozen):
     """D_{c,S}: the points labeled by S sit on component number c (1-based).
 
     Also the boundary divisor covering D_{c,S}; see ``nested``."""
 
-    n: int
-    component: int
-    subset: int
+    _fields = ("n", "component", "subset")
 
-    def __post_init__(self):
-        if self.subset == 0:
+    def __init__(self, n: int, component: int, subset: int):
+        if subset == 0:
             raise ValueError("D_{c,S} needs a nonempty S")
-        if self.subset & ~full_mask(self.n):
-            raise ValueError("subset exceeds population %d" % self.n)
-        if self.component < 1:
+        if subset & ~full_mask(n):
+            raise ValueError("subset exceeds population %d" % n)
+        if component < 1:
             raise ValueError("component indices are 1-based")
+        self.__dict__.update(n=n, component=component, subset=subset)
+
+    def __eq__(self, other):
+        return ((self.n, self.component, self.subset) == (other.n, other.component, other.subset)
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self):
+        return hash((self.n, self.component, self.subset))
 
     @cached_property
     def label(self) -> str:
@@ -109,8 +115,7 @@ class DLocus:
         return self.label
 
 
-@dataclass(frozen=True)
-class Diagonal:
+class Diagonal(Frozen):
     """The polydiagonal Delta_P, stored as the merged blocks of P: the
     blocks of size >= 2, sorted by least element.  Points no block covers
     stay apart.  Simple diagonals have one block.
@@ -118,18 +123,17 @@ class Diagonal:
     A simple diagonal Delta_I also names the boundary divisor covering it
     (see ``nested``), so it reads like a D-locus: ``subset`` is I and
     ``component`` is 0, the code the pairwise criterion reads for a
-    diagonal.  Neither is a field.  ``subset`` is set once, at
-    construction; a polydiagonal covers no divisor and has ``subset`` 0.
-    Every diagonal, simple or not, passes the checks of ``__post_init__``."""
+    diagonal.  Both follow from the fields n and blocks, and neither shows
+    in ``repr``; ``subset`` is stored at construction, 0 for a polydiagonal,
+    which covers no divisor.  Every diagonal passes ``__init__``'s checks."""
 
-    n: int
-    blocks: tuple[int, ...]
-    component = 0  # not a field
+    _fields = ("n", "blocks")
+    component = 0
 
     # subset is stored on the instance rather than computed by a descriptor:
     # the pairwise criterion reads it for every pair of divisors
-    def __post_init__(self):
-        n, blocks = check_population(self.n), self.blocks
+    def __init__(self, n: int, blocks: tuple[int, ...]):
+        check_population(n)
         if not blocks:
             raise ValueError(_NO_MERGED_BLOCK)
         seen = low = 0
@@ -148,7 +152,14 @@ class Diagonal:
                 raise ValueError("blocks must be sorted by least element")
             low = b & -b
             seen |= b
-        object.__setattr__(self, "subset", blocks[0] if len(blocks) == 1 else 0)
+        self.__dict__.update(n=n, blocks=blocks, subset=blocks[0] if len(blocks) == 1 else 0)
+
+    def __eq__(self, other):
+        return ((self.n, self.blocks) == (other.n, other.blocks)
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self):
+        return hash((self.n, self.blocks))
 
     @classmethod
     def simple(cls, n: int, mask: int) -> "Diagonal":
@@ -220,21 +231,31 @@ def validate_center(g: GeometryConfig, c: Center) -> Center:
     return c
 
 
-@dataclass(frozen=True, slots=True)
-class Locus:
+class Locus(Frozen):
     """Canonical form of an intersection of centers; see the module docstring.
 
     ``blocks`` is a full partition (singletons included) sorted by least
     element, ``pins[k]`` the component carrying block k or None.  The empty
     locus clears both fields and sets the flag.  ``code`` determines the
-    other fields given n, so equality and hashing look at n and code only.
+    other fields given n, so equality and hashing read n and code only.
     """
 
-    n: int
-    blocks: tuple[int, ...] = field(compare=False)
-    pins: tuple[int | None, ...] = field(compare=False)
-    code: int
-    is_empty: bool = field(default=False, compare=False)
+    __slots__ = _fields = ("n", "blocks", "pins", "code", "is_empty")
+
+    def __init__(self, n: int, blocks: tuple[int, ...], pins: tuple[int | None, ...], code: int,
+                 is_empty: bool = False):
+        _set(self, "n", n)
+        _set(self, "blocks", blocks)
+        _set(self, "pins", pins)
+        _set(self, "code", code)
+        _set(self, "is_empty", is_empty)
+
+    def __eq__(self, other):
+        return ((self.n, self.code) == (other.n, other.code)
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self):
+        return hash((self.n, self.code))
 
     @classmethod
     def empty(cls, n: int) -> "Locus":
@@ -326,8 +347,8 @@ def intersect(g: GeometryConfig, a: Locus, b: Locus) -> Locus:
     Commutative and associative; the result is canonical (possibly empty).
     Memoised in ``g.intersections`` on the sorted pair of codes.
     """
-    if a.is_empty or b.is_empty:
-        return Locus.empty(g.n)
+    if a.is_empty or b.is_empty:  # every empty locus of one n is equal, and loci are immutable
+        return a if a.is_empty else b
     key = (a.code, b.code) if a.code <= b.code else (b.code, a.code)
     memo = g.intersections
     out = memo.get(key)
@@ -499,8 +520,7 @@ def meets_transversally(g: GeometryConfig, loci) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class SeparationCertificate:
+class SeparationCertificate(NamedTuple):
     """Witness that two transforms become disjoint: v1 and v2 intersect
     cleanly and v1 cap v2 sits inside the blowup center z, itself strictly
     inside v1; blowing up z then separates the transforms of v1 and v2."""

@@ -132,11 +132,10 @@ out one and the same stratum is left open here, deliberately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .geometry import GeometryConfig, Space
-from .labels import subset_key, subsets
+from .labels import Frozen, subset_key, subsets
 from .loci import (
     Center,
     Diagonal,
@@ -205,7 +204,7 @@ def divisors_for(g: GeometryConfig) -> tuple[Center, ...]:
         n, keys = g.n, divisor_keys(g)
         memo["divisors"] = tuple(DLocus(n, c, s) if c else Diagonal.simple(n, s) for c, s in keys)
         for d, label in zip(memo["divisors"], divisor_labels(keys)):
-            object.__setattr__(d, "label", label)  # the cached_property's slot, past the frozen setattr
+            d.__dict__["label"] = label  # where the cached_property keeps its value
     return memo["divisors"]
 
 
@@ -237,26 +236,33 @@ def is_nested(g: GeometryConfig, divisors) -> bool:
     return all(pair_compatible(ds[i], ds[j]) for i in range(len(ds)) for j in range(i + 1, len(ds)))
 
 
-@dataclass(frozen=True, slots=True)
-class NestedSet:
+class NestedSet(Frozen):
     """A nested collection of boundary divisors in canonical order.
 
     The constructor enforces the order and the pairwise criterion, since it
     takes outside input (parsed labels, relabelings, fiber trees).  Faces of
     the clique walk skip both checks through ``_walked``: the walk only
     ever extends a face by a later divisor compatible with all of it.  The
-    fields live in slots, so a walked face is one bare object and two slot
+    two fields are slots, so a walked face is one bare object and two slot
     stores, and holds no ``__dict__``."""
 
-    geometry: GeometryConfig
-    divisors: tuple[Center, ...]
+    __slots__ = _fields = ("geometry", "divisors")
 
-    def __post_init__(self):
-        ordered = tuple(sorted(set(self.divisors), key=divisor_sort_key))
-        if ordered != self.divisors:
+    def __init__(self, geometry: GeometryConfig, divisors: tuple[Center, ...]):
+        ordered = tuple(sorted(set(divisors), key=divisor_sort_key))
+        if ordered != divisors:
             raise ValueError("divisors must be canonically sorted and distinct")
-        if not is_nested(self.geometry, self.divisors):
+        if not is_nested(geometry, divisors):
             raise ValueError("collection is not nested")
+        _set_geometry(self, geometry)
+        _set_divisors(self, divisors)
+
+    def __eq__(self, other):
+        return ((self.geometry, self.divisors) == (other.geometry, other.divisors)
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self):
+        return hash((self.geometry, self.divisors))
 
     @staticmethod
     def _walked(g: GeometryConfig, divisors: tuple[Center, ...]) -> "NestedSet":
@@ -272,8 +278,8 @@ class NestedSet:
         return len(self.divisors)
 
 
-# The slots' own member descriptors store a walked face's fields, past the
-# frozen ``__setattr__``; bound once here, not looked up per face.
+# The slots' own member descriptors store a face's fields, past the frozen
+# ``__setattr__``; bound once here, not looked up per face.
 _new_object = object.__new__
 _set_geometry = NestedSet.geometry.__set__
 _set_divisors = NestedSet.divisors.__set__
@@ -462,38 +468,45 @@ def f_vector(
     (n, number of components, space) only: ``pair_compatible`` reads
     components and index sets, never dimensions.  The counts are read off
     as the base-2^w digits of the recursion's value at y = 2^w, where 2^w
-    exceeds its value at y = 1, the number of faces; ``certify``'s count of
-    the walked faces is the oracle."""
-    if max_size is not None and max_size < 0:
+    exceeds every count: the number of faces or, capped at s, each C(N, i)
+    with i <= s and N divisors, and then the recursion keeps only digits 0..s
+    by running modulo 2^(w(s+1)); ``certify``'s count of the walked faces is
+    the oracle."""
+    if max_size is None:
+        w, keep = _fiber_tree_count(g, 1).bit_length(), -1
+    elif max_size < 0:
         raise ValueError("max_size must be >= 0, got %d" % max_size)
-    w = _fiber_tree_count(g, 1).bit_length()
-    value = _fiber_tree_count(g, 1 << w)
+    else:
+        s, count = min(max_size, _facet_size(g)), count_divisors(g)
+        w = comb(count, min(s, count // 2)).bit_length()  # the largest C(N, i) with i <= s
+        keep = (1 << w * (s + 1)) - 1
+    value = _fiber_tree_count(g, 1 << w, keep)
     mask = (1 << w) - 1
     counts = []
-    while value and (max_size is None or len(counts) <= max_size):
+    while value:
         counts.append(value & mask)
         value >>= w
     return tuple(counts)
 
 
-def _fiber_tree_count(g: GeometryConfig, y: int) -> int:
-    """n! [x^n] of B (1 - L)^-k at the given y, for the n points and k
-    components of ``g`` (module docstring).  A[m], B[m], L[m] and G[m] are
-    the labelled counts on m points of a point or screen, a set of those,
-    one level and the k chains of levels; a product of series is a binomial
-    convolution of these counts."""
+def _fiber_tree_count(g: GeometryConfig, y: int, keep: int = -1) -> int:
+    """n! [x^n] of B (1 - L)^-k at the given y, modulo keep + 1 (a power of
+    two, or no modulus for keep = -1), for the n points and k components of
+    ``g`` (module docstring).  A[m], B[m], L[m] and G[m] are the labelled
+    counts on m points of a point or screen, a set of those, one level and
+    the k chains of levels; a product of series is a binomial convolution."""
     n, k, diagonals = g.n, g.n_components, g.space is not Space.XD_UPPER
     A, B = [0, 1], [1, 1]
     for m in range(2, n + 1):  # B' = A' B, and A_m = y (B_m - A_m) for m >= 2
-        s = sum([comb(m - 1, j - 1) * A[j] * B[m - j] for j in range(1, m)])
-        A.append(y * s if diagonals else 0)
-        B.append(s + A[m])
-    L = [0] + [y * b for b in B[1:]]
+        s = sum([comb(m - 1, j - 1) * A[j] * B[m - j] for j in range(1, m)]) & keep
+        A.append(y * s & keep if diagonals else 0)
+        B.append(s + A[m] & keep)
+    L = [0] + [y * b & keep for b in B[1:]]
     G = [1]
     for m in range(n):  # G' = k L' G + L G', and L_0 = 0
         G.append(k * L[1] * G[m] + sum(
-            [comb(m, j) * (k * L[j + 1] * G[m - j] + L[j] * G[m + 1 - j]) for j in range(1, m + 1)]))
-    return sum([comb(n, j) * B[j] * G[n - j] for j in range(n + 1)])
+            [comb(m, j) * (k * L[j + 1] * G[m - j] + L[j] * G[m + 1 - j]) for j in range(1, m + 1)]) & keep)
+    return sum([comb(n, j) * B[j] * G[n - j] for j in range(n + 1)]) & keep
 
 
 __all__ = [

@@ -72,13 +72,12 @@ Each check refuses past ``nested.ORDER_CHECK_BOUND`` steps, read when called.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import nested
 from .building import is_building_order
 from .geometry import GeometryConfig, Space
-from .labels import elements, subset_key
+from .labels import Frozen, elements, subset_key
 from .loci import (
     Center,
     PairPosition,
@@ -91,25 +90,30 @@ from .loci import (
 SCHEMES = ("inclusion", "reshuffled", "interleaved")
 
 
-@dataclass(frozen=True)
-class BlowupSequence:
-    geometry: GeometryConfig
-    centers: tuple[Center, ...]
+class BlowupSequence(Frozen):
+    _fields = ("geometry", "centers")
 
-    def __post_init__(self):
+    def __init__(self, geometry: GeometryConfig, centers: tuple[Center, ...]):
         seen = set()
-        for c in self.centers:
-            validate_center(self.geometry, c)
+        for c in centers:
+            validate_center(geometry, c)
             if c in seen:
                 raise ValueError("repeated center %s in blowup sequence" % c)
             seen.add(c)
+        self.__dict__.update(geometry=geometry, centers=centers)
+
+    def __eq__(self, other):
+        return ((self.geometry, self.centers) == (other.geometry, other.centers)
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self):
+        return hash((self.geometry, self.centers))
 
     @staticmethod
     def _generated(g: GeometryConfig, centers: tuple[Center, ...]) -> "BlowupSequence":
-        """A sort of ``divisors_for(g)``: valid, distinct centers, so unchecked."""
+        """A sort of ``divisors_for(g)``: valid, distinct centers, stored past ``__init__``'s checks."""
         seq = object.__new__(BlowupSequence)
-        object.__setattr__(seq, "geometry", g)
-        object.__setattr__(seq, "centers", centers)
+        seq.__dict__.update(geometry=g, centers=centers)
         return seq
 
     def labels(self) -> list[str]:
@@ -164,8 +168,7 @@ def two_block_order(g: GeometryConfig) -> BlowupSequence:
         g, tuple(sorted(nested.divisors_for(g), key=lambda c: (not c.component, _round_key(c)))))
 
 
-@dataclass(frozen=True)
-class InclusionReport:
+class InclusionReport(NamedTuple):
     ok: bool
     violation: tuple[int, int, str] | None = None
 
@@ -281,8 +284,7 @@ class SwapStep(NamedTuple):
     certificate: str
 
 
-@dataclass(frozen=True)
-class RewriteResult:
+class RewriteResult(NamedTuple):
     ok: bool
     swaps: tuple[SwapStep, ...]
     blocking: tuple[str, str] | None = None

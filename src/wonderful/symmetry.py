@@ -39,24 +39,30 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .geometry import GeometryConfig
-from .labels import elements
+from .labels import Frozen, elements
 from .loci import Diagonal, DLocus
 from .nested import NestedSet, divisor_families, enumerate_nested_sets, make_nested_set
 from .trees import DegenerationTree, face_forest
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Frozen):
     """A bijection of {1..n}; images[i-1] = image of i."""
 
-    images: tuple[int, ...]
+    _fields = ("images",)
 
-    def __post_init__(self):
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
-            raise ValueError("images %r are not a bijection of {1..%d}" % (self.images, len(self.images)))
+    def __init__(self, images: tuple[int, ...]):
+        if sorted(images) != list(range(1, len(images) + 1)):
+            raise ValueError("images %r are not a bijection of {1..%d}" % (images, len(images)))
+        self.__dict__["images"] = images
+
+    def __eq__(self, other):
+        return self.images == other.images if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self.images,))
 
     @property
     def n(self) -> int:
@@ -96,12 +102,11 @@ def act(p: Permutation, x):
         markings = [0] * p.n
         for i in range(1, p.n + 1):
             markings[p.apply(i) - 1] = x.markings[i - 1]
-        return replace(x, markings=tuple(markings))
+        return DegenerationTree(x.geometry, x.vertices, x.parents, tuple(markings))
     raise TypeError("cannot act on %r" % (x,))
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(NamedTuple):
     representative: object
     size: int
     stabilizer_order: int
@@ -144,7 +149,7 @@ def orbits(g: GeometryConfig, kind: str, size: int | None = None) -> tuple[Orbit
         if size is None:
             raise ValueError("orbit kind 'nested' needs a size")
         if size == 1:
-            return tuple(replace(o, representative=make_nested_set(g, (o.representative,)))
+            return tuple(o._replace(representative=make_nested_set(g, (o.representative,)))
                          for o in orbits(g, "divisors"))
         groups: dict[tuple, list] = {}
         for ns in enumerate_nested_sets(g, max_size=size):

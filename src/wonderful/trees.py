@@ -20,11 +20,11 @@ sharper analysis can revise them in one place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .geometry import GeometryConfig
-from .labels import elements, format_subset, mask_of
+from .labels import Frozen, elements, format_subset, mask_of
 from .loci import Center, Diagonal, DLocus
 from .nested import NestedSet, make_nested_set
 
@@ -35,8 +35,7 @@ class VertexKind(Enum):
     SCREEN = "Screen"
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(NamedTuple):
     vid: int
     kind: VertexKind
     component: int | None = None  # DLevel only
@@ -48,21 +47,18 @@ class Vertex:
         return self.kind.value
 
 
-@dataclass(frozen=True)
-class DegenerationTree:
-    geometry: GeometryConfig
-    vertices: tuple[Vertex, ...]
-    parents: tuple[int | None, ...]
-    markings: tuple[int, ...]  # markings[i-1] = vertex id carrying point i
+class DegenerationTree(Frozen):
+    _fields = ("geometry", "vertices", "parents", "markings")  # markings[i-1] = vertex id carrying point i
 
-    def __post_init__(self):
-        vs = self.vertices
-        if len(self.parents) != len(vs):
+    def __init__(self, geometry: GeometryConfig, vertices: tuple[Vertex, ...], parents: tuple[int | None, ...],
+                 markings: tuple[int, ...]):
+        vs = vertices
+        if len(parents) != len(vs):
             raise ValueError("parent table size mismatch")
-        if not vs or vs[0].kind is not VertexKind.ROOT or self.parents[0] is not None:
+        if not vs or vs[0].kind is not VertexKind.ROOT or parents[0] is not None:
             raise ValueError("vertex 0 must be the parentless root")
-        if len(self.markings) != self.geometry.n:
-            raise ValueError("markings must place every one of the %d points" % self.geometry.n)
+        if len(markings) != geometry.n:
+            raise ValueError("markings must place every one of the %d points" % geometry.n)
         chains: dict[int, set[int]] = {}
         for pos, v in enumerate(vs):
             if v.vid != pos:
@@ -76,7 +72,7 @@ class DegenerationTree:
                     raise ValueError("one expansion chain per component")
                 chains[v.component].add(v.depth)
         for v in vs[1:]:
-            p = self.parents[v.vid]
+            p = parents[v.vid]
             if p is None or not 0 <= p < v.vid:  # parents first: the relation is a tree
                 raise ValueError("vertex %d needs a parent listed before it" % v.vid)
             if v.kind is VertexKind.DLEVEL:
@@ -90,9 +86,18 @@ class DegenerationTree:
                     and parent.depth == v.depth - 1
                 ):
                     raise ValueError("expansion levels chain by depth within one component")
-        for i, vid in enumerate(self.markings, start=1):
+        for i, vid in enumerate(markings, start=1):
             if not 0 <= vid < len(vs):
                 raise ValueError("marking %d placed on a missing vertex" % i)
+        self.__dict__.update(geometry=geometry, vertices=vertices, parents=parents, markings=markings)
+
+    def __eq__(self, other):
+        return ((self.geometry, self.vertices, self.parents, self.markings)
+                == (other.geometry, other.vertices, other.parents, other.markings)
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self):
+        return hash((self.geometry, self.vertices, self.parents, self.markings))
 
     def marks_on(self, vid: int) -> tuple[int, ...]:
         return tuple(i for i, m in enumerate(self.markings, start=1) if m == vid)
@@ -114,8 +119,7 @@ def _subtree_masks(t: DegenerationTree) -> list[int]:
 _MIN_SPECIAL = {VertexKind.ROOT: 0, VertexKind.DLEVEL: 1, VertexKind.SCREEN: 2}
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     ok: bool
     violating_vertex: int | None = None
 

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import hashlib
 import io
 import json
@@ -407,6 +408,15 @@ def test_no_divisors_answer_at_n_64_at_once(runner, argv, answer):
     assert elapsed < 0.05
 
 
+def test_capped_listing_refuses_at_n_64_at_once(runner):
+    # the size cap bounds the recursion's digits; running them all took 0.3-0.4 s on a 2-vCPU Xeon
+    start = time.perf_counter()
+    result = runner.invoke(main, ["nested", "--max-size", "2", "--n", "64", "--components", "64"])
+    elapsed = time.perf_counter() - start
+    assert _json_error(result, 3) == "refusing to walk 7586724400780431347428671851619427 nested sets (bound 262144)"
+    assert elapsed < 0.05
+
+
 # sum(f_vector(point_components(4, n=64))), written out: the recursion takes ~0.35 s at n = 64 on a 2-vCPU Xeon
 FACES_K4_N64 = int("19454200545585053820349317347804272331337219380818391179128918191545"
                    "43952764749685990772198810449728888366571607556096")
@@ -442,13 +452,26 @@ def test_cli_import_leaves_certify_unloaded():
     assert result.stdout == "False\n"
 
 
-def test_cli_import_leaves_click_unloaded():
-    # the parser is the standard library's: no cold start pays for click
-    code = "import sys, wonderful, wonderful.cli; print('click' in sys.modules)"
+@pytest.mark.parametrize("module", ["click", "dataclasses", "inspect"])
+def test_cli_import_leaves_module_unloaded(module):
+    # every CLI call starts cold: the parser is the standard library's, the
+    # records are written out by hand, and nothing pulls in inspect
+    code = "import sys, wonderful, wonderful.cli; print(%r in sys.modules)" % module
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "False\n"
+
+
+def test_no_module_imports_dataclasses():
+    found = {}
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "dataclasses" in names:
+                found.setdefault(path.name, []).append(node.lineno)
+    assert found == {}
 
 
 def test_interrupt_exits_1_with_one_json_line(runner, monkeypatch):
@@ -565,11 +588,11 @@ def test_listings_build_no_divisor(runner, monkeypatch):
              for command in (["divisors"], ["nested", "--max-size", "2"], ["facets"])]
     want = [runner.invoke(main, argv).stdout for argv in argvs]
 
-    def refuse(self):
+    def refuse(self, *fields):
         raise AssertionError("a listing built %s" % type(self).__name__)
 
-    monkeypatch.setattr(DLocus, "__post_init__", refuse)
-    monkeypatch.setattr(Diagonal, "__post_init__", refuse)
+    monkeypatch.setattr(DLocus, "__init__", refuse)
+    monkeypatch.setattr(Diagonal, "__init__", refuse)
     for argv, stdout in zip(argvs, want):
         result = runner.invoke(main, argv)
         assert (result.exit_code, result.stdout) == (0, stdout), argv

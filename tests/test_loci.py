@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wonderful import loci
+from wonderful import building, certify, loci
 from wonderful.building import _intersection_closure, building_set_for
 from wonderful.geometry import Component, GeometryConfig, Space, point_components
 from wonderful.certify import partitions_of
@@ -201,6 +201,32 @@ def test_empty_locus_is_contained_everywhere():
     assert empty.is_empty
     assert contains_locus(g, center_to_locus(g, DLocus(2, 1, 0b01)), empty)
     assert not contains_locus(g, empty, center_to_locus(g, DLocus(2, 1, 0b01)))
+
+
+def test_intersect_hands_back_an_empty_operand(monkeypatch):
+    # every empty locus of one n is equal and a locus takes no assignment, so
+    # the empty operand is the answer, and no caller tells it from a new one
+    g = bracket(2, [1, 1])
+    a, b = (center_to_locus(g, DLocus(2, c, 0b01)) for c in (1, 2))
+    empty = intersect(g, a, b)
+    assert empty == Locus.empty(2) and intersect(g, empty, a) is empty and intersect(g, b, empty) is empty
+    with pytest.raises(AttributeError):
+        empty.is_empty = False
+    assert empty.is_empty and not hasattr(empty, "__dict__")
+    rows = [row for row in certify.ROWS if row.name in ("flag-oracle", "grid-model")]  # the rows that meet an empty operand
+    want = [(row.fast(g), row.slow(g)) for row in rows for g in row.configs]
+    real, fresh = loci.intersect, []
+
+    def fresh_empty(g, a, b):  # a new empty locus each time an operand is empty
+        if a.is_empty or b.is_empty:
+            fresh.append(Locus.empty(g.n))
+            return fresh[-1]
+        return real(g, a, b)
+
+    for module in (loci, building, certify):
+        monkeypatch.setattr(module, "intersect", fresh_empty)
+    assert [(row.fast(g), row.slow(g)) for row in rows for g in row.configs] == want
+    assert len(fresh) > 100
 
 
 def test_pair_position_examples():

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from wonderful.geometry import Component, GeometryConfig, Space, point_components
@@ -167,7 +165,7 @@ def _section_certificates(g):
     # In the (n+1)-point geometry the section of point a is Delta_{a,n+1}.  It
     # meets D_{c,{n+1}}, where the moving point enters D, inside the divisor
     # D_{c,{a,n+1}}, whose blowup separates the two.
-    gp = replace(g, n=g.n + 1)
+    gp = GeometryConfig(g.n + 1, g.dim_x, g.components, g.space)
     moving = 1 << g.n
     certs = []
     for a in range(1, g.n + 1):
